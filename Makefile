@@ -45,19 +45,23 @@ vet:
 # testdata/fuzz/) already runs as deterministic subtests in plain
 # `go test`; this target explores BEYOND the corpus for a bounded
 # budget per fuzzer (go's fuzz engine allows one -fuzz target per
-# invocation, hence three runs):
+# invocation, hence four runs):
 #   FuzzSpecLoad            — adversarial JSON never panics the loader
 #   FuzzGeneratorValidity   — every generated spec loads and regenerates
 #                             byte-identically
 #   FuzzScenarioDeterminism — generated scenarios run bit-identically
 #                             across serial, parallel, and pooled+Reset
 #                             execution
+#   FuzzStoreReopen         — after any mix of puts, re-puts,
+#                             compactions, clean and crash reopens, the
+#                             results store matches a map model
 # Override the budget: make fuzz FUZZTIME=2m
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecLoad$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorValidity$$' -fuzztime $(FUZZTIME) ./internal/scenario/gen/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./caem/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreReopen$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 # Fast-fail lint pass: formatting, vet, and staticcheck when available
 # (CI installs it; locally it is optional).

@@ -145,11 +145,6 @@ func RunCampaignWith(base Config, scs []Scenario, protocols []Protocol, seeds []
 	for j, i := range pending {
 		cells[i].Result = results[j]
 	}
-	if opts.Store != nil {
-		if err := opts.Store.Flush(); err != nil {
-			return nil, err
-		}
-	}
 	if halted {
 		done := make([]CampaignCell, 0, len(pending))
 		ran := make(map[int]bool, len(pending))

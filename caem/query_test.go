@@ -3,8 +3,6 @@ package caem
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -216,9 +214,10 @@ func TestCachedAggregatesByteIdentical(t *testing.T) {
 	compare("after invalidating write")
 }
 
-// TestFlatLogMigrationAggregates: a v1 flat-log store opened by the
-// segmented store produces byte-identical aggregates after migration —
-// the caem-level half of the store migration contract.
+// TestFlatLogMigrationAggregates: a flat-log store (one tail past the
+// segment threshold) produces byte-identical aggregates after open rolls
+// it into segments — the caem-level half of the store migration
+// contract.
 func TestFlatLogMigrationAggregates(t *testing.T) {
 	dir := t.TempDir()
 	cs, err := OpenStore(dir) // default threshold: stays a flat log
@@ -235,25 +234,6 @@ func TestFlatLogMigrationAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite the index checkpoint as the pre-segmentation v1 document.
-	idx := filepath.Join(dir, "index.json")
-	blob, err := os.ReadFile(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["v"] = 1
-	delete(doc, "distinct")
-	if blob, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(idx, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -79,10 +79,9 @@ func (cs *CampaignStore) Len() int { return cs.s.Len() }
 func (cs *CampaignStore) RecoveredBytes() int64 { return cs.s.RecoveredBytes() }
 
 // Observe attaches the store to a metrics registry: append, byte,
-// fsync-latency, checkpoint-latency, fault, recovery, segment, and
-// aggregate-cache instruments register get-or-create and update on
-// every subsequent operation. A store never observed skips all
-// instrumentation.
+// fsync-latency, fault, recovery, segment, scan, and aggregate-cache
+// instruments register get-or-create and update on every subsequent
+// operation. A store never observed skips all instrumentation.
 func (cs *CampaignStore) Observe(reg *obs.Registry) {
 	cs.s.Observe(reg)
 	m := RegisterAggCacheMetrics(reg)
@@ -100,10 +99,12 @@ func (cs *CampaignStore) Stats() store.Stats { return cs.s.Stats() }
 // exposed for maintenance and tests.
 func (cs *CampaignStore) Compact() error { return cs.s.Compact() }
 
-// Flush checkpoints the lookup index to disk.
-func (cs *CampaignStore) Flush() error { return cs.s.Flush() }
+// Flush does nothing and returns nil: every PutCell and PutCells is
+// already durable when it returns. It remains for callers written when
+// the store checkpointed an index.
+func (cs *CampaignStore) Flush() error { return nil }
 
-// Close checkpoints the index and releases the store.
+// Close waits for any background compaction and releases the store.
 func (cs *CampaignStore) Close() error { return cs.s.Close() }
 
 // CellHash returns the deterministic content hash identifying a

@@ -85,7 +85,7 @@
 //
 // On SIGTERM/SIGINT both modes drain gracefully: in-flight cells
 // finish (bounded by -drain), worker mode releases its leases back to
-// the coordinator, and the store flushes before exit.
+// the coordinator, and the store is closed before exit.
 package main
 
 import (

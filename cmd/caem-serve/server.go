@@ -286,14 +286,14 @@ func registerPprof(mux *http.ServeMux) {
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close shuts down with no drain deadline: local workers finish their
-// in-flight cell and release their leases, then the store flushes.
+// in-flight cell and release their leases.
 func (s *server) Close() { s.Shutdown(0) }
 
 // Shutdown stops accepting campaigns, cancels the local workers, and
 // waits up to drain (0 = indefinitely) for them to settle or release
-// their leases. The coordinator then stops sweeping and the store index
-// checkpoints; unfinished cells stay in the store's debt and are
-// re-scheduled by the next process via recover().
+// their leases. The coordinator then stops sweeping. Every settled cell
+// is already durable in the store; unfinished cells stay in the store's
+// debt and are re-scheduled by the next process via recover().
 func (s *server) Shutdown(drain time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -322,7 +322,6 @@ func (s *server) Shutdown(drain time.Duration) error {
 		<-drained
 	}
 	s.coord.Stop()
-	s.store.Flush()
 	return err
 }
 
@@ -461,10 +460,6 @@ func (s *server) finishLocked(c *campaign, idx int) {
 		c.subs = nil
 	}
 	c.mu.Unlock()
-
-	if final {
-		s.store.Flush()
-	}
 }
 
 // plan resolves and fully validates a campaign request into an

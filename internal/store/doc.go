@@ -1,31 +1,36 @@
 // Package store is the persistent, append-only results store behind
 // campaign checkpoint/resume and the caem-serve service: each completed
 // (scenario, protocol, seed) campaign cell is one self-describing JSONL
-// record in results.jsonl, and an index file maps cell keys to byte
-// offsets so lookups stay O(1) without re-scanning the log.
+// record, appended to an active tail that rolls into immutable,
+// bloom-filtered segment files.
 //
 // # Layout
 //
 // A store is a directory:
 //
-//	<dir>/results.jsonl   append-only log, one JSON Record per line
-//	<dir>/index.json      key → (offset, length) index, rewritten atomically
-//	<dir>/campaigns/      one JSON blob per campaign spec (service metadata)
+//	<dir>/results.jsonl              active tail: append-only, one JSON Record per line
+//	<dir>/segments/seg-NNNNNN.jsonl  immutable segments rolled from the tail
+//	<dir>/campaigns/                 one JSON blob per campaign spec (service metadata)
 //
-// The log is the source of truth; the index is a cache. Open validates
-// the index against the log length, scans any records appended after the
-// last index flush, and rebuilds the index from scratch when it is
-// missing or stale. A torn tail — a partial or undecodable final line
-// left by a crash mid-append — is truncated away on Open and reported
-// via RecoveredBytes, so a killed campaign can always restart cleanly.
+// A segment is its deduplicated record lines, then a footer line (record
+// count, key ranges, a bloom filter over its keys, and the store-wide
+// distinct-cell count at the roll that wrote it), then a fixed-width
+// trailer locating the footer. Open reads every footer, takes the cell
+// count from the newest one, and rebuilds the tail index by scanning the
+// tail, which rolling keeps at most Options.SegmentBytes long. A torn
+// tail — a partial or undecodable final line left by a crash mid-append
+// — is truncated away on Open and reported via RecoveredBytes, so a
+// killed campaign can always restart cleanly.
 //
 // # Durability and determinism
 //
-// Put appends one record, syncs the log, and checkpoints the index every
-// few dozen writes (and on Flush/Close). Records round-trip exactly:
-// encoding/json preserves float64 values bit-for-bit, which is what lets
-// a resumed campaign reproduce byte-identical aggregate output from
-// stored cells (see caem.RunCampaignWith and TestResumeEquivalence).
+// PutBatch appends its records with one write and one fsync before it
+// returns; Put is a batch of one. A roll publishes its segment (file
+// fsync, rename, directory fsync) before it truncates the tail. Records
+// round-trip exactly: encoding/json preserves float64 values
+// bit-for-bit, which is what lets a resumed campaign reproduce
+// byte-identical aggregate output from stored cells (see
+// caem.RunCampaignWith and TestResumeEquivalence).
 //
 // Appends from concurrent campaign workers are serialized internally;
 // a Store is safe for concurrent use by one process. Multi-process

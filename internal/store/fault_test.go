@@ -126,52 +126,6 @@ func TestSyncFaultThenReopen(t *testing.T) {
 	}
 }
 
-// TestIndexFaultIsTypedAndLogSurvives: an injected index-checkpoint
-// error must be a *WriteError with Op "index", and because the log is
-// the source of truth, every record must still survive a reopen that
-// rebuilds the index from scratch.
-func TestIndexFaultIsTypedAndLogSurvives(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Put(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SetFault(func(op string) error {
-		if op == "index" {
-			return errors.New("index partition read-only")
-		}
-		return nil
-	})
-	err = s.Flush()
-	var we *WriteError
-	if !errors.As(err, &we) || we.Op != "index" {
-		t.Fatalf("faulted Flush = %v, want *WriteError{Op: index}", err)
-	}
-	// Close reports the same typed failure but still releases the file.
-	if err := s.Close(); err == nil || !errors.As(err, &we) {
-		t.Fatalf("faulted Close = %v, want *WriteError", err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen after index fault: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != 5 {
-		t.Fatalf("reopen holds %d cells, want 5", s2.Len())
-	}
-	for i := 0; i < 5; i++ {
-		if !s2.Has(rec(i).Key()) {
-			t.Fatalf("record %d lost after index fault", i)
-		}
-	}
-}
-
 // TestMidAppendCrashRecovery extends the torn-tail suite: a writer that
 // dies mid-append leaves a partial line (no terminating newline, or
 // truncated JSON); reopen must drop exactly the torn bytes, keep every

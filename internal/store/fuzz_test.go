@@ -1,0 +1,122 @@
+package store
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// FuzzStoreReopen drives a store through a decoded sequence of puts,
+// re-puts, compactions and reopens, and after every reopen checks it
+// against a map model: Len equals the model's size, every Get returns
+// the last write, and Records lists each key once. Each input byte is
+// one step; b%5 picks the step and b/5 is its argument:
+//
+//	0 put a new key
+//	1 re-put an existing key (the argument picks which)
+//	2 Compact
+//	3 clean reopen: Close, then open again
+//	4 crash-reopen: abandon the handle without Close, then open again.
+//	  With an odd argument, right after a roll, the tail the roll
+//	  truncated is first restored from the new segment: the crash window
+//	  between publishing a segment and truncating the tail.
+func FuzzStoreReopen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		if len(steps) > 64 {
+			steps = steps[:64]
+		}
+		dir := t.TempDir()
+		open := func() *Store {
+			s, err := OpenWith(dir, Options{SegmentBytes: smallSeg, CompactAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		s := open()
+		defer func() { s.Close() }()
+
+		model := make(map[Key]Record)
+		var keys []Key
+		check := func(step int) {
+			t.Helper()
+			if got := s.Len(); got != len(model) {
+				t.Fatalf("step %d: Len = %d, want %d", step, got, len(model))
+			}
+			for k, want := range model {
+				got, ok, err := s.Get(k)
+				if err != nil || !ok || !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: Get(%v) = %+v ok=%v err=%v, want %+v", step, k, got, ok, err, want)
+				}
+			}
+			recs, err := s.Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[Key]bool, len(recs))
+			for _, r := range recs {
+				if seen[r.Key()] || !reflect.DeepEqual(r, model[r.Key()]) {
+					t.Fatalf("step %d: Records holds %+v twice or stale", step, r.Key())
+				}
+				seen[r.Key()] = true
+			}
+			if len(recs) != len(model) {
+				t.Fatalf("step %d: Records lists %d keys, want %d", step, len(recs), len(model))
+			}
+		}
+
+		rolled := false
+		for i, b := range steps {
+			op, arg := b%5, int(b/5)
+			rolls := s.Stats().Rolls
+			switch op {
+			case 0, 1:
+				r := rec(len(keys))
+				if op == 1 && len(keys) > 0 {
+					r = model[keys[arg%len(keys)]]
+				} else {
+					keys = append(keys, r.Key())
+				}
+				r.V = recordVersion
+				r.Summary.Delivered = uint64(i)
+				if err := s.Put(r); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				model[r.Key()] = r
+			case 2:
+				if err := s.Compact(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			case 3, 4:
+				if op == 3 {
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					// Close the files as a dying process would, without Close.
+					s.f.Close()
+					for _, g := range s.segs {
+						g.closeHandle()
+					}
+					if arg%2 == 1 && rolled {
+						newest := s.segs[len(s.segs)-1]
+						blob, err := os.ReadFile(newest.path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(filepath.Join(dir, dataFile), blob[:newest.footer.DataSize], 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				s = open()
+				rolls = 0
+				check(i)
+			}
+			st := s.Stats()
+			rolled = st.Rolls > rolls && st.ActiveRecords == 0
+		}
+		check(len(steps))
+	})
+}

@@ -5,15 +5,14 @@ import (
 )
 
 // Metric families owned by the results store. Instrumentation is per
-// durable batch and per checkpoint — one PutBatch is one append and one
-// fsync covering a settled lease's cell results, so this granularity can
-// never touch the simulation hot loop.
+// durable batch, roll and compaction — one PutBatch is one append and
+// one fsync covering a settled lease's cell results, so this granularity
+// can never touch the simulation hot loop.
 const (
 	metricAppends     = "caem_store_appends_total"
 	metricBytes       = "caem_store_bytes_written_total"
 	metricFaults      = "caem_store_write_faults_total"
 	metricFsync       = "caem_store_fsync_seconds"
-	metricIndexCkpt   = "caem_store_index_checkpoint_seconds"
 	metricRecovered   = "caem_store_recovered_bytes"
 	metricCellsStored = "caem_store_cells"
 
@@ -33,7 +32,6 @@ type storeMetrics struct {
 	bytes     *obs.Counter
 	faults    *obs.CounterVec
 	fsync     *obs.Histogram
-	indexCkpt *obs.Histogram
 	recovered *obs.Gauge
 	cells     *obs.Gauge
 
@@ -55,13 +53,10 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 		bytes: reg.Counter(metricBytes,
 			"Bytes appended to the active results tail."),
 		faults: reg.CounterVec(metricFaults,
-			"Write failures by operation (append, sync, index, roll, compact), including injected faults.",
+			"Write failures by operation (append, sync, roll, compact), including injected faults.",
 			"op"),
 		fsync: reg.Histogram(metricFsync,
 			"Latency of the log fsync, one per durable batch of appended records, in seconds.", obs.LatencyBuckets),
-		indexCkpt: reg.Histogram(metricIndexCkpt,
-			"Latency of index checkpoints (marshal + write + rename) in seconds.",
-			obs.LatencyBuckets),
 		recovered: reg.Gauge(metricRecovered,
 			"Torn-tail bytes dropped during recovery when this store was opened."),
 		cells: reg.Gauge(metricCellsStored,
@@ -73,7 +68,7 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 		segmentLoads: reg.Counter(metricSegmentLoads,
 			"Lazy segment index loads (bloom/range pruning misses land here)."),
 		fullScans: reg.Counter(metricFullScans,
-			"Global-order materializations touching every segment (Records/Keys/index rebuild)."),
+			"Global-order materializations touching every segment (Records/Keys)."),
 		compactions: reg.Counter(metricCompactions,
 			"Completed compaction passes over the segment set."),
 		compacted: reg.Counter(metricCompacted,
@@ -116,13 +111,6 @@ func (m *storeMetrics) observeFsync(seconds float64) {
 		return
 	}
 	m.fsync.Observe(seconds)
-}
-
-func (m *storeMetrics) observeIndexCheckpoint(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.indexCkpt.Observe(seconds)
 }
 
 func (m *storeMetrics) rollDone(segments int) {

@@ -26,8 +26,9 @@ const (
 // segFooter is the self-describing metadata appended after a segment's
 // record lines: enough to route lookups (bloom + key ranges) and to
 // validate the record region, without decoding a single record. Open
-// reads only footers, which is what makes startup O(segments) + active
-// tail instead of O(cells).
+// reads only footers, and takes the store's distinct-cell count from the
+// newest one, which is what makes startup O(segments) + active tail
+// instead of O(cells).
 type segFooter struct {
 	V        int    `json:"v"`
 	Records  int    `json:"records"`  // record lines (one per distinct key)
@@ -39,12 +40,11 @@ type segFooter struct {
 	MinSeed  uint64 `json:"minSeed"`
 	MaxSeed  uint64 `json:"maxSeed"`
 	Bloom    *bloom `json:"bloom"`
-}
-
-// segEntry locates one record line inside a segment's record region.
-type segEntry struct {
-	Off int64
-	Len int
+	// Distinct is the store-wide distinct-cell count when the roll that
+	// wrote this segment finished. Open reads only the newest segment's;
+	// zero (absent) marks a footer written before the count existed.
+	// Compaction never rewrites the newest segment.
+	Distinct int `json:"distinct,omitempty"`
 }
 
 // segment is one immutable segment file: record lines in first-put
@@ -56,9 +56,9 @@ type segment struct {
 	path   string
 	seq    int
 	footer segFooter
-	f      *os.File            // lazily opened read handle
-	index  map[string]segEntry // lazily built key index
-	order  []Key               // keys in record order
+	f      *os.File              // lazily opened read handle
+	index  map[string]indexEntry // lazily built key index
+	order  []Key                 // keys in record order
 }
 
 // segName renders the canonical file name for a sequence number.
@@ -132,7 +132,7 @@ func (g *segment) ensureIndex() error {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		return fmt.Errorf("store: reading segment %s records: %w", filepath.Base(g.path), err)
 	}
-	index := make(map[string]segEntry, g.footer.Records)
+	index := make(map[string]indexEntry, g.footer.Records)
 	order := make([]Key, 0, g.footer.Records)
 	off := int64(0)
 	for len(buf) > 0 {
@@ -148,7 +148,7 @@ func (g *segment) ensureIndex() error {
 		if _, dup := index[ks]; !dup {
 			order = append(order, r.Key())
 		}
-		index[ks] = segEntry{Off: off, Len: nl + 1}
+		index[ks] = indexEntry{Off: off, Len: nl + 1}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 	}
@@ -157,7 +157,7 @@ func (g *segment) ensureIndex() error {
 }
 
 // readAt decodes the record at a segment entry.
-func (g *segment) readAt(e segEntry, r *Record) error {
+func (g *segment) readAt(e indexEntry, r *Record) error {
 	f, err := g.open()
 	if err != nil {
 		return err
@@ -173,7 +173,7 @@ func (g *segment) readAt(e segEntry, r *Record) error {
 }
 
 // rawAt returns the raw line bytes (newline included) at a segment entry.
-func (g *segment) rawAt(e segEntry) ([]byte, error) {
+func (g *segment) rawAt(e indexEntry) ([]byte, error) {
 	f, err := g.open()
 	if err != nil {
 		return nil, err
@@ -251,6 +251,21 @@ func writeSegmentFile(path string, lines [][]byte, footer segFooter) error {
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("store: publishing segment: %w", err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the creations, renames and
+// unlinks inside it durable: a file's own fsync covers only its bytes,
+// not its directory entry.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
 	}
 	return nil
 }

@@ -86,8 +86,8 @@ func TestRollCreatesSegments(t *testing.T) {
 	}
 }
 
-// TestFlatLogMigration: a v1 store (flat log, v1 index document) opened
-// by the segmented store rolls into segments on open, with every cell
+// TestFlatLogMigration: a flat store (one tail past the segment
+// threshold, no segments) rolls into segments on open, with every cell
 // readable and the record set bit-identical.
 func TestFlatLogMigration(t *testing.T) {
 	dir := t.TempDir()
@@ -109,25 +109,6 @@ func TestFlatLogMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the index checkpoint as the pre-segmentation v1 document.
-	blob, err := os.ReadFile(filepath.Join(dir, indexFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc indexDoc
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc.V = 1
-	doc.Distinct = 0
-	blob, err = json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s2 := openSmall(t, dir)
 	defer s2.Close()
 	st := s2.Stats()
@@ -145,7 +126,7 @@ func TestFlatLogMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("migrated records diverged from the v1 store")
+		t.Fatal("migrated records diverged from the flat store")
 	}
 }
 
@@ -402,8 +383,8 @@ func TestRollFaultLeavesTailIntact(t *testing.T) {
 
 // TestCrashBetweenSegmentPublishAndTailTruncate reconstructs the
 // narrowest roll crash window: the segment file is durable but the tail
-// still holds the same records and the index checkpoint predates the
-// roll. Last-write-wins resolution must read every cell exactly once.
+// still holds the same records. Last-write-wins resolution must read
+// every cell exactly once.
 func TestCrashBetweenSegmentPublishAndTailTruncate(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenWith(dir, Options{SegmentBytes: 1 << 20, CompactAfter: -1})
@@ -427,10 +408,6 @@ func TestCrashBetweenSegmentPublishAndTailTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexBlob, err := os.ReadFile(filepath.Join(dir, indexFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Reopen past the threshold: the open rolls the tail into a segment.
 	s2 := openSmall(t, dir)
@@ -440,43 +417,26 @@ func TestCrashBetweenSegmentPublishAndTailTruncate(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Undo the truncate + checkpoint, keeping the published segment: the
-	// exact on-disk state of a crash between rename and truncate.
+	// Undo the truncate, keeping the published segment: the exact
+	// on-disk state of a crash between rename and truncate.
 	if err := os.WriteFile(filepath.Join(dir, dataFile), tailBlob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), indexBlob, 0o644); err != nil {
+
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen in crash window state: %v", err)
+	}
+	defer s3.Close()
+	if s3.Len() != n {
+		t.Fatalf("Len = %d, want %d (duplicates double-counted?)", s3.Len(), n)
+	}
+	got, err := s3.Records()
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	for pass := 0; pass < 2; pass++ {
-		s3, err := Open(dir)
-		if err != nil {
-			t.Fatalf("pass %d: reopen in crash window state: %v", pass, err)
-		}
-		if s3.Len() != n {
-			t.Fatalf("pass %d: Len = %d, want %d (duplicates double-counted?)", pass, s3.Len(), n)
-		}
-		got, err := s3.Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pass %d: records diverged in crash window state", pass)
-		}
-		if err := s3.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Second pass: same state but with the checkpoint gone, forcing
-		// the rebuild path to union segments with the duplicate tail.
-		if pass == 0 {
-			if err := os.WriteFile(filepath.Join(dir, dataFile), tailBlob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("records diverged in crash window state")
 	}
 }
 
@@ -605,9 +565,12 @@ func TestBackgroundCompaction(t *testing.T) {
 	}
 }
 
-// TestDistinctSurvivesRebuildWithSegments: deleting the checkpoint on a
-// segmented store forces the recount path, which must union segment
-// keys with the tail (counting one full scan) and keep Len exact.
+// TestDistinctSurvivesRebuildWithSegments: a store written before
+// segment footers carried the distinct count (and while the store still
+// checkpointed its tail index to index.json) must open with an exact
+// Len: the stale checkpoint is deleted unread, and the count is rebuilt
+// with exactly one full scan. The next roll persists the count, so the
+// following reopen scans nothing.
 func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 	dir := t.TempDir()
 	s := openSmall(t, dir)
@@ -625,16 +588,109 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
+
+	// Rewrite the store in the older format: footers without the count,
+	// plus a checkpoint whose count is wrong.
+	segs, err := loadSegments(filepath.Join(dir, segmentsDir))
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, seg := range segs {
+		blob, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft := seg.footer
+		ft.Distinct = 0
+		if err := writeSegmentFile(seg.path, [][]byte{blob[:ft.DataSize]}, ft); err != nil {
+			t.Fatal(err)
+		}
+	}
+	index := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(index, []byte(`{"v":2,"size":0,"distinct":3,"entries":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	s2 := openSmall(t, dir)
-	defer s2.Close()
+	if _, err := os.Stat(index); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Open left the old index checkpoint in place: %v", err)
+	}
 	if s2.Len() != n {
 		t.Fatalf("rebuilt Len = %d, want %d", s2.Len(), n)
 	}
-	if st := s2.Stats(); st.FullScans == 0 {
-		t.Fatal("rebuild with segments did not count as a full scan")
+	if st := s2.Stats(); st.FullScans != 1 {
+		t.Fatalf("recount performed %d full scans, want 1", st.FullScans)
+	}
+	total := n
+	for rolls := s2.Stats().Rolls; s2.Stats().Rolls == rolls; total++ {
+		if err := s2.Put(rec(total)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := openSmall(t, dir)
+	defer s3.Close()
+	if s3.Len() != total {
+		t.Fatalf("Len after the count was persisted = %d, want %d", s3.Len(), total)
+	}
+	if st := s3.Stats(); st.FullScans != 0 {
+		t.Fatalf("reopen after a roll performed %d full scans, want 0", st.FullScans)
+	}
+}
+
+// TestOlderWriterCompactionForcesRecount: a version that still wrote
+// index.json may have written to the store after this one rolled it. Its
+// compaction could drop a re-put key from the segments while the tail
+// held the new copy, so the newest footer's count already includes a key
+// the tail scan would count again. Finding index.json must force the
+// recount.
+func TestOlderWriterCompactionForcesRecount(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenWith(dir, Options{SegmentBytes: 1, CompactAfter: -1}) // roll every Put
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		if err := s.Put(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Leave what the older version's re-put of rec(0) and compaction
+	// leave: rec(0)'s segment deleted, its record in the tail, and the
+	// checkpoint beside them.
+	first := filepath.Join(dir, segmentsDir, segName(0))
+	seg, err := openSegment(first, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dataFile), blob[:seg.footer.DataSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"v":2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != n {
+		t.Fatalf("Len = %d, want %d", s2.Len(), n)
 	}
 }
 
