@@ -45,7 +45,7 @@ vet:
 # testdata/fuzz/) already runs as deterministic subtests in plain
 # `go test`; this target explores BEYOND the corpus for a bounded
 # budget per fuzzer (go's fuzz engine allows one -fuzz target per
-# invocation, hence four runs):
+# invocation, hence five runs):
 #   FuzzSpecLoad            — adversarial JSON never panics the loader
 #   FuzzGeneratorValidity   — every generated spec loads and regenerates
 #                             byte-identically
@@ -55,6 +55,10 @@ vet:
 #   FuzzStoreReopen         — after any mix of puts, re-puts,
 #                             compactions, clean and crash reopens, the
 #                             results store matches a map model
+#   FuzzEngineOrder         — any mix of schedules, cancels, runs,
+#                             stops and resets executes events in the
+#                             (time, sequence) order of a sorted
+#                             reference queue
 # Override the budget: make fuzz FUZZTIME=2m
 FUZZTIME ?= 30s
 fuzz:
@@ -62,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorValidity$$' -fuzztime $(FUZZTIME) ./internal/scenario/gen/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./caem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreReopen$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # Fast-fail lint pass: formatting, vet, and staticcheck when available
 # (CI installs it; locally it is optional).

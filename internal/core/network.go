@@ -124,6 +124,45 @@ func (net *Network) releaseBurst(tx *burst) {
 	net.burstFree = append(net.burstFree, tx)
 }
 
+// forwarder is one cluster's base-station forwarding chain for one
+// round. The chain has exactly one pending event at a time — the next
+// tick, or the completion of the transmission a tick started — so its
+// two handlers read (cl, gen) and the transmission in flight from the
+// record, and the record is reused from link to link. A chain ends when
+// an event finds its round over or its head dead, including the stale
+// ticks of earlier rounds, which fire as no-ops; the record then returns
+// to the Network's free list, the way bursts do.
+type forwarder struct {
+	cl      *cluster
+	gen     uint64
+	bits    int
+	airtime sim.Time
+	tickFn  func()
+	doneFn  func()
+}
+
+// acquireForward takes a forwarder from the free list (or grows the
+// pool) and starts it on cl for the current round.
+func (net *Network) acquireForward(cl *cluster) *forwarder {
+	var fw *forwarder
+	if last := len(net.forwardFree) - 1; last >= 0 {
+		fw = net.forwardFree[last]
+		net.forwardFree = net.forwardFree[:last]
+	} else {
+		fw = &forwarder{}
+		fw.tickFn = func() { net.forwardTick(fw) }
+		fw.doneFn = func() { net.forwardDone(fw) }
+	}
+	fw.cl = cl
+	fw.gen = net.roundGen
+	return fw
+}
+
+// releaseForward returns an ended chain's record to the free list.
+func (net *Network) releaseForward(fw *forwarder) {
+	net.forwardFree = append(net.forwardFree, fw)
+}
+
 // Network is one simulation run's world — and, through Reset, a reusable
 // simulation context: every piece of run state can be rewound in place,
 // so a worker that executes a replication grid pays world construction
@@ -170,12 +209,13 @@ type Network struct {
 	roundGen     uint64
 	rounds       int
 
-	// Reusable handlers and the burst free list: the steady-state event
-	// loop schedules only preallocated closures.
+	// Reusable handlers and the burst and forwarder free lists: the
+	// steady-state event loop schedules only preallocated closures.
 	bookkeepingFn sim.Handler
 	sampleTickFn  sim.Handler
 	startRoundFn  sim.Handler
 	burstFree     []*burst
+	forwardFree   []*forwarder
 
 	// metrics
 	life            *metrics.Lifetime
@@ -206,7 +246,7 @@ func New(cfg Config) *Network {
 // matrix, and metric storage. A Reset-then-Run is bit-identical to a
 // fresh New-then-Run for the same configuration: every random stream is
 // rewound to its deterministic origin and event ordering depends only on
-// (time, sequence), never on recycled slot identities.
+// times and scheduling order, never on recycled slot identities.
 //
 // The previous run's Result stays valid: anything a Result references is
 // either copied at build time or (the two time series) handed over —
@@ -428,8 +468,9 @@ func (net *Network) Run() Result {
 		net.scheduleArrival(n)
 	}
 	// The scenario timeline: world events are scheduled before the first
-	// protocol event fires, so their engine sequence numbers — and with
-	// them the whole event interleaving — are a pure function of Config.
+	// protocol event fires, so their places in the engine's scheduling
+	// order — and with them the whole event interleaving — are a pure
+	// function of Config.
 	world := &World{net: net}
 	for i := range net.cfg.World {
 		ev := net.cfg.World[i]
@@ -541,9 +582,7 @@ func (net *Network) startRound() {
 	for _, cl := range net.clusters {
 		net.scheduleTone(cl, 1*sim.Millisecond)
 		if net.cfg.BaseStationForwarding {
-			cl := cl
-			gen := net.roundGen
-			net.eng.Schedule(net.cfg.ForwardInterval, func() { net.forwardTick(cl, gen) })
+			net.eng.Schedule(net.cfg.ForwardInterval, net.acquireForward(cl).tickFn)
 		}
 	}
 	net.eng.Schedule(net.cfg.RoundLength, net.startRoundFn)
@@ -555,53 +594,62 @@ func (net *Network) startRound() {
 // advertising transmit tone pulses — for the airtime of the aggregate at
 // the top ABICM class. The head→BS link is provisioned infrastructure and
 // assumed to sustain the highest mode.
-func (net *Network) forwardTick(cl *cluster, gen uint64) {
-	if gen != net.roundGen || cl.collapsed || !cl.head.alive {
+func (net *Network) forwardTick(fw *forwarder) {
+	cl := fw.cl
+	if fw.gen != net.roundGen || cl.collapsed || !cl.head.alive {
+		net.releaseForward(fw)
 		return
 	}
 	now := net.eng.Now()
-	reschedule := func(delay sim.Time) {
-		net.eng.Schedule(delay, func() { net.forwardTick(cl, gen) })
-	}
 	if net.sinkDown || cl.state != mac.HeadIdle || cl.activeTx != nil || cl.aggBits < 1 {
 		// Sink outage, busy, or nothing worth a transmission yet. During
 		// an outage the aggregate keeps accumulating and the tick polls
 		// at the unhurried interval; the first tick after recovery
 		// flushes the backlog.
 		if !net.sinkDown && cl.aggBits >= 1 {
-			reschedule(50 * sim.Millisecond)
+			net.eng.Schedule(50*sim.Millisecond, fw.tickFn)
 		} else {
-			reschedule(net.cfg.ForwardInterval)
+			net.eng.Schedule(net.cfg.ForwardInterval, fw.tickFn)
 		}
 		return
 	}
 	cl.head.accrue(net, now)
 	if !cl.head.alive {
+		net.releaseForward(fw)
 		return
 	}
-	bits := int(cl.aggBits + 0.5)
+	fw.bits = int(cl.aggBits + 0.5)
 	cl.aggBits = 0
-	airtime := net.cfg.Modes.Highest().Airtime(bits)
+	fw.airtime = net.cfg.Modes.Highest().Airtime(fw.bits)
 	cl.state = mac.HeadTransmit
 	net.scheduleTone(cl, 500*sim.Microsecond)
-	net.eng.Schedule(airtime, func() {
-		if gen != net.roundGen || cl.collapsed || !cl.head.alive {
-			return
-		}
-		end := net.eng.Now()
-		cl.head.accrue(net, end)
-		if !cl.head.alive {
-			return
-		}
-		if !cl.head.battery.DrawPower(end, energy.DataTx, net.cfg.Device.DataTxPower, airtime) {
-			net.nodeDied(cl.head, end)
-			return
-		}
-		net.forwardedBits += uint64(bits)
-		cl.state = mac.HeadIdle
-		net.scheduleTone(cl, 1*sim.Millisecond)
-		reschedule(net.cfg.ForwardInterval)
-	})
+	net.eng.Schedule(fw.airtime, fw.doneFn)
+}
+
+// forwardDone completes a base-station transmission started by
+// forwardTick: the head pays for the airtime, and the next tick is
+// scheduled.
+func (net *Network) forwardDone(fw *forwarder) {
+	cl := fw.cl
+	if fw.gen != net.roundGen || cl.collapsed || !cl.head.alive {
+		net.releaseForward(fw)
+		return
+	}
+	end := net.eng.Now()
+	cl.head.accrue(net, end)
+	if !cl.head.alive {
+		net.releaseForward(fw)
+		return
+	}
+	if !cl.head.battery.DrawPower(end, energy.DataTx, net.cfg.Device.DataTxPower, fw.airtime) {
+		net.nodeDied(cl.head, end)
+		net.releaseForward(fw)
+		return
+	}
+	net.forwardedBits += uint64(fw.bits)
+	cl.state = mac.HeadIdle
+	net.scheduleTone(cl, 1*sim.Millisecond)
+	net.eng.Schedule(net.cfg.ForwardInterval, fw.tickFn)
 }
 
 // accumulateAggregate records delivered payload for later base-station

@@ -7,21 +7,30 @@
 // magnitude below the shortest physical interval in the model (a 20 µs
 // backoff slot), so quantization is immaterial.
 //
-// Ties are broken by scheduling order (a monotonically increasing sequence
-// number), which is the property that makes event execution deterministic.
+// Events due at the same time run in the order they were scheduled, which
+// is the property that makes event execution deterministic.
 //
-// The future event list is an index-based 4-ary heap over a slot arena
-// with a free list, so the steady-state schedule/execute cycle performs no
-// heap allocations: slots are recycled as events execute or cancelled
-// entries drain out. Cancellation is lazy — a cancelled event stays in the
-// heap until it surfaces and is discarded — which keeps every heap
-// operation a pure push or pop-min. EventIDs carry a generation counter so
-// an ID held across a slot's reuse can neither cancel nor validate the
-// newer event.
+// The future event list is a monotone radix queue over a slot arena with
+// a free list. Events can only be scheduled at or after the current
+// time, so every key is at least the last extracted time, and each entry
+// sits in one of 64 buckets chosen by the highest bit in which its time
+// differs from that last time. Bucket 0 holds the entries due at exactly
+// the last time, in scheduling order; when it runs dry, the lowest
+// non-empty bucket is redistributed, which moves each entry to a
+// strictly lower bucket. Entries due at the same time always share a
+// bucket and are appended and moved in order, so scheduling order needs
+// no sequence number. The steady-state schedule/execute cycle performs
+// no heap allocations: slots are recycled as events execute or cancelled
+// entries drain out. Cancellation is lazy — a cancelled event stays
+// queued until it surfaces and is discarded — so the queue only ever
+// pushes and pops. EventIDs carry a generation counter so an ID held
+// across a slot's reuse can neither cancel nor validate the newer event.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Time is a simulation timestamp in microseconds.
@@ -69,9 +78,7 @@ const (
 // distinguishes successive occupants so stale EventIDs stay inert.
 type event struct {
 	at    Time
-	seq   uint64
 	fn    Handler
-	label string
 	gen   uint32
 	state eventState
 }
@@ -93,26 +100,33 @@ func (id EventID) Valid() bool {
 	return ev.gen == id.gen && ev.state == evPending
 }
 
-// heapEntry is one future-event-list entry. The ordering key (at, seq)
-// is carried in the heap itself rather than looked up through the slot,
-// so sift comparisons touch only the contiguous heap array — the arena
-// is consulted exactly once per executed event, not once per compare.
-type heapEntry struct {
+// entry is one queued event. Its time is carried in the bucket itself,
+// so redistributing a bucket touches only that bucket's array; the arena
+// is consulted once per extracted event.
+type entry struct {
 	at   Time
-	seq  uint64
 	slot int32
 }
 
 // Engine is a single-threaded discrete-event simulation kernel.
 type Engine struct {
 	now      Time
-	seq      uint64
 	arena    []event
 	free     []int32
-	heap     []heapEntry // 4-ary min-heap ordered by (at, seq)
-	live     int         // pending, non-cancelled events
+	live     int // pending, non-cancelled events
 	executed uint64
 	stopped  bool
+
+	// The radix queue. Every queued entry is due at or after last, the
+	// time of the last refill (or the clock, once the queue empties), and
+	// sits in buckets[bits.Len64(at^last)].
+	// Bucket 0 is consumed from head onward; it holds entries due at
+	// exactly last, in scheduling order. nonEmpty has bit i set while
+	// buckets[i] holds entries.
+	last     Time
+	head     int
+	nonEmpty uint64
+	buckets  [64][]entry
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -124,27 +138,24 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Reset rewinds the engine to the zero state of a fresh NewEngine while
-// keeping the arena, free list, and heap backing arrays, so a reused
+// keeping the arena, free list, and bucket backing arrays, so a reused
 // engine schedules its first events without growing anything. Every
 // pending or cancelled slot is drained with its generation bumped, so
 // EventIDs issued before the reset can neither cancel nor validate
 // events of the next run. Behaviour after Reset is indistinguishable
-// from a fresh engine: event ordering depends only on (time, sequence),
-// never on slot indices or absolute generation numbers.
+// from a fresh engine: event ordering depends only on times and
+// scheduling order, never on slot indices or absolute generation numbers.
 func (e *Engine) Reset() {
 	for slot := range e.arena {
-		ev := &e.arena[slot]
-		if ev.state != evFree {
-			ev.fn = nil
-			ev.label = ""
-			ev.gen++
-			ev.state = evFree
-			e.free = append(e.free, int32(slot))
+		if e.arena[slot].state != evFree {
+			e.release(int32(slot))
 		}
 	}
-	e.heap = e.heap[:0]
+	for i := range e.buckets {
+		e.buckets[i] = e.buckets[i][:0]
+	}
+	e.last, e.head, e.nonEmpty = 0, 0, 0
 	e.now = 0
-	e.seq = 0
 	e.live = 0
 	e.executed = 0
 	e.stopped = false
@@ -160,15 +171,10 @@ func (e *Engine) Pending() int { return e.live }
 // Schedule runs fn after delay. A negative delay panics: the caller has a
 // logic error, and silently clamping would hide it.
 func (e *Engine) Schedule(delay Time, fn Handler) EventID {
-	return e.ScheduleLabeled(delay, "", fn)
-}
-
-// ScheduleLabeled is Schedule with a debugging label attached to the event.
-func (e *Engine) ScheduleLabeled(delay Time, label string, fn Handler) EventID {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v scheduling %q at %v", delay, label, e.now))
+		panic(fmt.Sprintf("sim: negative delay %v at %v", delay, e.now))
 	}
-	return e.at(e.now+delay, label, fn)
+	return e.at(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at the given absolute time, which must not be in the
@@ -177,10 +183,10 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) in the past at %v", at, e.now))
 	}
-	return e.at(at, "", fn)
+	return e.at(at, fn)
 }
 
-func (e *Engine) at(at Time, label string, fn Handler) EventID {
+func (e *Engine) at(at Time, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
@@ -194,13 +200,10 @@ func (e *Engine) at(at Time, label string, fn Handler) EventID {
 	}
 	ev := &e.arena[slot]
 	ev.at = at
-	ev.seq = e.seq
 	ev.fn = fn
-	ev.label = label
 	ev.state = evPending
-	e.seq++
 	e.live++
-	e.push(slot)
+	e.push(entry{at: at, slot: slot})
 	return EventID{eng: e, slot: slot, gen: ev.gen}
 }
 
@@ -209,7 +212,6 @@ func (e *Engine) at(at Time, label string, fn Handler) EventID {
 func (e *Engine) release(slot int32) {
 	ev := &e.arena[slot]
 	ev.fn = nil
-	ev.label = ""
 	ev.gen++
 	ev.state = evFree
 	e.free = append(e.free, slot)
@@ -217,7 +219,7 @@ func (e *Engine) release(slot int32) {
 
 // Cancel removes a pending event. Cancelling an already-executed or
 // already-cancelled event is a no-op and returns false. The slot drains
-// out of the heap lazily when it surfaces.
+// out of the queue lazily when it surfaces.
 func (e *Engine) Cancel(id EventID) bool {
 	if id.eng != e || !id.Valid() {
 		return false
@@ -236,26 +238,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // strictly greater than horizon are left in the queue; the clock is
 // advanced to horizon on normal completion so Now() is well-defined.
 func (e *Engine) Run(horizon Time) {
-	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.heap[0]
-		ev := &e.arena[top.slot]
-		if ev.state == evCancelled {
-			e.popMin()
-			e.release(top.slot)
-			continue
-		}
-		if top.at > horizon {
-			break
-		}
-		e.popMin()
-		fn := ev.fn
-		e.now = top.at
-		e.live--
-		e.executed++
-		e.release(top.slot)
-		fn()
-	}
+	e.run(horizon)
 	if !e.stopped && e.now < horizon {
 		e.now = horizon
 	}
@@ -263,109 +246,89 @@ func (e *Engine) Run(horizon Time) {
 
 // RunAll executes every pending event regardless of horizon. Useful in
 // tests; production runs should bound time with Run.
-func (e *Engine) RunAll() {
+func (e *Engine) RunAll() { e.run(math.MaxInt64) }
+
+// run executes events due at or before horizon until the queue has
+// none left or Stop is called.
+func (e *Engine) run(horizon Time) {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		top := e.popMin()
-		ev := &e.arena[top.slot]
+	for !e.stopped {
+		slot, ok := e.pop(horizon)
+		if !ok {
+			return
+		}
+		ev := &e.arena[slot]
 		if ev.state == evCancelled {
-			e.release(top.slot)
+			e.release(slot)
 			continue
 		}
 		fn := ev.fn
-		e.now = top.at
+		e.now = ev.at
 		e.live--
 		e.executed++
-		e.release(top.slot)
+		e.release(slot)
 		fn()
 	}
 }
 
-// less orders heap entries by (timestamp, scheduling sequence).
-func less(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// push files an entry under the highest bit in which its time differs
+// from last. Entries due at last itself land in bucket 0 behind the
+// ones already there, which keeps bucket 0 in scheduling order.
+func (e *Engine) push(q entry) {
+	i := bits.Len64(uint64(q.at ^ e.last))
+	e.buckets[i] = append(e.buckets[i], q)
+	e.nonEmpty |= 1 << i
 }
 
-// push appends a slot's entry and sifts it up the 4-ary heap.
-func (e *Engine) push(slot int32) {
-	ev := &e.arena[slot]
-	h := append(e.heap, heapEntry{at: ev.at, seq: ev.seq, slot: slot})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(h[i], h[p]) {
-			break
+// pop removes and returns the slot of the next entry in time and then
+// scheduling order, or reports false when no entry is due at or before
+// horizon.
+func (e *Engine) pop(horizon Time) (int32, bool) {
+	if e.head == len(e.buckets[0]) && !e.refill(horizon) {
+		return 0, false
+	}
+	// After a Stop, bucket 0 can still hold entries due at last while
+	// the next Run asks for an earlier horizon.
+	if e.last > horizon {
+		return 0, false
+	}
+	slot := e.buckets[0][e.head].slot
+	e.head++
+	return slot, true
+}
+
+// refill moves the earliest entries into the drained bucket 0: it takes
+// the lowest non-empty bucket, makes its minimum time the new last, and
+// redistributes the bucket's entries relative to it. Each entry lands in
+// a strictly lower bucket, and entries due at the same time keep their
+// relative order. It refuses, leaving the queue as it is, when that
+// minimum lies past the horizon: last must never pass a time the clock
+// can still be set to. An empty queue rebases last to the clock, since
+// cancelled entries may have carried it past now.
+func (e *Engine) refill(horizon Time) bool {
+	e.buckets[0] = e.buckets[0][:0]
+	e.head = 0
+	e.nonEmpty &^= 1
+	if e.nonEmpty == 0 {
+		e.last = e.now
+		return false
+	}
+	i := bits.TrailingZeros64(e.nonEmpty)
+	b := e.buckets[i]
+	min := b[0].at
+	for _, q := range b[1:] {
+		if q.at < min {
+			min = q.at
 		}
-		h[i], h[p] = h[p], h[i]
-		i = p
 	}
-	e.heap = h
-}
-
-// popMin removes and returns the root of the 4-ary heap, sifting the
-// displaced last element down through a hole (one write per level
-// instead of a swap).
-func (e *Engine) popMin() heapEntry {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			best := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if less(h[j], h[best]) {
-					best = j
-				}
-			}
-			if !less(h[best], last) {
-				break
-			}
-			h[i] = h[best]
-			i = best
-		}
-		h[i] = last
+	if min > horizon {
+		return false
 	}
-	e.heap = h
-	return top
-}
-
-// Timer is a restartable one-shot convenience wrapper around Schedule.
-// Restarting an armed timer cancels the previous shot.
-type Timer struct {
-	eng *Engine
-	id  EventID
-}
-
-// NewTimer returns a timer bound to the engine.
-func NewTimer(eng *Engine) *Timer { return &Timer{eng: eng} }
-
-// Arm schedules fn after delay, cancelling any previously armed shot.
-func (t *Timer) Arm(delay Time, fn Handler) {
-	t.Disarm()
-	t.id = t.eng.Schedule(delay, fn)
-}
-
-// Disarm cancels the pending shot, if any.
-func (t *Timer) Disarm() {
-	if t.id.Valid() {
-		t.eng.Cancel(t.id)
+	e.last = min
+	for _, q := range b {
+		e.push(q)
 	}
-	t.id = EventID{}
+	e.buckets[i] = b[:0]
+	e.nonEmpty &^= 1 << i
+	return true
 }
-
-// Armed reports whether a shot is pending.
-func (t *Timer) Armed() bool { return t.id.Valid() }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -234,31 +235,6 @@ func TestExecutedCounter(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	e := NewEngine()
-	tm := NewTimer(e)
-	fired := 0
-	tm.Arm(10*Millisecond, func() { fired++ })
-	if !tm.Armed() {
-		t.Fatal("timer not armed after Arm")
-	}
-	// Re-arming replaces the pending shot.
-	tm.Arm(20*Millisecond, func() { fired += 100 })
-	e.Run(Second)
-	if fired != 100 {
-		t.Fatalf("fired = %d, want 100 (re-armed shot only)", fired)
-	}
-	tm.Arm(10*Millisecond, func() { fired++ })
-	tm.Disarm()
-	if tm.Armed() {
-		t.Fatal("timer armed after Disarm")
-	}
-	e.Run(2 * Second)
-	if fired != 100 {
-		t.Fatalf("disarmed shot fired (fired=%d)", fired)
-	}
-}
-
 // Property: random schedules always execute in non-decreasing time order,
 // with ties in scheduling order.
 func TestOrderingProperty(t *testing.T) {
@@ -297,9 +273,9 @@ func TestOrderingProperty(t *testing.T) {
 
 // The schedule/execute cycle must not allocate once the arena has grown
 // to the working set: slots are recycled through the free list and the
-// 4-ary heap is index-based, so the steady-state event loop is
-// allocation-free (the closure below is hoisted out of the measured
-// region by being allocated once).
+// radix queue's buckets keep their backing arrays, so the steady-state
+// event loop is allocation-free (the closure below is hoisted out of the
+// measured region by being allocated once).
 func TestScheduleExecuteZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	var churn func()
@@ -308,7 +284,7 @@ func TestScheduleExecuteZeroAlloc(t *testing.T) {
 			e.Schedule(Millisecond, churn)
 		}
 	}
-	// Warm-up: grow the arena, free list, and heap to steady state.
+	// Warm-up: grow the arena, free list, and buckets to steady state.
 	e.Schedule(Millisecond, churn)
 	e.Run(Second)
 
@@ -371,4 +347,75 @@ func BenchmarkScheduleRun(b *testing.B) {
 	e.Schedule(Microsecond, churn)
 	b.ResetTimer()
 	e.RunAll()
+}
+
+// holdDelays returns a fixed table of successor delays drawn from the
+// simulator's own event mix: CSMA backoffs in 20 µs slots, data
+// airtimes and tone pulses of 0.5–16 ms, and Poisson arrivals around a
+// 200 ms mean.
+func holdDelays(n int) []Time {
+	r := rng.NewSource(7).Stream("hold", 0)
+	out := make([]Time, n)
+	for i := range out {
+		switch u := r.Intn(10); {
+		case u < 4:
+			out[i] = Time(1+r.Intn(32)) * 20 * Microsecond
+		case u < 7:
+			out[i] = Time(500+r.Intn(15500)) * Microsecond
+		default:
+			out[i] = FromSeconds(0.2 * r.ExpFloat64())
+		}
+	}
+	return out
+}
+
+// BenchmarkHold is the classic hold model: the queue holds a fixed
+// number of pending events, and each executed event schedules one
+// successor, so every op is one pop plus one push at that queue depth.
+// Sixteen of the pending events stand for a scenario timeline: each
+// re-arms itself minutes ahead, so they stay parked far in the future
+// while the rest cycle through holdDelays. BenchmarkScheduleRun never
+// holds more than one event and cannot see queue cost.
+func BenchmarkHold(b *testing.B) {
+	const timeline = 16
+	for _, pending := range []int{128, 512} {
+		b.Run(fmt.Sprint(pending), func(b *testing.B) {
+			delays := holdDelays(4096)
+			e := NewEngine()
+			var stopAt uint64
+			i := 0
+			var near, far Handler
+			near = func() {
+				e.Schedule(delays[i&4095], near)
+				i++
+				if e.Executed() >= stopAt {
+					e.Stop()
+				}
+			}
+			far = func() {
+				e.Schedule(Time(60+i%240)*Second, far)
+				if e.Executed() >= stopAt {
+					e.Stop()
+				}
+			}
+			for k := 0; k < timeline; k++ {
+				e.Schedule(Time(60+15*k)*Second, far)
+			}
+			for k := timeline; k < pending; k++ {
+				e.Schedule(delays[i&4095], near)
+				i++
+			}
+			// Warm up: let the delay mix spread the queue to steady state.
+			stopAt = uint64(20 * pending)
+			e.RunAll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			stopAt = e.Executed() + uint64(b.N)
+			e.RunAll()
+			b.StopTimer()
+			if e.Pending() != pending {
+				b.Fatalf("pending = %d, want %d", e.Pending(), pending)
+			}
+		})
+	}
 }
