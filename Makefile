@@ -90,24 +90,25 @@ bench-smoke:
 
 # Bench regression guard: the gated benchmarks (hot-path ns per
 # simulated second, the scenario engine, the Figure 9 replication grid,
-# the obs instrument hot path, and the store query/aggregate-cache
-# paths behind /v1 results) must stay within BENCH_GATE_FACTOR x the
-# committed BENCH_7.json baseline on ns/op and BENCH_ALLOC_FACTOR x
-# on allocs/op. The time bound is loose by design: the baseline was
+# the obs instrument hot path, and the store query path) must stay
+# within BENCH_GATE_FACTOR x the committed BENCH_7.json baseline on
+# ns/op and BENCH_ALLOC_FACTOR x on allocs/op. The time bound is loose by design: the baseline was
 # recorded on one machine and CI runners differ and are noisy, so the
 # gate catches order-of-magnitude regressions (allocation storms,
 # accidental complexity), not jitter; allocation counts are nearly
 # deterministic, so their bound is tighter — and the series matched by
 # BENCH_EXACT_ALLOCS get no slack at all: the simulated-second hot path
-# must stay at exactly 4 allocs/op and the metrics update and
-# aggregate-cache hit paths at exactly 0, proving instrumentation never
-# leaked into the engine and the cache hit path never started copying.
+# must stay at exactly 4 allocs/op and the metrics update path at
+# exactly 0, proving instrumentation never leaked into the engine. The
+# campaign service's results view is pinned by a tier-1 test instead
+# (TestResultsViewAllocsFlat in cmd/caem-serve): its read allocates the
+# same for a 4-cell and a 66-cell campaign.
 # Override either factor without a code change if a runner generation
 # shifts the cross-machine ratio:
 #   make bench-gate BENCH_GATE_FACTOR=4
 BENCH_GATE_FACTOR ?= 2.5
 BENCH_ALLOC_FACTOR ?= 2.0
-BENCH_EXACT_ALLOCS ?= ^(BenchmarkSimulatedSecond/|BenchmarkMetricsHotPath$$|BenchmarkAggregateCached$$)
+BENCH_EXACT_ALLOCS ?= ^(BenchmarkSimulatedSecond/|BenchmarkMetricsHotPath$$)
 bench-gate:
 	$(GO) run ./scripts/benchgate -baseline BENCH_7.json -factor $(BENCH_GATE_FACTOR) -allocfactor $(BENCH_ALLOC_FACTOR) -exactallocs '$(BENCH_EXACT_ALLOCS)'
 

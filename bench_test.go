@@ -250,28 +250,6 @@ func BenchmarkQueryTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregateCached measures the CachedAggregates hit path — the
-// generation check plus a defensive copy of the materialized per-group
-// mean±CI table — which is what every results read pays once a campaign
-// stops settling cells.
-func BenchmarkAggregateCached(b *testing.B) {
-	cs, _ := benchCampaignStore(b)
-	if _, err := cs.CachedAggregates(); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aggs, err := cs.CachedAggregates()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(aggs) == 0 {
-			b.Fatal("empty aggregate table")
-		}
-	}
-}
-
 // BenchmarkSimulatedSecond measures the raw cost of one simulated second
 // at the paper's full scale (100 nodes, load 5), per protocol — the
 // hot-path benchmark for the event engine, channel sampling, and MAC.

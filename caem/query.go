@@ -3,6 +3,7 @@ package caem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -156,48 +157,58 @@ func (cs *CampaignStore) QueryCells(refs []CellRef, q CellQuery) ([]CampaignCell
 
 // FilterCells applies the query to an in-memory cell set: exact
 // scenario/protocol match, metric range, then top-k. Callers holding a
-// materialized snapshot (for example the campaign service's results
-// cache) filter it without touching the store at all.
+// materialized cell set (for example the campaign service's results
+// view) filter it without touching the store at all.
 func FilterCells(cells []CampaignCell, q CellQuery) ([]CampaignCell, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
 	proto, haveProto := q.protocol()
-	out := make([]CampaignCell, 0, len(cells))
-	for _, cell := range cells {
+	metric := metricGetters[q.Metric] // nil without a metric; validate requires one for min/max/top
+	var vals []float64                // each kept cell's metric value, read once
+	if metric != nil {
+		vals = make([]float64, len(cells))
+	}
+	keep := make([]int, 0, len(cells)) // positions of the cells that pass
+	for i := range cells {
+		cell := &cells[i]
 		if q.Scenario != "" && cell.Scenario != q.Scenario {
 			continue
 		}
 		if haveProto && cell.Protocol != proto {
 			continue
 		}
-		if q.Metric != "" && (q.Min != nil || q.Max != nil) {
-			v, _ := MetricOf(cell.Result, q.Metric)
+		if metric != nil {
+			v := metric(cell.Result)
 			if q.Min != nil && !(v >= *q.Min) {
 				continue
 			}
 			if q.Max != nil && !(v <= *q.Max) {
 				continue
 			}
+			vals[i] = v
 		}
-		out = append(out, cell)
+		keep = append(keep, i)
 	}
-	if q.Top > 0 && q.Metric != "" {
-		sort.SliceStable(out, func(i, j int) bool {
-			vi, _ := MetricOf(out[i].Result, q.Metric)
-			vj, _ := MetricOf(out[j].Result, q.Metric)
-			// NaN sorts last so defined values win the top-k slots.
-			if math.IsNaN(vj) {
-				return !math.IsNaN(vi)
+	if q.Top > 0 {
+		// Largest first and NaN last, so defined values win the top-k
+		// slots. Ties fall back to position, which keeps them in input
+		// order: the order is total, so the sort is stable.
+		before := func(x, y float64) bool { return !math.IsNaN(x) && (math.IsNaN(y) || x > y) }
+		slices.SortFunc(keep, func(a, b int) int {
+			switch {
+			case before(vals[a], vals[b]):
+				return -1
+			case before(vals[b], vals[a]):
+				return 1
 			}
-			if math.IsNaN(vi) {
-				return false
-			}
-			return vi > vj
+			return a - b
 		})
-		if len(out) > q.Top {
-			out = out[:q.Top]
-		}
+		keep = keep[:min(q.Top, len(keep))]
+	}
+	out := make([]CampaignCell, len(keep))
+	for i, p := range keep {
+		out[i] = cells[p]
 	}
 	return out, nil
 }

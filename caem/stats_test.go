@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestAggregateOf(t *testing.T) {
@@ -19,6 +21,53 @@ func TestAggregateOf(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "±") {
 		t.Fatalf("String() = %q, want mean±ci", a.String())
+	}
+
+	// AggregateOf and AggregateCampaign compute the t critical value
+	// once and pass it in; every CI95 must stay bit-identical to the
+	// stream's own CI95, the NaN below two replicates included.
+	metrics := []func(CampaignAggregate) Aggregate{
+		func(a CampaignAggregate) Aggregate { return a.ConsumedJ },
+		func(a CampaignAggregate) Aggregate { return a.DeliveryRate },
+		func(a CampaignAggregate) Aggregate { return a.MeanDelayMs },
+		func(a CampaignAggregate) Aggregate { return a.P95DelayMs },
+		func(a CampaignAggregate) Aggregate { return a.EnergyPerPacketMilliJ },
+		func(a CampaignAggregate) Aggregate { return a.AliveAtEnd },
+	}
+	for _, n := range []int{0, 1, 2, 5} {
+		var cells []CampaignCell
+		streams := make([]stats.Stream, len(metrics))
+		for seed := uint64(1); seed <= uint64(n); seed++ {
+			c := aggCell("alpha", Scheme1, seed)
+			cells = append(cells, c)
+			r := c.Result
+			for i, v := range []float64{r.TotalConsumedJ, r.DeliveryRate, r.MeanDelayMs,
+				r.P95DelayMs, r.EnergyPerPacketMilliJ, float64(r.AliveAtEnd)} {
+				streams[i].Add(v)
+			}
+		}
+		values := make([]float64, 0, n)
+		for _, c := range cells {
+			values = append(values, c.Result.MeanDelayMs)
+		}
+		if got, want := AggregateOf(values...).CI95, streams[2].CI95(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("N=%d: AggregateOf CI95 = %v (%#x), stream CI95 = %v (%#x)",
+				n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		aggs := AggregateCampaign(cells)
+		if n == 0 {
+			if len(aggs) != 0 {
+				t.Fatalf("N=0: %d aggregates from no cells", len(aggs))
+			}
+			continue
+		}
+		for i, m := range metrics {
+			got, want := m(aggs[0]).CI95, streams[i].CI95()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("N=%d metric %d: AggregateCampaign CI95 = %v (%#x), stream CI95 = %v (%#x)",
+					n, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -18,23 +17,15 @@ import (
 // that determines its outcome, so stored cells are only ever reused for
 // bit-identical reruns. It backs checkpoint/resume (RunCampaignWith),
 // incremental aggregation over completed cells (Aggregates), and the
-// caem-serve campaign service, which also persists its campaign specs
-// here (SaveCampaignSpec) to survive restarts.
+// caem-serve campaign service. The service persists its campaign specs
+// here (SaveCampaignSpec) to survive restarts. It serves results from
+// its own in-memory view, filled from each PutCells batch (CellPut.Stored),
+// and reads a stored cell back only for cells restored from an earlier run.
 //
 // A CampaignStore is safe for concurrent use within one process; keep a
 // single writer per directory across processes.
 type CampaignStore struct {
 	s *store.Store
-
-	// Materialized store-wide aggregates: gen counts cell writes, and
-	// the cache is valid while aggGen == gen — any PutCell invalidates
-	// it, so CachedAggregates is always byte-identical to Aggregates.
-	aggMu    sync.Mutex
-	gen      uint64
-	aggGen   uint64
-	aggValid bool
-	aggCache []CampaignAggregate
-	cacheMet *aggCacheMetrics
 }
 
 // StoreOptions tunes the underlying segmented store. The zero value
@@ -79,16 +70,10 @@ func (cs *CampaignStore) Len() int { return cs.s.Len() }
 func (cs *CampaignStore) RecoveredBytes() int64 { return cs.s.RecoveredBytes() }
 
 // Observe attaches the store to a metrics registry: append, byte,
-// fsync-latency, fault, recovery, segment, scan, and aggregate-cache
-// instruments register get-or-create and update on every subsequent
-// operation. A store never observed skips all instrumentation.
-func (cs *CampaignStore) Observe(reg *obs.Registry) {
-	cs.s.Observe(reg)
-	m := RegisterAggCacheMetrics(reg)
-	cs.aggMu.Lock()
-	cs.cacheMet = m
-	cs.aggMu.Unlock()
-}
+// fsync-latency, fault, recovery, segment, and scan instruments register
+// get-or-create and update on every subsequent operation. A store never
+// observed skips all instrumentation.
+func (cs *CampaignStore) Observe(reg *obs.Registry) { cs.s.Observe(reg) }
 
 // Stats returns a snapshot of the underlying store's shape and access
 // counters (segments, distinct cells, scan/roll/compaction counts).
@@ -165,17 +150,14 @@ func (cs *CampaignStore) PutCells(puts []CellPut) error {
 			Summary:  summaryOf(p.Cell.Result),
 		}
 	}
-	if err := cs.s.PutBatch(recs); err != nil {
-		return err
-	}
-	cs.aggMu.Lock()
-	cs.gen++
-	if cs.aggValid {
-		cs.aggValid = false
-		cs.cacheMet.invalidated()
-	}
-	cs.aggMu.Unlock()
-	return nil
+	return cs.s.PutBatch(recs)
+}
+
+// Stored returns the cell as the store holds it once PutCells has
+// written it: the summary-level cell that LookupCell returns for it,
+// built without a store read.
+func (p CellPut) Stored() CampaignCell {
+	return summaryCell(p.Cell.Scenario, p.Cell.Protocol, p.Cell.Seed, summaryOf(p.Cell.Result))
 }
 
 // HasCell reports whether the cell is stored.
@@ -243,45 +225,6 @@ func (cs *CampaignStore) Aggregates() ([]CampaignAggregate, error) {
 	return AggregateCampaign(cells), nil
 }
 
-// CachedAggregates is Aggregates behind a materialized cache: the
-// first read after any cell write recomputes (a miss), every read until
-// the next write returns the cached slice (a hit, no store access at
-// all). The cached value is the uncut output of Aggregates, so the two
-// are byte-identical under JSON encoding at every point in time —
-// cache-where-reads-repeat, invalidate-where-writes-land.
-//
-// Callers must not mutate the returned slice.
-func (cs *CampaignStore) CachedAggregates() ([]CampaignAggregate, error) {
-	cs.aggMu.Lock()
-	if cs.aggValid && cs.aggGen == cs.gen {
-		out := cs.aggCache
-		cs.cacheMet.hit()
-		cs.aggMu.Unlock()
-		return out, nil
-	}
-	gen := cs.gen
-	cs.cacheMet.miss()
-	cs.aggMu.Unlock()
-
-	// Recompute outside the cache lock so concurrent writers are never
-	// blocked behind an aggregation pass.
-	aggs, err := cs.Aggregates()
-	if err != nil {
-		return nil, err
-	}
-
-	cs.aggMu.Lock()
-	// Only publish if no write raced the recomputation; a racing write
-	// already bumped gen, and the next read will recompute again.
-	if cs.gen == gen {
-		cs.aggCache = aggs
-		cs.aggGen = gen
-		cs.aggValid = true
-	}
-	cs.aggMu.Unlock()
-	return aggs, nil
-}
-
 // SaveCampaignSpec persists an opaque campaign spec blob under id —
 // service metadata that lets caem-serve recover in-flight campaigns
 // after a restart.
@@ -333,11 +276,15 @@ func cellOf(rec store.Record) (CampaignCell, bool, error) {
 	if err != nil {
 		return CampaignCell{}, false, fmt.Errorf("caem: stored cell: %w", err)
 	}
-	s := rec.Summary
+	return summaryCell(rec.Scenario, p, rec.Seed, rec.Summary), true, nil
+}
+
+// summaryCell builds the summary-level CampaignCell of a stored cell.
+func summaryCell(scenario string, p Protocol, seed uint64, s store.Summary) CampaignCell {
 	return CampaignCell{
-		Scenario: rec.Scenario,
+		Scenario: scenario,
 		Protocol: p,
-		Seed:     rec.Seed,
+		Seed:     seed,
 		Restored: true,
 		Result: Result{
 			Protocol:               p,
@@ -364,5 +311,5 @@ func cellOf(rec store.Record) (CampaignCell, bool, error) {
 			Collisions:             s.Collisions,
 			ChannelFails:           s.ChannelFails,
 		},
-	}, true, nil
+	}
 }

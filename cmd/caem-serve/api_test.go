@@ -244,7 +244,8 @@ func queryDoc(t *testing.T, url string) (resultsResponse, http.Header) {
 
 // TestResultsQuery drives the query surface end to end: filters,
 // metric ranges, top-k, percentile surfaces, and cell pagination —
-// all served from the materialized snapshot with zero store rescans.
+// all served from the campaign's in-memory results view with zero
+// store rescans.
 func TestResultsQuery(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()
@@ -351,10 +352,11 @@ func TestResultsQuery(t *testing.T) {
 }
 
 // TestResultReadsDoNotBlockSettlement is the regression gate for the
-// materialized results cache: a storm of concurrent result reads
-// against an ACTIVE campaign must not block cell settlement (reads
-// rebuild their snapshot outside the campaign lock), the campaign must
-// finish on time, and every observed document must be monotonic.
+// results view: a storm of concurrent result reads against an ACTIVE
+// campaign must not block cell settlement (a read holds the campaign
+// lock only to copy the settled cells; filtering, aggregation and
+// encoding run outside it), the campaign must finish on time, and
+// every observed document must be monotonic.
 func TestResultReadsDoNotBlockSettlement(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()

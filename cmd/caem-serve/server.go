@@ -75,26 +75,14 @@ type campaign struct {
 	failed    int
 	state     string // running | done | failed
 	subs      []chan []byte
-	// resGen counts settlements (guarded by mu). The materialized
-	// results snapshot is stamped with the generation it was built at;
-	// a stale stamp means a cell settled since and the next read
-	// rebuilds.
-	resGen uint64
-
-	// resMu guards resCache only. It is never held while computing a
-	// snapshot — rebuilds run outside every lock, so a storm of result
-	// reads cannot block cell settlement (which takes mu).
-	resMu    sync.Mutex
-	resCache *resultsCache
-}
-
-// resultsCache is a campaign's materialized results snapshot: the
-// settled cells in grid order plus their wire-form aggregates, built
-// once per settlement generation instead of once per request.
-type resultsCache struct {
-	gen   uint64
-	cells []caem.CampaignCell
-	aggs  []resultAggregate
+	// results is the campaign's results view: slot i holds grid cell i
+	// as the store holds it, once the cell is done, or restored and
+	// loaded. It stays nil until a cell settles or the results are read,
+	// so recovering a campaign reads no stored cell.
+	results []caem.CampaignCell
+	// loaded reports that the restored cells' slots are filled; the
+	// first results read fills them (loadRestored).
+	loaded bool
 }
 
 // progressEvent is one NDJSON line of GET /campaigns/{id}/progress.
@@ -382,16 +370,19 @@ func (s *server) CellsDone(cells []cluster.Cell, results []*caem.Result) []error
 		}
 		return errs
 	}
+	next := 0 // puts skips the cells the chaos hook rejected
 	for i, cell := range cells {
 		if errs[i] == nil {
-			s.cellDone(cell)
+			s.cellDone(cell, puts[next].Stored())
+			next++
 		}
 	}
 	return errs
 }
 
-// cellDone folds one persisted cell into its campaign's progress.
-func (s *server) cellDone(cell cluster.Cell) {
+// cellDone folds one persisted cell into its campaign's progress and
+// results view; stored is the cell as the store now holds it.
+func (s *server) cellDone(cell cluster.Cell, stored caem.CampaignCell) {
 	c := s.campaignByID(cell.Campaign)
 	if c == nil {
 		return
@@ -403,7 +394,17 @@ func (s *server) cellDone(cell cluster.Cell) {
 	}
 	c.cells[cell.Index].Status = "done"
 	c.completed++
+	c.fillLocked(cell.Index, stored)
 	s.finishLocked(c, cell.Index)
+}
+
+// fillLocked puts a settled cell into its results-view slot, allocating
+// the view on first use. Caller holds c.mu.
+func (c *campaign) fillLocked(idx int, cell caem.CampaignCell) {
+	if c.results == nil {
+		c.results = make([]caem.CampaignCell, len(c.cells))
+	}
+	c.results[idx] = cell
 }
 
 // CellFailed marks a poisoned cell terminally failed: its retry budget
@@ -427,7 +428,6 @@ func (s *server) CellFailed(cell cluster.Cell, attempts int, err error) {
 // finishLocked updates campaign state after a cell settles and emits
 // the progress event. Caller holds c.mu; it is released here.
 func (s *server) finishLocked(c *campaign, idx int) {
-	c.resGen++ // invalidate the materialized results snapshot
 	cell := c.cells[idx]
 	final := c.completed+c.failed == len(c.cells)
 	if final {
@@ -917,34 +917,63 @@ func (c *campaign) cellRefs() []caem.CellRef {
 	return refs
 }
 
-// cachedResults returns the campaign's materialized results snapshot,
-// rebuilding it when a cell settled since the last build. The rebuild
-// resolves the grid with indexed point reads (caem.QueryCells — never
-// a log rescan) and runs outside every lock: settlement, which holds
-// c.mu, is never blocked behind a read, and a snapshot that races a
-// settling cell is simply stamped stale so the next read rebuilds.
-func (s *server) cachedResults(c *campaign) (*resultsCache, error) {
+// view returns the campaign's settled cells in grid order, with its
+// state, copied under the campaign lock. The first call loads the cells
+// restored from the store; after that a read touches memory only.
+func (s *server) view(c *campaign) ([]caem.CampaignCell, string, error) {
 	c.mu.Lock()
-	gen := c.resGen
+	loaded := c.loaded
 	c.mu.Unlock()
-	c.resMu.Lock()
-	if rc := c.resCache; rc != nil && rc.gen == gen {
-		c.resMu.Unlock()
-		return rc, nil
+	if !loaded {
+		if err := s.loadRestored(c); err != nil {
+			return nil, "", err
+		}
 	}
-	c.resMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cells := make([]caem.CampaignCell, 0, c.completed)
+	for i, ref := range c.cells {
+		if ref.Status == "done" || ref.Status == "restored" {
+			cells = append(cells, c.results[i])
+		}
+	}
+	return cells, c.state, nil
+}
 
-	cells, err := s.store.QueryCells(c.cellRefs(), caem.CellQuery{})
+// loadRestored reads the cells plan restored from the store into the
+// results view. The reads run outside c.mu, so settlement never waits
+// on them; a cell is restored only at plan time, so the set is fixed.
+// Two first reads may race here: both read, and the first to finish
+// fills the slots.
+func (s *server) loadRestored(c *campaign) error {
+	grid := c.cellRefs()
+	var idx []int
+	var refs []caem.CellRef
+	c.mu.Lock()
+	for i, ref := range c.cells {
+		if ref.Status == "restored" {
+			idx = append(idx, i)
+			refs = append(refs, grid[i])
+		}
+	}
+	c.mu.Unlock()
+	cells, err := s.store.QueryCells(refs, caem.CellQuery{})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rc := &resultsCache{gen: gen, cells: cells, aggs: wireAggregates(caem.AggregateCampaign(cells))}
-	c.resMu.Lock()
-	if c.resCache == nil || c.resCache.gen <= gen {
-		c.resCache = rc
+	if len(cells) != len(refs) {
+		return fmt.Errorf("campaign %s: %d of its %d restored cells are missing from the store",
+			c.id, len(refs)-len(cells), len(refs))
 	}
-	c.resMu.Unlock()
-	return rc, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.loaded {
+		for k, i := range idx {
+			c.fillLocked(i, cells[k])
+		}
+		c.loaded = true
+	}
+	return nil
 }
 
 func wireCells(cells []caem.CampaignCell) []resultCell {
@@ -1044,10 +1073,10 @@ func resultsQuery(w http.ResponseWriter, r *http.Request) (q caem.CellQuery, ps 
 	return q, ps, qhash, true
 }
 
-// handleResults serves the campaign's completed cells from its
-// materialized snapshot — built from the persistent store, so it works
-// mid-run (partial results), after completion, and after a process
-// restart — filtered, ordered, and paginated by the query parameters.
+// handleResults serves the campaign's completed cells from its results
+// view — mid-run (partial results), after completion, and after a
+// process restart — filtered, ordered, and paginated by the query
+// parameters.
 func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	c := s.campaignFor(w, r)
 	if c == nil {
@@ -1061,24 +1090,22 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rc, err := s.cachedResults(c)
+	all, state, err := s.view(c)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 		return
 	}
 
-	cells := rc.cells
-	aggs := rc.aggs
+	cells := all
 	if q != (caem.CellQuery{}) {
-		if cells, err = caem.FilterCells(cells, q); err != nil {
+		if cells, err = caem.FilterCells(all, q); err != nil {
 			writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, err)
 			return
 		}
-		aggs = wireAggregates(caem.AggregateCampaign(cells))
 	}
 	out := resultsResponse{
-		ID: c.id, Total: len(c.cells), Completed: len(rc.cells),
-		Aggregates: aggs,
+		ID: c.id, State: state, Total: len(c.cells), Completed: len(all),
+		Aggregates: wireAggregates(caem.AggregateCampaign(cells)),
 	}
 	if len(ps) > 0 {
 		if out.Surfaces, err = caem.PercentileSurface(cells, q.Metric, ps); err != nil {
@@ -1092,9 +1119,6 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		out.NextPageToken = api.EncodeCursor(end, qhash)
 		setNextLink(w, r, out.NextPageToken)
 	}
-	c.mu.Lock()
-	out.State = c.state
-	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -1,9 +1,9 @@
 // Command benchgate is the CI bench-regression guard and comparator: it
 // runs the gated benchmarks (ns per simulated second for the static,
 // scenario, and generated-scenario engines, the Figure 9 replication
-// grid, the obs instrument hot path, and the store query/aggregate-cache
-// paths behind the /v1 results API) and checks both time (ns/op) and allocation
-// (allocs/op) results against the committed baseline. The time factor
+// grid, the obs instrument hot path, and the store query path) and
+// checks both time (ns/op) and allocation (allocs/op) results against
+// the committed baseline. The time factor
 // is deliberately loose — CI runners are noisy shared machines — so
 // only order-of-magnitude regressions (an accidentally quadratic hot
 // path, a reintroduced per-event allocation storm) trip it, not
@@ -16,7 +16,7 @@
 // Usage (from the repository root):
 //
 //	go run ./scripts/benchgate -baseline BENCH_7.json -factor 2.5 -allocfactor 2.0 \
-//	    -exactallocs '^(BenchmarkSimulatedSecond/|BenchmarkMetricsHotPath$|BenchmarkAggregateCached$)'
+//	    -exactallocs '^(BenchmarkSimulatedSecond/|BenchmarkMetricsHotPath$)'
 //	go run ./scripts/benchgate -baseline BENCH_7.json -gate=false -report out/bench-compare.txt
 //
 // The second form is `make bench-compare`: it never fails the build; it
@@ -45,7 +45,7 @@ type metric struct {
 // baseline mirrors the slice of the BENCH_*.json schema the gate
 // consumes: per-protocol numbers for the static hot path, and single
 // results for the scenario engine, the Figure 9 replication grid, the
-// obs instrument hot path, and the store query/aggregate-cache paths.
+// obs instrument hot path, and the store query path.
 type baseline struct {
 	Benchmarks struct {
 		SimulatedSecond struct {
@@ -66,9 +66,6 @@ type baseline struct {
 		QueryTopK struct {
 			Result metric `json:"result"`
 		} `json:"BenchmarkQueryTopK"`
-		AggregateCached struct {
-			Result metric `json:"result"`
-		} `json:"BenchmarkAggregateCached"`
 	} `json:"benchmarks"`
 }
 
@@ -87,7 +84,6 @@ var gatedSeries = []series{
 	{pattern: "^BenchmarkFigure9_NodesAlive$", benchtime: "3x"},
 	{pattern: "^BenchmarkMetricsHotPath$", benchtime: "100000x"},
 	{pattern: "^BenchmarkQueryTopK$", benchtime: "100x"},
-	{pattern: "^BenchmarkAggregateCached$", benchtime: "100000x"},
 }
 
 func main() {
@@ -217,9 +213,6 @@ func loadBaseline(path string) (map[string]metric, error) {
 	}
 	if v := b.Benchmarks.QueryTopK.Result; v.NsOp > 0 {
 		refs["BenchmarkQueryTopK"] = v
-	}
-	if v := b.Benchmarks.AggregateCached.Result; v.NsOp > 0 {
-		refs["BenchmarkAggregateCached"] = v
 	}
 	return refs, nil
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/caem"
 	"repro/internal/cluster"
 	"repro/internal/cluster/journal"
 	"repro/internal/obs"
@@ -31,7 +30,6 @@ func main() {
 	cluster.RegisterMetrics(reg)
 	journal.RegisterMetrics(reg)
 	store.RegisterMetrics(reg)
-	caem.RegisterAggCacheMetrics(reg)
 	obs.RegisterBuildInfo(reg, "obscheck")
 
 	if errs := reg.Lint("caem_"); len(errs) > 0 {
