@@ -51,14 +51,17 @@ vet:
 #                             byte-identically
 #   FuzzScenarioDeterminism — generated scenarios run bit-identically
 #                             across serial, parallel, and pooled+Reset
-#                             execution
+#                             execution, and traced (every arrival
+#                             simulated) and untraced (dropped arrivals
+#                             elided) runs give equal Results
 #   FuzzStoreReopen         — after any mix of puts, re-puts,
 #                             compactions, clean and crash reopens, the
 #                             results store matches a map model
-#   FuzzEngineOrder         — any mix of schedules, cancels, runs,
-#                             stops and resets executes events in the
-#                             (time, sequence) order of a sorted
-#                             reference queue
+#   FuzzEngineOrder         — any mix of ordinary and first-class
+#                             schedules, cancels, runs, stops and resets
+#                             executes events in the (time, class,
+#                             sequence) order of a sorted reference
+#                             queue
 # Override the budget: make fuzz FUZZTIME=2m
 FUZZTIME ?= 30s
 fuzz:

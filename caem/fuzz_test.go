@@ -93,6 +93,9 @@ func fuzzSpec(t testing.TB, familyIdx uint8, index int, seed uint64) (Scenario, 
 // generated scenario must run bit-identically across every execution
 // strategy. For each (family, index, seed) input it differential-tests
 //
+//   - a traced fresh run, which simulates every arrival, vs an untraced
+//     one, which elides the arrivals a full buffer drops — Results must
+//     be deep-equal;
 //   - a fresh one-shot context vs a resident pooled context, twice, so
 //     the second pooled run exercises Reset-based reuse — Results and
 //     full trace CSVs must match byte for byte;
@@ -116,6 +119,14 @@ func FuzzScenarioDeterminism(f *testing.F) {
 		fresh, err := RunScenario(sc, freshCfg)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", sc.Name, err)
+		}
+		elided, err := RunScenario(sc, cfg)
+		if err != nil {
+			t.Fatalf("%s untraced: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(fresh, elided) {
+			t.Fatalf("%s: traced and untraced results differ (dropped at the buffer %d vs %d of %d vs %d generated)",
+				sc.Name, fresh.DroppedBuffer, elided.DroppedBuffer, fresh.Generated, elided.Generated)
 		}
 		for round := 0; round < 2; round++ {
 			var pooledTrace bytes.Buffer

@@ -22,8 +22,11 @@ type goldenRun struct {
 }
 
 // goldenRuns is the fixed set of pinned runs: the three protocols on the
-// Table II world, and one dense generated timeline with base-station
-// forwarding.
+// Table II world, one dense generated timeline with base-station
+// forwarding, and a saturated dense world with forwarding under all
+// three protocols. In the saturated world many arrivals fall due in the
+// same microsecond as a protocol event, so its digests see the engine's
+// same-time order.
 func goldenRuns(t *testing.T) []goldenRun {
 	t.Helper()
 	var runs []goldenRun
@@ -33,25 +36,35 @@ func goldenRuns(t *testing.T) []goldenRun {
 		cfg.DurationSeconds = 60
 		runs = append(runs, goldenRun{"table2/" + p.String() + "/60s", func() (Result, error) { return Run(cfg) }})
 	}
-	scs, err := GenerateScenarios("dense", 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	forwarding := func(seed uint64) (Scenario, Config) {
+		scs, err := GenerateScenarios("dense", 1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ScenarioConfig(scs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.DurationSeconds = 120
+		cfg.Advanced.BaseStationForwarding = true
+		return scs[0], cfg
 	}
-	sc := scs[0]
-	cfg, err := ScenarioConfig(sc)
-	if err != nil {
-		t.Fatal(err)
+	sc1, cfg1 := forwarding(1)
+	runs = append(runs, goldenRun{sc1.Name + "/forwarding/120s", func() (Result, error) { return RunScenario(sc1, cfg1) }})
+	sc2, base := forwarding(2)
+	for _, p := range Protocols() {
+		cfg := base
+		cfg.Protocol = p
+		runs = append(runs, goldenRun{sc2.Name + "/" + p.String() + "/forwarding/120s", func() (Result, error) { return RunScenario(sc2, cfg) }})
 	}
-	cfg.DurationSeconds = 120
-	cfg.Advanced.BaseStationForwarding = true
-	return append(runs, goldenRun{sc.Name + "/forwarding/120s", func() (Result, error) { return RunScenario(sc, cfg) }})
+	return runs
 }
 
 // goldenText renders one "<sha256 of the JSON Result>  <run name>" line
 // per golden run.
 func goldenText(t *testing.T) string {
 	var sb strings.Builder
-	sb.WriteString("# sha256 of the JSON Result per run (amd64).\n")
+	fmt.Fprintf(&sb, "# sha256 of the JSON Result per run (amd64, ModelVersion %d).\n", ModelVersion)
 	sb.WriteString("# Regenerate: go test ./caem -run TestGoldenResults -update\n")
 	for _, g := range goldenRuns(t) {
 		res, err := g.run()
@@ -71,7 +84,8 @@ func goldenText(t *testing.T) string {
 // TestGoldenResults pins the exact Results of a small fixed set of runs.
 // Any change to the model, the event engine's execution order, or the
 // Result encoding shows up here as a digest mismatch. An intentional
-// change regenerates the golden with -update. The digests are pinned
+// change bumps ModelVersion, which the golden's header names, and
+// regenerates the golden with -update. The digests are pinned
 // for amd64 only: Go may fuse multiply-adds on other architectures
 // (arm64 among them), which changes floating-point rounding.
 func TestGoldenResults(t *testing.T) {

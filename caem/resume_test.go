@@ -270,7 +270,8 @@ func TestResumeIgnoresForeignCells(t *testing.T) {
 }
 
 // TestCellHashNormalization: the per-cell axes and orchestration fields
-// must not affect the hash; anything result-bearing must.
+// must not affect the hash; anything result-bearing must, the model
+// version included.
 func TestCellHashNormalization(t *testing.T) {
 	sc, err := FindScenario("node-churn")
 	if err != nil {
@@ -300,6 +301,15 @@ func TestCellHashNormalization(t *testing.T) {
 	sc2.Description = sc.Description + " (edited)"
 	if h, _ := CellHash(base, sc2); h == h0 {
 		t.Fatal("hash ignores a scenario spec change")
+	}
+
+	if h, _ := cellHash(ModelVersion-1, base, sc); h == h0 {
+		t.Fatal("hash ignores the model version")
+	}
+	// The hash builds before ModelVersion gave this cell: a store they
+	// wrote must not serve it.
+	if h0 == "2d66edc73122d4a4" {
+		t.Fatal("hash equals the one model-1 builds gave the cell")
 	}
 }
 

@@ -92,14 +92,29 @@ func (cs *CampaignStore) Flush() error { return nil }
 // Close waits for any background compaction and releases the store.
 func (cs *CampaignStore) Close() error { return cs.s.Close() }
 
+// ModelVersion identifies the simulation model that produces a Result:
+// its physics, its protocol logic, and the event engine's execution
+// order. A change that moves any Result bumps it and re-records
+// testdata/results.golden in the same diff. CellHash folds it in, so a
+// store written under another version never serves a cell, and the
+// lease protocol refuses a worker that runs another version. Builds
+// before the version existed are model 1; model 2 runs packet arrivals
+// ahead of the protocol events due in the same microsecond.
+const ModelVersion = 2
+
 // CellHash returns the deterministic content hash identifying a
-// campaign cell family: the base configuration with the per-cell axes
-// (Protocol, Seed) and the run-orchestration fields (Workers, TraceCSV)
-// normalized out, combined with the complete scenario spec. Two cells
-// share a hash exactly when equal (protocol, seed) would make their
-// runs bit-identical — the condition under which a stored result may
-// stand in for a fresh one.
+// campaign cell family: the model version, the base configuration with
+// the per-cell axes (Protocol, Seed) and the run-orchestration fields
+// (Workers, TraceCSV) normalized out, and the complete scenario spec.
+// Two cells share a hash exactly when equal (protocol, seed) would make
+// their runs bit-identical — the condition under which a stored result
+// may stand in for a fresh one.
 func CellHash(base Config, sc Scenario) (string, error) {
+	return cellHash(ModelVersion, base, sc)
+}
+
+// cellHash is CellHash under the given model version.
+func cellHash(model int, base Config, sc Scenario) (string, error) {
 	norm := base
 	norm.Protocol, norm.Seed, norm.Workers, norm.TraceCSV = 0, 0, 0, nil
 	cb, err := json.Marshal(norm)
@@ -111,6 +126,7 @@ func CellHash(base Config, sc Scenario) (string, error) {
 		return "", fmt.Errorf("caem: hashing scenario: %w", err)
 	}
 	h := sha256.New()
+	fmt.Fprintf(h, "model %d\x00", model)
 	h.Write(cb)
 	h.Write([]byte{0}) // unambiguous config/scenario boundary
 	h.Write(sb)

@@ -141,6 +141,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"bad page_size", "GET", "/v1/campaigns?page_size=-1", "", 400, api.CodeInvalidRequest},
 		{"bad page_token", "GET", "/v1/campaigns?page_token=%21%21", "", 400, api.CodeInvalidRequest},
 		{"bad claim body", "POST", "/v1/leases/claim", "{", 400, api.CodeInvalidRequest},
+		{"claim from another model", "POST", "/v1/leases/claim", `{"worker":"w","model":1,"goarch":"amd64"}`, 409, api.CodeModelMismatch},
 		{"lease gone", "POST", "/v1/leases/zzz/renew", "", 410, api.CodeGone},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))

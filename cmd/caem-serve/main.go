@@ -20,7 +20,10 @@
 // results back. Workers hold no state — they can be added, removed, or
 // killed at any point; the coordinator's lease/heartbeat protocol
 // re-queues whatever a dead worker was holding, and determinism makes
-// the recomputed results bit-identical.
+// the recomputed results bit-identical. Every claim names the worker's
+// simulation model version and GOARCH; a coordinator running another
+// pair refuses it (409 model_mismatch), and the worker process logs the
+// refusal once and exits with status 1.
 //
 // API (canonical paths live under /v1; see routes.go for the full
 // table and testdata/api_routes.golden for the locked surface):
@@ -558,6 +561,7 @@ func workerMain(cfg workerConfig) int {
 		host = "worker"
 	}
 	var wg sync.WaitGroup
+	refused := make(chan error, cfg.workers) // one slot per loop: a refused loop never blocks
 	for i := 0; i < cfg.workers; i++ {
 		w := &cluster.Worker{
 			Queue:   remote,
@@ -568,19 +572,29 @@ func workerMain(cfg workerConfig) int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.Run(ctx)
+			if err := w.Run(ctx); errors.Is(err, cluster.ErrModelMismatch) {
+				refused <- err
+			}
 		}()
 	}
 	logger.Info("workers joined", "count", cfg.workers, "coordinator", cfg.join, "version", version)
 
-	<-ctx.Done()
-	logger.Info("draining", "deadline", cfg.drain.String())
+	code := 0
+	select {
+	case <-ctx.Done():
+		logger.Info("draining", "deadline", cfg.drain.String())
+	case err := <-refused:
+		// Every loop of this process runs the same model, so one refusal
+		// answers for all of them.
+		logger.Error("coordinator refused this worker; exiting", "error", err.Error())
+		stop()
+		code = 1
+	}
 	drained := make(chan struct{})
 	go func() {
 		wg.Wait()
 		close(drained)
 	}()
-	code := 0
 	select {
 	case <-drained:
 	case <-time.After(cfg.drain):

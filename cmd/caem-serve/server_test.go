@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/caem"
+	"repro/internal/api"
+	"repro/internal/cluster"
 )
 
 // testRequest is a small real campaign: one library scenario, two
@@ -470,5 +473,39 @@ func TestServeResultsMatchLibraryRun(t *testing.T) {
 		if c.TotalConsumedJ != want[key] {
 			t.Fatalf("cell %s consumed %v over HTTP, %v in-process", key, c.TotalConsumedJ, want[key])
 		}
+	}
+}
+
+// TestJoinWorkerExitsOnModelMismatch: a -join worker process whose
+// claims a coordinator refuses as another model exits with status 1
+// and logs the refusal once, however many executor loops it runs.
+func TestJoinWorkerExitsOnModelMismatch(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/leases/claim", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, http.StatusConflict, api.CodeModelMismatch, cluster.ErrModelMismatch.Error(),
+			map[string]string{"want": "model 99 on amd64", "got": "model 2 on amd64"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	var logs bytes.Buffer
+	done := make(chan int, 1)
+	go func() {
+		done <- workerMain(workerConfig{join: ts.URL, workers: 3, drain: 5 * time.Second,
+			log: slog.New(slog.NewTextHandler(&logs, nil))})
+	}()
+	select {
+	case code := <-done:
+		if code != 1 {
+			t.Fatalf("workerMain exited %d, want 1", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker process did not exit after its claims were refused")
+	}
+	if n := strings.Count(logs.String(), "coordinator refused this worker"); n != 1 {
+		t.Fatalf("refusal logged %d times, want once:\n%s", n, logs.String())
+	}
+	if !strings.Contains(logs.String(), "model 99 on amd64") {
+		t.Errorf("refusal log does not name the coordinator's model:\n%s", logs.String())
 	}
 }

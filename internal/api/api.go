@@ -21,6 +21,7 @@ const (
 	CodeNotFound       = "not_found"
 	CodeGone           = "gone"
 	CodeFenced         = "fenced"
+	CodeModelMismatch  = "model_mismatch"
 	CodeUnavailable    = "unavailable"
 	CodeInternal       = "internal"
 )

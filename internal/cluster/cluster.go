@@ -105,6 +105,14 @@ var ErrLeaseGone = errors.New("cluster: lease expired or unknown")
 // evidently talking across an epoch boundary.
 var ErrFenced = errors.New("cluster: operation fenced (dead leadership epoch)")
 
+// ErrModelMismatch reports a claim refused because the worker runs
+// another simulation model (caem.ModelVersion) or another GOARCH than
+// the coordinator. Its Results would not be the ones the campaign's
+// cell hashes stand for, and no retry can change that, so Worker.Run
+// returns it instead of retrying. Over HTTP it is a 409 with envelope
+// code model_mismatch.
+var ErrModelMismatch = errors.New("cluster: worker runs another simulation model than the coordinator")
+
 // ErrDraining reports a Claim against a coordinator that has stopped
 // granting work because it is shutting down. Workers should back off
 // and retry — over HTTP this maps to 503 with a Retry-After header.

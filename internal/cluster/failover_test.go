@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func TestDrainClaimUnavailable(t *testing.T) {
 
 	c.Drain()
 	resp, err := http.Post(ts.URL+"/v1/leases/claim", "application/json",
-		strings.NewReader(`{"worker":"w1"}`))
+		strings.NewReader(claimBody("w1", caem.ModelVersion, runtime.GOARCH)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/caem"
 	"repro/internal/api"
 	"repro/internal/obs"
 )
@@ -21,6 +23,17 @@ import (
 type claimRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
+	// Model and GOARCH are the worker's caem.ModelVersion and
+	// runtime.GOARCH. Both must match the coordinator's: until Results
+	// are portable across architectures, the same model on another
+	// GOARCH may round differently.
+	Model  int    `json:"model"`
+	GOARCH string `json:"goarch"`
+}
+
+// modelName spells a (model, GOARCH) pair for a model_mismatch answer.
+func modelName(model int, goarch string) string {
+	return fmt.Sprintf("model %d on %s", model, goarch)
 }
 
 type settleRequest struct {
@@ -30,7 +43,7 @@ type settleRequest struct {
 // RegisterHTTP mounts the lease protocol and cluster observability on
 // mux:
 //
-//	POST /v1/leases/claim         {"worker","max"} → 200 Lease | 204 no work
+//	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch
 //	POST /v1/leases/{id}/renew    → 204 | 410 lease gone
 //	POST /v1/leases/{id}/complete {"results":[...]} → 204 | 410
 //	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410
@@ -41,7 +54,10 @@ type settleRequest struct {
 // request as a bodyless GET), the status GET as a 301 to its /v1
 // twin. Errors use the uniform api envelope; 410 Gone maps to
 // ErrLeaseGone on the Remote side, where the worker drops the batch
-// and claims fresh work.
+// and claims fresh work. A claim whose model or GOARCH differs from the
+// coordinator's is refused with 409 model_mismatch, whose details name
+// the wanted and the claimed pair; the Remote maps it to
+// ErrModelMismatch.
 func (c *Coordinator) RegisterHTTP(mux *http.ServeMux) {
 	c.registerHTTP(mux, nil)
 }
@@ -77,6 +93,14 @@ func (c *Coordinator) registerHTTP(mux *http.ServeMux, reg *obs.Registry) {
 		if req.Worker == "" {
 			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
 				"claim needs a worker name", nil)
+			return
+		}
+		if req.Model != caem.ModelVersion || req.GOARCH != runtime.GOARCH {
+			api.WriteError(w, http.StatusConflict, api.CodeModelMismatch, ErrModelMismatch.Error(),
+				map[string]string{
+					"want": modelName(caem.ModelVersion, runtime.GOARCH),
+					"got":  modelName(req.Model, req.GOARCH),
+				})
 			return
 		}
 		lease, err := c.Claim(req.Worker, req.Max)
@@ -152,9 +176,9 @@ func settleHTTP(w http.ResponseWriter, err error) {
 
 // Remote is the worker-side Queue over HTTP: the client half of
 // RegisterHTTP, used by cmd/caem-serve -join. It targets the /v1
-// paths; joining a pre-/v1 coordinator is not supported (the reverse
-// — a pre-/v1 worker joining this coordinator — works through the
-// legacy aliases).
+// paths; joining a pre-/v1 coordinator is not supported. Its claims
+// name this build's caem.ModelVersion and GOARCH, so a worker that
+// predates the model check cannot join this coordinator either.
 //
 // For failover deployments list every coordinator (primary and
 // standbys) in Bases: a connection failure, a fenced response, or a
@@ -249,6 +273,9 @@ func decodeError(path string, resp *http.Response) error {
 	switch {
 	case code == api.CodeFenced:
 		return ErrFenced
+	case code == api.CodeModelMismatch:
+		return fmt.Errorf("%w: the coordinator wants %s, this worker runs %s",
+			ErrModelMismatch, body.Error.Details["want"], body.Error.Details["got"])
 	case resp.StatusCode == http.StatusGone:
 		return ErrLeaseGone
 	case resp.StatusCode == http.StatusServiceUnavailable:
@@ -308,7 +335,7 @@ func (r *Remote) post(path string, body, out any) error {
 
 // Claim implements Queue.
 func (r *Remote) Claim(worker string, max int) (*Lease, error) {
-	blob, err := json.Marshal(claimRequest{Worker: worker, Max: max})
+	blob, err := json.Marshal(claimRequest{Worker: worker, Max: max, Model: caem.ModelVersion, GOARCH: runtime.GOARCH})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

@@ -52,7 +52,9 @@ type Worker struct {
 // — finished results settle, unfinished cells re-queue immediately for
 // other workers — and Run returns nil. A Queue error (coordinator
 // unreachable) is retried at the poll interval rather than returned, so
-// a worker survives coordinator restarts.
+// a worker survives coordinator restarts. The exception is
+// ErrModelMismatch: the coordinator computes with another model, no
+// retry can change that, and Run returns the error.
 func (w *Worker) Run(ctx context.Context) error {
 	reg := w.Metrics
 	if reg == nil {
@@ -82,6 +84,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ErrWorkerKilled
 		}
 		lease, err := w.Queue.Claim(w.Name, w.MaxBatch)
+		if errors.Is(err, ErrModelMismatch) {
+			return err
+		}
 		if err != nil {
 			claimFails++
 			w.met.claimRetries.Inc()

@@ -228,8 +228,6 @@ type Network struct {
 	collisionEvents uint64
 	forwardedBits   uint64
 	roundStats      []RoundStat
-
-	nextPacketID uint64
 }
 
 // New builds a simulation from the configuration. It panics on an invalid
@@ -297,7 +295,6 @@ func (net *Network) init(cfg Config) {
 	net.roundStats = net.roundStats[:0]
 	net.roundGen = 0
 	net.rounds = 0
-	net.nextPacketID = 0
 	net.clusters = net.clusters[:0]
 
 	// Geometry and per-node state.
@@ -338,7 +335,7 @@ func (net *Network) init(cfg Config) {
 			n.battery = energy.NewBattery(initialJ)
 			n.buf = queueing.NewBuffer(cfg.BufferCapacity)
 			n.adjust = queueing.NewThresholdAdjuster(cfg.Adjust)
-			n.source = queueing.NewPoissonSource(rate, cfg.PacketSizeBits, i, n.arrivalStream, &net.nextPacketID)
+			n.source = queueing.NewPoissonSource(rate, cfg.PacketSizeBits, i, n.arrivalStream)
 			n.arrivalFn = func() { net.onArrival(n) }
 			n.backoffFn = func() { net.onBackoffExpire(n, n.backoffCl, n.backoffGen) }
 		} else {
@@ -356,6 +353,7 @@ func (net *Network) init(cfg Config) {
 		n.lastAccrual = 0
 		n.diedAt = 0
 		n.arrivalEv, n.backoffEv = sim.EventID{}, sim.EventID{}
+		n.saturated, n.nextArrival = false, 0
 		n.backoffCl, n.backoffGen = nil, 0
 		n.alive = true
 		n.serviceShare = 0
@@ -483,6 +481,7 @@ func (net *Network) Run() Result {
 
 	end := net.eng.Now()
 	for _, n := range net.nodes {
+		net.catchUp(n)
 		n.accrue(net, end)
 	}
 	return net.buildResult(end)
@@ -689,6 +688,7 @@ func (net *Network) closeRoundStats(now sim.Time) {
 // the node that buffered them has become the sink, so the data has reached
 // its destination without further radio work.
 func (net *Network) flushHeadBuffer(n *node, now sim.Time) {
+	net.catchUp(n)
 	for {
 		p, ok := n.buf.Dequeue()
 		if !ok {
@@ -737,13 +737,47 @@ func (net *Network) chargeTxAirtime(n *node, from, to sim.Time, _ phy.Mode) {
 
 // ---------------------------------------------------------------------------
 // Traffic arrivals
+//
+// Arrivals are first-class events: they run ahead of every protocol event
+// due in the same microsecond. That order makes it exact to stop
+// simulating the arrivals a full buffer drops. When an untraced arrival
+// finds its node's buffer full, the node turns saturated: it draws its
+// next gap as usual but schedules nothing, and only remembers the time.
+// Every change that could let an arrival in again — a slot freed by a
+// delivery or a drop, election as head, death, a rate change, the end of
+// the run — is made by an ordinary event, and calls catchUp first. The
+// arrivals due at or before that event's time are then exactly the ones
+// the eager chain would already have run against the full buffer.
+// Traced runs keep the eager chain, so their drop rows appear in time
+// order; they are the reference the elided runs are tested against.
 
 func (net *Network) scheduleArrival(n *node) {
 	if !n.source.Active() || !n.alive {
 		return
 	}
 	gap := n.source.NextInterarrival()
-	n.arrivalEv = net.eng.Schedule(gap, n.arrivalFn)
+	n.arrivalEv = net.eng.ScheduleFirst(gap, n.arrivalFn)
+}
+
+// catchUp settles a saturated node's elided arrivals. Each one due at or
+// before now counts as generated and dropped, drawing the same gaps from
+// the node's private arrival stream the eager chain would have drawn. A
+// node that lives on then schedules its first later arrival as a real
+// event. It must be called from an ordinary event or after the run.
+func (net *Network) catchUp(n *node) {
+	if !n.saturated {
+		return
+	}
+	n.saturated = false
+	now := net.eng.Now()
+	for n.nextArrival <= now {
+		net.thr.PacketGenerated()
+		net.thr.PacketDroppedBuffer()
+		n.nextArrival += n.source.NextInterarrival()
+	}
+	if n.alive {
+		n.arrivalEv = net.eng.ScheduleFirst(n.nextArrival-now, n.arrivalFn)
+	}
 }
 
 func (net *Network) onArrival(n *node) {
@@ -775,6 +809,11 @@ func (net *Network) onArrival(n *node) {
 		}
 	} else {
 		net.thr.PacketDroppedBuffer()
+		if net.cfg.Trace == nil {
+			n.saturated = true
+			n.nextArrival = now + n.source.NextInterarrival()
+			return
+		}
 		net.emit(TraceDrop, n.idx, 0, "buffer")
 	}
 	net.scheduleArrival(n)
@@ -1036,6 +1075,7 @@ func (net *Network) finishPacket(cl *cluster, tx *burst, gen uint64) {
 		net.emit(TraceChannelFail, n.idx, tx.pktMode.Index, "")
 		pkt.Retries++
 		if net.cfg.MAC.ShouldDrop(pkt.Retries) {
+			net.catchUp(n)
 			n.buf.DropHead()
 			net.thr.PacketDroppedRetry()
 			n.counters.RetryDrops++
@@ -1047,6 +1087,7 @@ func (net *Network) finishPacket(cl *cluster, tx *burst, gen uint64) {
 	}
 
 	// Delivered.
+	net.catchUp(n)
 	p, _ := n.buf.Dequeue()
 	net.thr.PacketDelivered(p.SizeBits)
 	net.accumulateAggregate(cl, p.SizeBits)
@@ -1180,6 +1221,7 @@ func (net *Network) resolveCollision(cl *cluster, tx *burst, gen uint64) {
 		if pkt := p.buf.Head(); pkt != nil {
 			pkt.Retries++
 			if net.cfg.MAC.ShouldDrop(pkt.Retries) {
+				net.catchUp(p)
 				p.buf.DropHead()
 				net.thr.PacketDroppedRetry()
 				p.counters.RetryDrops++
@@ -1241,6 +1283,7 @@ func (net *Network) nodeDied(n *node, now sim.Time) {
 		return
 	}
 	n.alive = false
+	net.catchUp(n)
 	n.lastAccrual = now
 	n.diedAt = now
 	net.aliveMask[n.idx] = false

@@ -33,6 +33,12 @@ type node struct {
 	arrivalEv sim.EventID
 	backoffEv sim.EventID
 
+	// saturated is set while the node's buffer is full and its arrivals
+	// are elided; nextArrival is then the first arrival not yet counted
+	// (see catchUp).
+	saturated   bool
+	nextArrival sim.Time
+
 	// Reusable event handlers (created once in New) and the context the
 	// single pending backoff event reads at fire time, so the arrival and
 	// contention hot paths never allocate closures.

@@ -32,8 +32,7 @@ func scenarioConfig() Config {
 func inject(net *Network, nd *node, n int) {
 	now := net.eng.Now()
 	for i := 0; i < n; i++ {
-		p := queueing.Packet{ID: net.nextPacketID, Source: nd.idx, CreatedAt: now, SizeBits: net.cfg.PacketSizeBits}
-		net.nextPacketID++
+		p := queueing.Packet{Source: nd.idx, CreatedAt: now, SizeBits: net.cfg.PacketSizeBits}
 		net.thr.PacketGenerated()
 		if nd.buf.Enqueue(p) {
 			nd.adjust.OnArrival(nd.buf.Len())

@@ -128,6 +128,8 @@ func (w *World) SetArrivalRate(i int, perSecond float64) {
 	}
 	net := w.net
 	n := net.nodes[i]
+	// The elided arrivals up to now drew their gaps at the old rate.
+	net.catchUp(n)
 	n.source.RatePerSecond = perSecond
 	net.eng.Cancel(n.arrivalEv)
 	if n.alive {

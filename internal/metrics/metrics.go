@@ -14,12 +14,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Welford is the numerically stable online mean/variance accumulator
-// with min/max tracking, now provided by the shared statistics engine
-// (population-variance semantics; see internal/stats for the
-// sample-statistics Stream the replicated experiments use).
-type Welford = stats.Welford
-
 // Point is one (time, value) sample of a time series.
 type Point struct {
 	T sim.Time
@@ -95,7 +89,7 @@ func (ts *TimeSeries) Downsample(n int) []Point {
 // tracking mean/max/stddev plus a constant-memory P² estimate of the
 // 95th percentile (the tail the mean hides under bursty service).
 type DelayStats struct {
-	w   Welford
+	w   stats.Welford
 	p95 stats.Quantile
 }
 
@@ -135,7 +129,7 @@ func (d *DelayStats) P95Ms() float64 {
 // standard deviation of per-node queue lengths, snapshotted periodically
 // and averaged over the observation window (§IV.C, Fig. 12).
 type FairnessProbe struct {
-	snapshots Welford
+	snapshots stats.Welford
 }
 
 // Snapshot records one instant's queue lengths across all alive nodes.

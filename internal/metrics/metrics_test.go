@@ -6,10 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestWelfordBasics(t *testing.T) {
-	var w Welford
+	var w stats.Welford
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
@@ -28,14 +29,14 @@ func TestWelfordBasics(t *testing.T) {
 }
 
 func TestWelfordEmpty(t *testing.T) {
-	var w Welford
+	var w stats.Welford
 	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
 		t.Fatal("empty accumulator not zero")
 	}
 }
 
 func TestWelfordMerge(t *testing.T) {
-	var a, b, all Welford
+	var a, b, all stats.Welford
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -3, 17}
 	for i, x := range xs {
 		all.Add(x)
@@ -58,13 +59,13 @@ func TestWelfordMerge(t *testing.T) {
 }
 
 func TestWelfordMergeEmptySides(t *testing.T) {
-	var a, b Welford
+	var a, b stats.Welford
 	b.Add(3)
 	a.Merge(b) // into empty
 	if a.Count() != 1 || a.Mean() != 3 {
 		t.Fatal("merge into empty wrong")
 	}
-	var empty Welford
+	var empty stats.Welford
 	a.Merge(empty) // from empty
 	if a.Count() != 1 {
 		t.Fatal("merge from empty changed state")
@@ -83,7 +84,7 @@ func TestWelfordMatchesNaive(t *testing.T) {
 		if len(vals) < 2 {
 			return true
 		}
-		var w Welford
+		var w stats.Welford
 		var sum float64
 		for _, x := range vals {
 			w.Add(x)

@@ -13,8 +13,6 @@ import (
 
 // Packet is one sensed-data packet awaiting delivery to the cluster head.
 type Packet struct {
-	// ID is unique across the whole simulation (assigned by the source).
-	ID uint64
 	// Source is the generating node's index.
 	Source int
 	// CreatedAt is the generation time; delivery minus creation is the
@@ -41,11 +39,6 @@ type Buffer struct {
 	ring     []Packet // power-of-two length; empty until first enqueue
 	head     int      // index of the head packet
 	count    int      // occupied slots
-
-	enqueued  uint64
-	dropped   uint64
-	dequeued  uint64
-	maxLength int
 }
 
 // NewBuffer returns a buffer holding at most capacity packets
@@ -67,7 +60,6 @@ func (b *Buffer) Reset(capacity int) {
 	b.capacity = capacity
 	b.head = 0
 	b.count = 0
-	b.enqueued, b.dropped, b.dequeued, b.maxLength = 0, 0, 0, 0
 }
 
 // Len returns the current queue length.
@@ -94,7 +86,6 @@ func (b *Buffer) grow() {
 // returns false (tail drop, the behaviour of a full sensor buffer).
 func (b *Buffer) Enqueue(p Packet) bool {
 	if b.capacity > 0 && b.count >= b.capacity {
-		b.dropped++
 		return false
 	}
 	if b.count == len(b.ring) {
@@ -102,10 +93,6 @@ func (b *Buffer) Enqueue(p Packet) bool {
 	}
 	b.ring[(b.head+b.count)&(len(b.ring)-1)] = p
 	b.count++
-	b.enqueued++
-	if b.count > b.maxLength {
-		b.maxLength = b.count
-	}
 	return true
 }
 
@@ -134,7 +121,6 @@ func (b *Buffer) Dequeue() (Packet, bool) {
 	p := b.ring[b.head]
 	b.head = (b.head + 1) & (len(b.ring) - 1)
 	b.count--
-	b.dequeued++
 	return p, true
 }
 
@@ -147,22 +133,15 @@ func (b *Buffer) Head() *Packet {
 	return &b.ring[b.head]
 }
 
-// DropHead removes the head packet without counting it as dequeued
-// service (used when the retry cap is exceeded). Returns false when empty.
+// DropHead discards the head packet (used when the retry cap is
+// exceeded). Returns false when empty.
 func (b *Buffer) DropHead() bool {
 	if b.count == 0 {
 		return false
 	}
 	b.head = (b.head + 1) & (len(b.ring) - 1)
 	b.count--
-	b.dropped++
 	return true
-}
-
-// Stats returns lifetime counters: packets accepted, dropped (overflow or
-// retry-cap), served, and the maximum observed length.
-func (b *Buffer) Stats() (enqueued, dropped, dequeued uint64, maxLen int) {
-	return b.enqueued, b.dropped, b.dequeued, b.maxLength
 }
 
 // PoissonSource generates the paper's traffic: "each sensor node is a
@@ -174,24 +153,23 @@ type PoissonSource struct {
 	SourceIndex   int
 
 	stream *rng.Stream
-	nextID *uint64
 }
 
-// NewPoissonSource builds a source for one node. nextID is a shared
-// counter so packet IDs are unique network-wide.
-func NewPoissonSource(rate float64, sizeBits, sourceIndex int, stream *rng.Stream, nextID *uint64) *PoissonSource {
+// NewPoissonSource builds a source for one node, drawing its gaps from
+// stream. No state is shared with any other source.
+func NewPoissonSource(rate float64, sizeBits, sourceIndex int, stream *rng.Stream) *PoissonSource {
 	if rate < 0 {
 		panic(fmt.Sprintf("queueing: negative arrival rate %v", rate))
 	}
 	if sizeBits <= 0 {
 		panic(fmt.Sprintf("queueing: non-positive packet size %d", sizeBits))
 	}
-	return &PoissonSource{RatePerSecond: rate, SizeBits: sizeBits, SourceIndex: sourceIndex, stream: stream, nextID: nextID}
+	return &PoissonSource{RatePerSecond: rate, SizeBits: sizeBits, SourceIndex: sourceIndex, stream: stream}
 }
 
 // Reset rewinds the source for a fresh run at a possibly different rate
-// and packet size. The RNG stream and shared ID counter are kept — the
-// owning context reseeds the stream and zeroes the counter itself.
+// and packet size. The RNG stream is kept — the owning context reseeds
+// it itself.
 func (s *PoissonSource) Reset(rate float64, sizeBits int) {
 	if rate < 0 {
 		panic(fmt.Sprintf("queueing: negative arrival rate %v", rate))
@@ -223,9 +201,7 @@ func (s *PoissonSource) Active() bool { return s.RatePerSecond > 0 }
 
 // Generate mints the packet created at now.
 func (s *PoissonSource) Generate(now sim.Time) Packet {
-	id := *s.nextID
-	*s.nextID++
-	return Packet{ID: id, Source: s.SourceIndex, CreatedAt: now, SizeBits: s.SizeBits}
+	return Packet{Source: s.SourceIndex, CreatedAt: now, SizeBits: s.SizeBits}
 }
 
 // ThresholdPolicy selects how a node's transmission threshold (the minimum

@@ -8,17 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
+// Packets are told apart by CreatedAt: packet i is created at i µs.
+func pkt(i int) Packet { return Packet{CreatedAt: sim.Time(i)} }
+
 func TestBufferFIFO(t *testing.T) {
 	b := NewBuffer(10)
-	for i := uint64(0); i < 5; i++ {
-		if !b.Enqueue(Packet{ID: i}) {
+	for i := 0; i < 5; i++ {
+		if !b.Enqueue(pkt(i)) {
 			t.Fatalf("enqueue %d failed", i)
 		}
 	}
-	for i := uint64(0); i < 5; i++ {
+	for i := 0; i < 5; i++ {
 		p, ok := b.Dequeue()
-		if !ok || p.ID != i {
-			t.Fatalf("dequeue %d: got (%v, %v)", i, p.ID, ok)
+		if !ok || p.CreatedAt != sim.Time(i) {
+			t.Fatalf("dequeue %d: got (%v, %v)", i, p.CreatedAt, ok)
 		}
 	}
 	if _, ok := b.Dequeue(); ok {
@@ -29,26 +32,25 @@ func TestBufferFIFO(t *testing.T) {
 func TestBufferOverflowDrops(t *testing.T) {
 	b := NewBuffer(3)
 	for i := 0; i < 3; i++ {
-		if !b.Enqueue(Packet{ID: uint64(i)}) {
+		if !b.Enqueue(pkt(i)) {
 			t.Fatal("enqueue within capacity failed")
 		}
 	}
-	if b.Enqueue(Packet{ID: 99}) {
+	if b.Enqueue(pkt(99)) {
 		t.Fatal("enqueue past capacity succeeded")
 	}
 	if b.Len() != 3 {
 		t.Fatalf("len = %d after overflow, want 3", b.Len())
 	}
-	enq, drop, deq, maxLen := b.Stats()
-	if enq != 3 || drop != 1 || deq != 0 || maxLen != 3 {
-		t.Fatalf("stats = (%d, %d, %d, %d)", enq, drop, deq, maxLen)
+	if p, _ := b.PeekAt(2); p.CreatedAt != 2 {
+		t.Fatalf("tail = %v after overflow, want the packet created at 2", p.CreatedAt)
 	}
 }
 
 func TestBufferUnbounded(t *testing.T) {
 	b := NewBuffer(0)
 	for i := 0; i < 10000; i++ {
-		if !b.Enqueue(Packet{ID: uint64(i)}) {
+		if !b.Enqueue(pkt(i)) {
 			t.Fatalf("unbounded buffer rejected packet %d", i)
 		}
 	}
@@ -65,13 +67,13 @@ func TestBufferPeekAndHead(t *testing.T) {
 	if b.Head() != nil {
 		t.Fatal("head on empty not nil")
 	}
-	b.Enqueue(Packet{ID: 1})
-	b.Enqueue(Packet{ID: 2})
-	if p, ok := b.Peek(); !ok || p.ID != 1 {
-		t.Fatalf("peek = (%v, %v)", p.ID, ok)
+	b.Enqueue(pkt(1))
+	b.Enqueue(pkt(2))
+	if p, ok := b.Peek(); !ok || p.CreatedAt != 1 {
+		t.Fatalf("peek = (%v, %v)", p.CreatedAt, ok)
 	}
-	if p, ok := b.PeekAt(1); !ok || p.ID != 2 {
-		t.Fatalf("peekAt(1) = (%v, %v)", p.ID, ok)
+	if p, ok := b.PeekAt(1); !ok || p.CreatedAt != 2 {
+		t.Fatalf("peekAt(1) = (%v, %v)", p.CreatedAt, ok)
 	}
 	if _, ok := b.PeekAt(2); ok {
 		t.Fatal("peekAt past end succeeded")
@@ -91,54 +93,58 @@ func TestDropHead(t *testing.T) {
 	if b.DropHead() {
 		t.Fatal("DropHead on empty succeeded")
 	}
-	b.Enqueue(Packet{ID: 1})
-	b.Enqueue(Packet{ID: 2})
+	b.Enqueue(pkt(1))
+	b.Enqueue(pkt(2))
 	if !b.DropHead() {
 		t.Fatal("DropHead failed")
 	}
-	if p, _ := b.Peek(); p.ID != 2 {
+	if p, _ := b.Peek(); p.CreatedAt != 2 {
 		t.Fatal("DropHead removed the wrong packet")
 	}
-	_, drop, _, _ := b.Stats()
-	if drop != 1 {
-		t.Fatalf("drops = %d, want 1", drop)
+	if b.Len() != 1 {
+		t.Fatalf("len = %d after DropHead, want 1", b.Len())
 	}
 }
 
 // Property: for any interleaving of enqueues and dequeues, the buffer
-// conserves packets: enqueued = dequeued + dropped_head + len.
+// conserves packets: accepted = dequeued + len, and an enqueue is
+// refused exactly when a bounded buffer is full.
 func TestBufferConservation(t *testing.T) {
 	check := func(ops []bool, capRaw uint8) bool {
 		capacity := int(capRaw % 20)
 		b := NewBuffer(capacity)
-		var id uint64
-		for _, enq := range ops {
+		accepted, dequeued := 0, 0
+		for i, enq := range ops {
 			if enq {
-				b.Enqueue(Packet{ID: id})
-				id++
-			} else {
-				b.Dequeue()
+				full := capacity > 0 && b.Len() == capacity
+				if b.Enqueue(pkt(i)) == full {
+					return false
+				}
+				if !full {
+					accepted++
+				}
+			} else if _, ok := b.Dequeue(); ok {
+				dequeued++
 			}
 		}
-		enq, drop, deq, _ := b.Stats()
-		return enq == deq+uint64(b.Len()) && enq+drop == id
+		return accepted == dequeued+b.Len()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: FIFO order is preserved — IDs dequeue in enqueue order.
+// Property: FIFO order is preserved — packets dequeue in enqueue order.
 func TestBufferOrderProperty(t *testing.T) {
 	check := func(nRaw uint8) bool {
 		n := int(nRaw%100) + 1
 		b := NewBuffer(0)
 		for i := 0; i < n; i++ {
-			b.Enqueue(Packet{ID: uint64(i)})
+			b.Enqueue(pkt(i))
 		}
 		for i := 0; i < n; i++ {
 			p, ok := b.Dequeue()
-			if !ok || p.ID != uint64(i) {
+			if !ok || p.CreatedAt != sim.Time(i) {
 				return false
 			}
 		}
@@ -150,8 +156,7 @@ func TestBufferOrderProperty(t *testing.T) {
 }
 
 func TestPoissonSourceInterarrivals(t *testing.T) {
-	var id uint64
-	s := NewPoissonSource(5, 2000, 3, rng.NewSource(1).Stream("arr", 0), &id)
+	s := NewPoissonSource(5, 2000, 3, rng.NewSource(1).Stream("arr", 0))
 	if !s.Active() {
 		t.Fatal("source with positive rate not active")
 	}
@@ -171,24 +176,15 @@ func TestPoissonSourceInterarrivals(t *testing.T) {
 }
 
 func TestPoissonSourceGenerate(t *testing.T) {
-	var id uint64
-	s := NewPoissonSource(5, 2000, 3, rng.NewSource(1).Stream("arr", 0), &id)
+	s := NewPoissonSource(5, 2000, 3, rng.NewSource(1).Stream("arr", 0))
 	p1 := s.Generate(10 * sim.Second)
-	p2 := s.Generate(11 * sim.Second)
-	if p1.ID == p2.ID {
-		t.Fatal("packet IDs not unique")
-	}
-	if p1.Source != 3 || p1.SizeBits != 2000 || p1.CreatedAt != 10*sim.Second {
+	if p1 != (Packet{Source: 3, CreatedAt: 10 * sim.Second, SizeBits: 2000}) {
 		t.Fatalf("packet fields wrong: %+v", p1)
-	}
-	if id != 2 {
-		t.Fatalf("shared counter = %d, want 2", id)
 	}
 }
 
 func TestZeroRateSourceInactive(t *testing.T) {
-	var id uint64
-	s := NewPoissonSource(0, 2000, 0, rng.NewSource(1).Stream("arr", 0), &id)
+	s := NewPoissonSource(0, 2000, 0, rng.NewSource(1).Stream("arr", 0))
 	if s.Active() {
 		t.Fatal("zero-rate source active")
 	}

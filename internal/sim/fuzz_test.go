@@ -10,12 +10,13 @@ import (
 )
 
 // queue is the surface FuzzEngineOrder drives: the Engine, or the
-// reference model that sorts its pending entries. schedule and
-// scheduleAt return a handle, which is the number of events scheduled
-// before this one on that queue.
+// reference model that sorts its pending entries. schedule, scheduleAt
+// and scheduleFirst return a handle, which is the number of events
+// scheduled before this one on that queue.
 type queue interface {
 	schedule(delay Time, fn Handler) int
 	scheduleAt(at Time, fn Handler) int
+	scheduleFirst(delay Time, fn Handler) int
 	cancel(h int) bool
 	valid(h int) bool
 	run(horizon Time)
@@ -42,6 +43,11 @@ func (q *engineQueue) scheduleAt(at Time, fn Handler) int {
 	return len(q.ids) - 1
 }
 
+func (q *engineQueue) scheduleFirst(d Time, fn Handler) int {
+	q.ids = append(q.ids, q.e.ScheduleFirst(d, fn))
+	return len(q.ids) - 1
+}
+
 func (q *engineQueue) cancel(h int) bool { return q.e.Cancel(q.ids[h]) }
 func (q *engineQueue) valid(h int) bool  { return q.ids[h].Valid() }
 func (q *engineQueue) run(horizon Time)  { q.e.Run(horizon) }
@@ -54,7 +60,7 @@ func (q *engineQueue) executed() uint64  { return q.e.Executed() }
 
 // refQueue is the reference model: a flat list of every event ever
 // scheduled, and the handles of the pending ones kept sorted by
-// (at, seq), so the next event is always pend[0].
+// (at, class, seq), so the next event is always pend[0].
 type refQueue struct {
 	evs     []refEvent
 	pend    []int
@@ -64,18 +70,23 @@ type refQueue struct {
 	stopped bool
 }
 
+// refEvent is one scheduled event of the reference. class is 0 for a
+// first-class event and 1 for an ordinary one.
 type refEvent struct {
 	at      Time
+	class   int
 	seq     uint64
 	fn      Handler
 	pending bool
 }
 
-func (q *refQueue) schedule(d Time, fn Handler) int { return q.scheduleAt(q.t+d, fn) }
+func (q *refQueue) schedule(d Time, fn Handler) int      { return q.insert(q.t+d, 1, fn) }
+func (q *refQueue) scheduleAt(at Time, fn Handler) int   { return q.insert(at, 1, fn) }
+func (q *refQueue) scheduleFirst(d Time, fn Handler) int { return q.insert(q.t+d, 0, fn) }
 
-func (q *refQueue) scheduleAt(at Time, fn Handler) int {
+func (q *refQueue) insert(at Time, class int, fn Handler) int {
 	h := len(q.evs)
-	q.evs = append(q.evs, refEvent{at: at, seq: q.seq, fn: fn, pending: true})
+	q.evs = append(q.evs, refEvent{at: at, class: class, seq: q.seq, fn: fn, pending: true})
 	q.seq++
 	i, _ := slices.BinarySearchFunc(q.pend, h, q.order)
 	q.pend = slices.Insert(q.pend, i, h)
@@ -83,7 +94,8 @@ func (q *refQueue) scheduleAt(at Time, fn Handler) int {
 }
 
 func (q *refQueue) order(a, b int) int {
-	return cmp.Or(cmp.Compare(q.evs[a].at, q.evs[b].at), cmp.Compare(q.evs[a].seq, q.evs[b].seq))
+	ea, eb := &q.evs[a], &q.evs[b]
+	return cmp.Or(cmp.Compare(ea.at, eb.at), cmp.Compare(ea.class, eb.class), cmp.Compare(ea.seq, eb.seq))
 }
 
 func (q *refQueue) cancel(h int) bool {
@@ -143,15 +155,20 @@ const (
 	opCancelNext        // cancel the next-due live event
 	opRun               // mode [delayKind delayArg]: Run(h), see the h* modes
 	opRunAll
-	opReset // Reset, then check every earlier handle is stale
-	opValid // k: Valid of handle k mod handles
+	opReset         // Reset, then check every earlier handle is stale
+	opValid         // k: Valid of handle k mod handles
+	opScheduleFirst // spec; first-class, and its descendants alternate class
 	opCount
 )
 
 // A spec is [delayKind, delayArg, act] followed by a child spec when
 // the act asks for one. act's bits, applied in this order inside the
 // event's handler: 4 cancels the next-due event, 1 schedules the child,
-// 2 calls Stop.
+// 2 calls Stop. A child is scheduled relative to the clock. A tree
+// scheduled by opScheduleFirst alternates classes by depth, so it
+// schedules ordinary events from first-class handlers and first-class
+// events from ordinary ones; a first-class delay that resolves to zero
+// is taken as 1 µs, since the engine requires it to be positive.
 const (
 	actChild      = 1
 	actStop       = 2
@@ -184,6 +201,7 @@ const (
 type spec struct {
 	delayKind, delayArg byte
 	act                 byte
+	first               bool
 	child               *spec
 }
 
@@ -226,9 +244,9 @@ type obs struct {
 }
 
 // driver runs one decoded program against a queue and records what it
-// observes. Its own bookkeeping (the time, sequence, and liveness of
-// every handle) picks targets such as the next-due event, so both
-// queues see the same calls for as long as they agree.
+// observes. Its own bookkeeping (the time, class, sequence, and
+// liveness of every handle) picks targets such as the next-due event,
+// so both queues see the same calls for as long as they agree.
 type driver struct {
 	q      queue
 	hs     []handle
@@ -240,9 +258,22 @@ type driver struct {
 
 type handle struct {
 	at    Time
+	first bool
 	seq   uint64
 	epoch int
 	live  bool
+}
+
+// before reports whether handle a is due before handle b in
+// (time, class, sequence) order.
+func (a handle) before(b handle) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.first != b.first {
+		return a.first
+	}
+	return a.seq < b.seq
 }
 
 func (d *driver) observe(kind string, a, b int64) {
@@ -287,14 +318,20 @@ func (d *driver) schedule(sp *spec, absolute bool) {
 	d.budget--
 	now := d.q.now()
 	at := d.resolve(sp.delayKind, sp.delayArg, now)
+	if sp.first && at == now {
+		at = now + 1
+	}
 	h := len(d.hs)
-	d.hs = append(d.hs, handle{at: at, seq: d.seq, epoch: d.epoch, live: true})
+	d.hs = append(d.hs, handle{at: at, first: sp.first, seq: d.seq, epoch: d.epoch, live: true})
 	d.seq++
 	fn := func() { d.fire(h, sp) }
 	var got int
-	if absolute {
+	switch {
+	case sp.first:
+		got = d.q.scheduleFirst(at-now, fn)
+	case absolute:
 		got = d.q.scheduleAt(at, fn)
-	} else {
+	default:
 		got = d.q.schedule(at-now, fn)
 	}
 	if got != h {
@@ -316,14 +353,15 @@ func (d *driver) fire(h int, sp *spec) {
 	}
 }
 
-// nextDue returns the live handle first in (at, seq) order, or -1.
+// nextDue returns the live handle first in (at, class, seq) order, or
+// -1.
 func (d *driver) nextDue() int {
 	best := -1
 	for h, hd := range d.hs {
 		if !hd.live || hd.epoch != d.epoch {
 			continue
 		}
-		if best < 0 || hd.at < d.hs[best].at || (hd.at == d.hs[best].at && hd.seq < d.hs[best].seq) {
+		if best < 0 || hd.before(d.hs[best]) {
 			best = h
 		}
 	}
@@ -359,6 +397,12 @@ func exec(q queue, input []byte) []obs {
 		switch op := r.next() % opCount; op {
 		case opSchedule, opScheduleAt:
 			d.schedule(r.spec(0), op == opScheduleAt)
+		case opScheduleFirst:
+			sp := r.spec(0)
+			for c, first := sp, true; c != nil; c, first = c.child, !first {
+				c.first = first
+			}
+			d.schedule(sp, false)
 		case opCancel:
 			k := int(r.next())
 			if len(d.hs) > 0 {
@@ -408,6 +452,10 @@ func exec(q queue, input []byte) []obs {
 
 func opSched(kind, arg, act byte, child ...byte) []byte {
 	return append([]byte{opSchedule, kind, arg, act}, child...)
+}
+
+func opFirst(kind, arg, act byte, child ...byte) []byte {
+	return append([]byte{opScheduleFirst, kind, arg, act}, child...)
 }
 
 func program(ops ...[]byte) []byte { return slices.Concat(ops...) }
@@ -464,13 +512,36 @@ var engineOrderSeeds = map[string][]byte{
 		opSched(dCarry, 7, 0),
 		[]byte{opRunAll},
 	),
+	// The same instant holds ordinary and first-class events scheduled
+	// in mixed order: every first-class one runs first, in scheduling
+	// order. A first-class handler schedules an ordinary event at its
+	// own instant, which runs behind the ordinary ones already there,
+	// and that ordinary event schedules a first-class one 1 µs on. A
+	// Stop in the middle of the first class leaves the ordinary events
+	// of the instant queued behind it for the next Run, and a Run just
+	// below the instant must leave both classes alone.
+	"tie-storm-first-class": program(
+		opSched(dMicros, 50, 0),
+		opFirst(dTie, 0, actChild, dZero, 0, actChild, dZero, 0, 0),
+		opSched(dTie, 0, 0),
+		opFirst(dTie, 0, actStop),
+		opFirst(dTie, 0, 0),
+		[]byte{opRun, hBelow},
+		[]byte{opRun, hAt},
+		[]byte{opRun, hAt},
+		opFirst(dMicros, 3, 0),
+		opSched(dTie, 9, 0),
+		[]byte{opCancelNext},
+		[]byte{opRunAll},
+	),
 }
 
-// FuzzEngineOrder runs a program of schedules, cancellations, runs, and
-// resets against the Engine and against a reference that sorts its
-// pending entries, and requires the same trace: every executed event's
-// (at, seq), every Cancel and Valid result, and Now, Pending, and
-// Executed after each operation.
+// FuzzEngineOrder runs a program of schedules (ordinary and first-class),
+// cancellations, runs, and resets against the Engine and against a
+// reference that sorts its pending entries by (time, class, sequence),
+// and requires the same trace: every executed event's (at, seq), every
+// Cancel and Valid result, and Now, Pending, and Executed after each
+// operation.
 func FuzzEngineOrder(f *testing.F) {
 	for _, name := range slices.Sorted(maps.Keys(engineOrderSeeds)) {
 		f.Add(engineOrderSeeds[name])

@@ -7,24 +7,32 @@
 // magnitude below the shortest physical interval in the model (a 20 µs
 // backoff slot), so quantization is immaterial.
 //
-// Events due at the same time run in the order they were scheduled, which
-// is the property that makes event execution deterministic.
+// Events due at the same time run by class, then in the order they were
+// scheduled, which is the property that makes event execution
+// deterministic. There are two classes: an event scheduled with
+// ScheduleFirst runs before every ordinary event due in the same
+// microsecond. A first-class delay must be positive, since the event
+// that schedules it may itself be an ordinary event of the current
+// microsecond.
 //
 // The future event list is a monotone radix queue over a slot arena with
-// a free list. Events can only be scheduled at or after the current
-// time, so every key is at least the last extracted time, and each entry
-// sits in one of 64 buckets chosen by the highest bit in which its time
-// differs from that last time. Bucket 0 holds the entries due at exactly
-// the last time, in scheduling order; when it runs dry, the lowest
-// non-empty bucket is redistributed, which moves each entry to a
-// strictly lower bucket. Entries due at the same time always share a
-// bucket and are appended and moved in order, so scheduling order needs
-// no sequence number. The steady-state schedule/execute cycle performs
-// no heap allocations: slots are recycled as events execute or cancelled
-// entries drain out. Cancellation is lazy — a cancelled event stays
-// queued until it surfaces and is discarded — so the queue only ever
-// pushes and pops. EventIDs carry a generation counter so an ID held
-// across a slot's reuse can neither cancel nor validate the newer event.
+// a free list. Each entry is filed under a key that packs its time and
+// class: at<<1 for a first-class entry and at<<1|1 for an ordinary one,
+// which halves the time range to 2^62 µs. Events can only be scheduled
+// at or after the current key, so every key is at least the last
+// extracted one, and each entry sits in one of 64 buckets chosen by the
+// highest bit in which its key differs from that last key. Bucket 0
+// holds the entries due at exactly the last key, in scheduling order;
+// when it runs dry, the lowest non-empty bucket is redistributed, which
+// moves each entry to a strictly lower bucket. Entries with the same key
+// always share a bucket and are appended and moved in order, so
+// scheduling order needs no sequence number. The steady-state
+// schedule/execute cycle performs no heap allocations: slots are
+// recycled as events execute or cancelled entries drain out.
+// Cancellation is lazy — a cancelled event stays queued until it
+// surfaces and is discarded — so the queue only ever pushes and pops.
+// EventIDs carry a generation counter so an ID held across a slot's
+// reuse can neither cancel nor validate the newer event.
 package sim
 
 import (
@@ -35,6 +43,10 @@ import (
 
 // Time is a simulation timestamp in microseconds.
 type Time int64
+
+// MaxTime is the latest time an event can be scheduled at: a queue key
+// spends one bit on the event's class.
+const MaxTime Time = 1<<62 - 1
 
 // Duration constructors and conversions.
 const (
@@ -100,13 +112,20 @@ func (id EventID) Valid() bool {
 	return ev.gen == id.gen && ev.state == evPending
 }
 
-// entry is one queued event. Its time is carried in the bucket itself,
-// so redistributing a bucket touches only that bucket's array; the arena
-// is consulted once per extracted event.
+// entry is one queued event. Its key (time and class, see the package
+// comment) is carried in the bucket itself, so redistributing a bucket
+// touches only that bucket's array; the arena is consulted once per
+// extracted event.
 type entry struct {
-	at   Time
+	key  uint64
 	slot int32
 }
+
+// Key classes: the low bit of a queue key.
+const (
+	first    = 0
+	ordinary = 1
+)
 
 // Engine is a single-threaded discrete-event simulation kernel.
 type Engine struct {
@@ -117,13 +136,13 @@ type Engine struct {
 	executed uint64
 	stopped  bool
 
-	// The radix queue. Every queued entry is due at or after last, the
-	// time of the last refill (or the clock, once the queue empties), and
-	// sits in buckets[bits.Len64(at^last)].
-	// Bucket 0 is consumed from head onward; it holds entries due at
+	// The radix queue. Every queued entry's key is at least last, the
+	// key of the last refill (or the clock's first-class key, once the
+	// queue empties), and the entry sits in buckets[bits.Len64(key^last)].
+	// Bucket 0 is consumed from head onward; it holds entries keyed
 	// exactly last, in scheduling order. nonEmpty has bit i set while
 	// buckets[i] holds entries.
-	last     Time
+	last     uint64
 	head     int
 	nonEmpty uint64
 	buckets  [64][]entry
@@ -143,8 +162,9 @@ func (e *Engine) Now() Time { return e.now }
 // pending or cancelled slot is drained with its generation bumped, so
 // EventIDs issued before the reset can neither cancel nor validate
 // events of the next run. Behaviour after Reset is indistinguishable
-// from a fresh engine: event ordering depends only on times and
-// scheduling order, never on slot indices or absolute generation numbers.
+// from a fresh engine: event ordering depends only on times, classes
+// and scheduling order, never on slot indices or absolute generation
+// numbers.
 func (e *Engine) Reset() {
 	for slot := range e.arena {
 		if e.arena[slot].state != evFree {
@@ -168,27 +188,43 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return e.live }
 
-// Schedule runs fn after delay. A negative delay panics: the caller has a
-// logic error, and silently clamping would hide it.
+// Schedule runs fn after delay as an ordinary event. A negative delay
+// panics: the caller has a logic error, and silently clamping would hide
+// it.
 func (e *Engine) Schedule(delay Time, fn Handler) EventID {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v at %v", delay, e.now))
 	}
-	return e.at(e.now+delay, fn)
+	return e.at(e.now+delay, ordinary, fn)
 }
 
-// ScheduleAt runs fn at the given absolute time, which must not be in the
-// past.
+// ScheduleFirst runs fn after delay as a first-class event: ahead of
+// every ordinary event due in the same microsecond, and behind the
+// first-class events scheduled for it earlier. The delay must be
+// positive, because the running event may be an ordinary one of the
+// current microsecond; a zero or negative delay panics.
+func (e *Engine) ScheduleFirst(delay Time, fn Handler) EventID {
+	if delay <= 0 {
+		panic(fmt.Sprintf("sim: first-class delay %v is not positive at %v", delay, e.now))
+	}
+	return e.at(e.now+delay, first, fn)
+}
+
+// ScheduleAt runs fn at the given absolute time as an ordinary event.
+// The time must not be in the past.
 func (e *Engine) ScheduleAt(at Time, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt(%v) in the past at %v", at, e.now))
 	}
-	return e.at(at, fn)
+	return e.at(at, ordinary, fn)
 }
 
-func (e *Engine) at(at Time, fn Handler) EventID {
+func (e *Engine) at(at Time, class uint64, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil handler")
+	}
+	if at > MaxTime {
+		panic(fmt.Sprintf("sim: time %v is past MaxTime", at))
 	}
 	var slot int32
 	if n := len(e.free); n > 0 {
@@ -203,7 +239,7 @@ func (e *Engine) at(at Time, fn Handler) EventID {
 	ev.fn = fn
 	ev.state = evPending
 	e.live++
-	e.push(entry{at: at, slot: slot})
+	e.push(entry{key: uint64(at)<<1 | class, slot: slot})
 	return EventID{eng: e, slot: slot, gen: ev.gen}
 }
 
@@ -252,8 +288,14 @@ func (e *Engine) RunAll() { e.run(math.MaxInt64) }
 // none left or Stop is called.
 func (e *Engine) run(horizon Time) {
 	e.stopped = false
+	if horizon < 0 {
+		return // no key is due; the conversion below would wrap
+	}
+	// The largest key due at or before horizon. A horizon past MaxTime
+	// gives a key above every schedulable one, which is what it means.
+	due := uint64(horizon)<<1 | ordinary
 	for !e.stopped {
-		slot, ok := e.pop(horizon)
+		slot, ok := e.pop(due)
 		if !ok {
 			return
 		}
@@ -271,25 +313,24 @@ func (e *Engine) run(horizon Time) {
 	}
 }
 
-// push files an entry under the highest bit in which its time differs
-// from last. Entries due at last itself land in bucket 0 behind the
-// ones already there, which keeps bucket 0 in scheduling order.
+// push files an entry under the highest bit in which its key differs
+// from last. Entries keyed last itself land in bucket 0 behind the ones
+// already there, which keeps bucket 0 in scheduling order.
 func (e *Engine) push(q entry) {
-	i := bits.Len64(uint64(q.at ^ e.last))
+	i := bits.Len64(q.key ^ e.last)
 	e.buckets[i] = append(e.buckets[i], q)
 	e.nonEmpty |= 1 << i
 }
 
-// pop removes and returns the slot of the next entry in time and then
-// scheduling order, or reports false when no entry is due at or before
-// horizon.
-func (e *Engine) pop(horizon Time) (int32, bool) {
-	if e.head == len(e.buckets[0]) && !e.refill(horizon) {
+// pop removes and returns the slot of the next entry in key and then
+// scheduling order, or reports false when no entry's key is at most due.
+func (e *Engine) pop(due uint64) (int32, bool) {
+	if e.head == len(e.buckets[0]) && !e.refill(due) {
 		return 0, false
 	}
-	// After a Stop, bucket 0 can still hold entries due at last while
+	// After a Stop, bucket 0 can still hold entries keyed last while
 	// the next Run asks for an earlier horizon.
-	if e.last > horizon {
+	if e.last > due {
 		return 0, false
 	}
 	slot := e.buckets[0][e.head].slot
@@ -298,30 +339,31 @@ func (e *Engine) pop(horizon Time) (int32, bool) {
 }
 
 // refill moves the earliest entries into the drained bucket 0: it takes
-// the lowest non-empty bucket, makes its minimum time the new last, and
+// the lowest non-empty bucket, makes its minimum key the new last, and
 // redistributes the bucket's entries relative to it. Each entry lands in
-// a strictly lower bucket, and entries due at the same time keep their
+// a strictly lower bucket, and entries with the same key keep their
 // relative order. It refuses, leaving the queue as it is, when that
-// minimum lies past the horizon: last must never pass a time the clock
-// can still be set to. An empty queue rebases last to the clock, since
-// cancelled entries may have carried it past now.
-func (e *Engine) refill(horizon Time) bool {
+// minimum is past due: last must never pass a key that can still be
+// scheduled once the clock moves to the horizon. An empty queue rebases
+// last to the clock's first-class key, since cancelled entries may have
+// carried it past now; every key scheduled from now on is at least that.
+func (e *Engine) refill(due uint64) bool {
 	e.buckets[0] = e.buckets[0][:0]
 	e.head = 0
 	e.nonEmpty &^= 1
 	if e.nonEmpty == 0 {
-		e.last = e.now
+		e.last = uint64(e.now) << 1
 		return false
 	}
 	i := bits.TrailingZeros64(e.nonEmpty)
 	b := e.buckets[i]
-	min := b[0].at
+	min := b[0].key
 	for _, q := range b[1:] {
-		if q.at < min {
-			min = q.at
+		if q.key < min {
+			min = q.key
 		}
 	}
-	if min > horizon {
+	if min > due {
 		return false
 	}
 	e.last = min

@@ -68,6 +68,69 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	}
 }
 
+// First-class events run before every ordinary event of their
+// microsecond, whatever the scheduling order; each class keeps its own
+// scheduling order, and an ordinary event scheduled at the current
+// instant from a first-class handler runs behind the ordinary events
+// already due then.
+func TestFirstClassRunsAheadOfTies(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	add := func(name string) Handler { return func() { order = append(order, name) } }
+	e.Schedule(5*Millisecond, add("o1"))
+	e.ScheduleFirst(5*Millisecond, func() {
+		order = append(order, "f1")
+		e.Schedule(0, add("o3"))
+	})
+	e.ScheduleAt(5*Millisecond, add("o2"))
+	e.ScheduleFirst(5*Millisecond, add("f2"))
+	e.Schedule(4*Millisecond, func() { e.ScheduleFirst(Millisecond, add("f3")) })
+	e.Run(Second)
+	want := "[f1 f2 f3 o1 o2 o3]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("ran %s, want %s", got, want)
+	}
+}
+
+// A first-class event due now could not run ahead of the ordinary event
+// scheduling it, so a zero or negative first-class delay panics.
+func TestScheduleFirstNonPositiveDelayPanics(t *testing.T) {
+	for _, d := range []Time{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleFirst(%v) did not panic", d)
+				}
+			}()
+			NewEngine().ScheduleFirst(d, func() {})
+		}()
+	}
+}
+
+// A negative horizon runs nothing, even an event due at time 0.
+func TestNegativeHorizonRunsNothing(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	e.Schedule(0, func() { ran = true })
+	e.Run(-1)
+	if ran || e.Now() != 0 {
+		t.Fatalf("Run(-1) ran=%v, clock %v; want nothing run at 0", ran, e.Now())
+	}
+	e.Run(0)
+	if !ran {
+		t.Fatal("Run(0) did not run the event due at 0")
+	}
+}
+
+func TestScheduleBeyondMaxTimePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("ScheduleAt(MaxTime+1) did not panic")
+		}
+	}()
+	NewEngine().ScheduleAt(MaxTime+1, func() {})
+}
+
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
