@@ -177,11 +177,12 @@ docs-check:
 obs-check:
 	$(GO) run ./scripts/obscheck
 
-# API-surface gate: the /v1 route table (methods, paths, legacy
-# redirect/alias policy) must match the committed golden exactly, and
-# every row must probe live — canonical path mounted, legacy GETs 301
-# with the query preserved, legacy POSTs/probes aliased. An intentional
-# surface change regenerates the golden:
+# API-surface gate: the /v1 route table (methods, paths) must match
+# the committed golden exactly and be exactly what a live server
+# mounts, checked both ways — every row answers at /v1 while its
+# unversioned path is the mux's plain 404, and the routes a fresh
+# server instruments in /v1/metrics are the table's rows and no
+# others. An intentional surface change regenerates the golden:
 #   go test ./cmd/caem-serve -run TestAPIRouteTable -update
 api-check:
 	$(GO) test -count=1 -run 'TestAPIRouteTable|TestErrorEnvelope' ./cmd/caem-serve/

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata goldens")
@@ -25,29 +28,40 @@ func routeTableText() string {
 	sb.WriteString("# caem-serve /v1 API surface.\n")
 	sb.WriteString("# Regenerate: go test ./cmd/caem-serve -run TestAPIRouteTable -update\n")
 	for _, rt := range routeTable {
-		fmt.Fprintf(&sb, "%-4s /v1%-33s legacy=%-9s %s\n", rt.Method, rt.Path, rt.Legacy, rt.Doc)
+		fmt.Fprintf(&sb, "%-4s /v1%-33s %s\n", rt.Method, rt.Path, rt.Doc)
 	}
 	return sb.String()
 }
 
-// noRedirect is a client that surfaces 3xx responses instead of
-// following them.
-var noRedirect = &http.Client{
-	CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-}
-
 // isMuxMiss reports whether a response came from the mux's own
 // not-found handler rather than a mounted route.
-func isMuxMiss(resp *http.Response, body []byte) bool {
+func isMuxMiss(resp *http.Response) bool {
 	return resp.StatusCode == http.StatusNotFound &&
 		!strings.Contains(resp.Header.Get("Content-Type"), "json")
 }
 
+// probe sends a bodyless request and returns the response with its
+// body closed.
+func probe(t *testing.T, method, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp
+}
+
 // TestAPIRouteTable is the api-check gate: the route table must match
-// the committed golden byte-for-byte, and every row must be live on a
-// real server — canonical /v1 path mounted, legacy GETs 301ing to
-// their /v1 twin with the query preserved, legacy POSTs (and the
-// probe/scrape GETs) aliased.
+// the committed golden byte-for-byte and be exactly the mounted API of
+// a live server, checked both ways. Every row answers at /v1 and its
+// unversioned path is the mux's own 404; and the routes a fresh
+// server's /v1/metrics lists on caem_http_request_seconds — every
+// mounted route pre-registers its series — are exactly the rows.
 func TestAPIRouteTable(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "api_routes.golden")
 	got := routeTableText()
@@ -71,40 +85,101 @@ func TestAPIRouteTable(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()
 
-	probe := func(method, path string) *http.Response {
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noRedirect.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp
+	rows := map[string]bool{}
+	for _, rt := range routeTable {
+		rows[rt.Method+" /v1"+rt.Path] = true
 	}
+	fam := scrapeMetrics(t, ts.URL+"/v1").Families["caem_http_request_seconds"]
+	if fam == nil {
+		t.Fatal("caem_http_request_seconds missing from a fresh server's exposition")
+	}
+	instrumented := map[string]bool{}
+	for _, s := range fam.Samples {
+		instrumented[s.Labels["route"]] = true
+	}
+	for route := range instrumented {
+		if !rows[route] {
+			t.Errorf("route %q is mounted but not in the route table", route)
+		}
+	}
+	for route := range rows {
+		if !instrumented[route] {
+			t.Errorf("route table row %q has no instrumented mount", route)
+		}
+	}
+
 	for _, rt := range routeTable {
 		path := strings.ReplaceAll(rt.Path, "{id}", "zzz")
-		canonical := probe(rt.Method, "/v1"+path)
-		if isMuxMiss(canonical, nil) {
-			t.Errorf("%s /v1%s: canonical route not mounted", rt.Method, rt.Path)
+		if isMuxMiss(probe(t, rt.Method, ts.URL+"/v1"+path)) {
+			t.Errorf("%s /v1%s: route not mounted", rt.Method, rt.Path)
 		}
-		legacy := probe(rt.Method, path+"?q=1")
-		switch rt.Legacy {
-		case "redirect":
-			if legacy.StatusCode != http.StatusMovedPermanently {
-				t.Errorf("%s %s: legacy = %d, want 301", rt.Method, path, legacy.StatusCode)
-				continue
+		if resp := probe(t, rt.Method, ts.URL+path); !isMuxMiss(resp) {
+			t.Errorf("%s %s: unversioned path answered %d, want the mux's 404", rt.Method, path, resp.StatusCode)
+		}
+	}
+}
+
+// TestStandbySurface drives standbyMux, the surface a coordinator
+// serves until it leads: health that says standby, metrics, the leader
+// lookup workers re-target with, and 503 unavailable for every other
+// route-table row, at /v1 and unversioned alike.
+func TestStandbySurface(t *testing.T) {
+	const primary = "http://primary.invalid:8080"
+	lockPath := filepath.Join(t.TempDir(), "leader.lock")
+	ts := httptest.NewServer(standbyMux(obs.NewRegistry(), lockPath, primary))
+	defer ts.Close()
+
+	var health struct {
+		Role  string `json:"role"`
+		Ready bool   `json:"ready"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/healthz", &health); code != http.StatusOK || health.Role != "standby" || health.Ready {
+		t.Fatalf("healthz = HTTP %d %+v, want 200, role standby, not ready", code, health)
+	}
+	scrapeMetrics(t, ts.URL+"/v1")
+
+	leader := func() cluster.LeaderInfo {
+		var info cluster.LeaderInfo
+		if code := getJSON(t, ts.URL+"/v1/cluster/leader", &info); code != http.StatusOK {
+			t.Fatalf("cluster/leader: HTTP %d", code)
+		}
+		return info
+	}
+	if got, want := leader(), (cluster.LeaderInfo{LeaderURL: primary, Role: "standby"}); got != want {
+		t.Fatalf("leader before any lock file = %+v, want the primary hint %+v", got, want)
+	}
+	lock := &cluster.LeaderLock{Path: lockPath, Holder: "primary-1", URL: "http://leader.invalid:8080"}
+	epoch, err := lock.TryAcquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := leader(), (cluster.LeaderInfo{LeaderURL: lock.URL, Epoch: epoch, Role: "standby"}); got != want {
+		t.Fatalf("leader after TryAcquire = %+v, want the lock file's %+v", got, want)
+	}
+
+	served := map[string]bool{"GET /healthz": true, "GET /metrics": true, "GET /cluster/leader": true}
+	for _, rt := range routeTable {
+		path := strings.ReplaceAll(rt.Path, "{id}", "zzz")
+		paths := []string{path}
+		if !served[rt.Method+" "+rt.Path] {
+			paths = append(paths, "/v1"+path)
+		}
+		for _, p := range paths {
+			req, err := http.NewRequest(rt.Method, ts.URL+p, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if loc := legacy.Header.Get("Location"); loc != "/v1"+path+"?q=1" {
-				t.Errorf("%s %s: Location = %q, want %q", rt.Method, path, loc, "/v1"+path+"?q=1")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "alias":
-			if isMuxMiss(legacy, nil) || legacy.StatusCode == http.StatusMovedPermanently {
-				t.Errorf("%s %s: legacy alias = %d, want the canonical handler", rt.Method, path, legacy.StatusCode)
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Errorf("%s %s: HTTP %d, Retry-After %q; want 503 with Retry-After",
+					rt.Method, p, resp.StatusCode, resp.Header.Get("Retry-After"))
 			}
-		default:
-			t.Errorf("%s %s: unknown legacy mode %q", rt.Method, rt.Path, rt.Legacy)
+			if env := errorEnvelope(t, resp); env.Code != api.CodeUnavailable {
+				t.Errorf("%s %s: code %q, want %q", rt.Method, p, env.Code, api.CodeUnavailable)
+			}
 		}
 	}
 }
@@ -212,12 +287,6 @@ func TestListPagination(t *testing.T) {
 	}
 	if strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("paged ids %v, want submission order %v", got, ids)
-	}
-
-	// The legacy path 301s into the same paginated surface.
-	legacy, _ := listPage(t, ts.URL+"/campaigns?page_size=2")
-	if len(legacy.Campaigns) != 2 || legacy.NextPageToken != page1.NextPageToken {
-		t.Fatalf("legacy redirect lost pagination: %+v", legacy)
 	}
 
 	for _, id := range ids {

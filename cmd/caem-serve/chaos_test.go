@@ -77,14 +77,14 @@ const chaosRequest = `{
 
 func postCampaign(t *testing.T, base, body string) campaignStatus {
 	t.Helper()
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		blob, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST /campaigns: %s: %s", resp.Status, blob)
+		t.Fatalf("POST /v1/campaigns: %s: %s", resp.Status, blob)
 	}
 	var st campaignStatus
 	if err := jsonDecode(resp.Body, &st); err != nil {
@@ -163,7 +163,7 @@ func TestClusterChaos(t *testing.T) {
 	holdBy := time.Now().Add(60 * time.Second)
 	for {
 		var cst cluster.Status
-		if err := jsonDecode(bytes.NewReader(getBytes(t, ts.URL+"/cluster/status")), &cst); err != nil {
+		if err := jsonDecode(bytes.NewReader(getBytes(t, ts.URL+"/v1/cluster/status")), &cst); err != nil {
 			t.Fatal(err)
 		}
 		held := false
@@ -197,7 +197,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatalf("campaign did not recover from the worker kill: %+v", final)
 	}
 	var cst cluster.Status
-	if err := jsonDecode(bytes.NewReader(getBytes(t, ts.URL+"/cluster/status")), &cst); err != nil {
+	if err := jsonDecode(bytes.NewReader(getBytes(t, ts.URL+"/v1/cluster/status")), &cst); err != nil {
 		t.Fatal(err)
 	}
 	if cst.ExpiredLeases == 0 {
@@ -210,7 +210,7 @@ func TestClusterChaos(t *testing.T) {
 	// The same facts must be visible in the /metrics exposition —
 	// /cluster/status is a thin read of the registry, so the two views
 	// can never disagree.
-	exp := scrapeMetrics(t, ts.URL)
+	exp := scrapeMetrics(t, ts.URL+"/v1")
 	if v, ok := exp.Value("caem_lease_expired_total"); !ok || v <= 0 {
 		t.Fatalf("caem_lease_expired_total = %v (ok=%v), want > 0", v, ok)
 	}
@@ -220,7 +220,7 @@ func TestClusterChaos(t *testing.T) {
 	if v, ok := exp.Value("caem_cells_settled_total"); !ok || int(v) != cst.Settled {
 		t.Fatalf("caem_cells_settled_total = %v (ok=%v), status says %d", v, ok, cst.Settled)
 	}
-	chaotic := getBytes(t, ts.URL+"/campaigns/"+camp.ID+"/results")
+	chaotic := getBytes(t, ts.URL+"/v1/campaigns/"+camp.ID+"/results")
 
 	// Reference: the same campaign, single process, no faults.
 	refStore, err := caem.OpenStore(t.TempDir())
@@ -239,7 +239,7 @@ func TestClusterChaos(t *testing.T) {
 	if got := waitDone(t, refTS.URL, refCamp.ID); got.State != "done" {
 		t.Fatalf("reference run failed: %+v", got)
 	}
-	reference := getBytes(t, refTS.URL+"/campaigns/"+refCamp.ID+"/results")
+	reference := getBytes(t, refTS.URL+"/v1/campaigns/"+refCamp.ID+"/results")
 
 	if !bytes.Equal(chaotic, reference) {
 		t.Fatalf("chaotic cluster run is not byte-identical to the single-process run:\n--- cluster (%d bytes)\n%s\n--- single-process (%d bytes)\n%s",
@@ -294,7 +294,7 @@ func TestTransientStoreFaultHealsInvisibly(t *testing.T) {
 		t.Fatalf("faults hit %d cells, want all %d", injected, final.Total)
 	}
 	var doc resultsDoc
-	if code := getJSON(t, ts.URL+"/campaigns/"+camp.ID+"/results", &doc); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/"+camp.ID+"/results", &doc); code != http.StatusOK {
 		t.Fatalf("results: HTTP %d", code)
 	}
 	if len(doc.Cells) != final.Total {

@@ -82,7 +82,7 @@ func spawnServe(t *testing.T, role, storeDir, hint string, lockTTL, leaseTTL tim
 // healthDoc fetches /healthz; any transport error reads as "not up yet"
 // (nil map), so callers can poll across a takeover window.
 func healthDoc(base string) map[string]any {
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/v1/healthz")
 	if err != nil {
 		return nil
 	}
@@ -177,7 +177,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	holdBy := time.Now().Add(60 * time.Second)
 	for victimLease == "" {
 		var cst cluster.Status
-		if err := jsonDecode(bytes.NewReader(getBytes(t, purl+"/cluster/status")), &cst); err != nil {
+		if err := jsonDecode(bytes.NewReader(getBytes(t, purl+"/v1/cluster/status")), &cst); err != nil {
 			t.Fatal(err)
 		}
 		if len(cst.Leases) > 0 {
@@ -236,7 +236,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatalf("campaign did not survive the coordinator kill: %+v", final)
 	}
 	var cst cluster.Status
-	if err := jsonDecode(bytes.NewReader(getBytes(t, surl+"/cluster/status")), &cst); err != nil {
+	if err := jsonDecode(bytes.NewReader(getBytes(t, surl+"/v1/cluster/status")), &cst); err != nil {
 		t.Fatal(err)
 	}
 	if cst.Epoch < 2 {
@@ -246,7 +246,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatalf("coordinator death must not poison cells: %+v", cst.Poisoned)
 	}
 
-	exp := scrapeMetrics(t, surl)
+	exp := scrapeMetrics(t, surl+"/v1")
 	if v, ok := exp.Value("caem_cluster_fenced_total"); !ok || v < 1 {
 		t.Fatalf("caem_cluster_fenced_total = %v (ok=%v), want >= 1", v, ok)
 	}
@@ -259,7 +259,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	if v, ok := exp.Value("caem_cells_poisoned_total"); ok && v != 0 {
 		t.Fatalf("caem_cells_poisoned_total = %v, want 0", v)
 	}
-	failedOver := getBytes(t, surl+"/campaigns/"+camp.ID+"/results")
+	failedOver := getBytes(t, surl+"/v1/campaigns/"+camp.ID+"/results")
 
 	// Reference: the same campaign, single process, no faults. The
 	// failover must be invisible in the results document, byte for byte.
@@ -279,7 +279,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	if got := waitDone(t, refTS.URL, refCamp.ID); got.State != "done" {
 		t.Fatalf("reference run failed: %+v", got)
 	}
-	reference := getBytes(t, refTS.URL+"/campaigns/"+refCamp.ID+"/results")
+	reference := getBytes(t, refTS.URL+"/v1/campaigns/"+refCamp.ID+"/results")
 
 	if !bytes.Equal(failedOver, reference) {
 		t.Fatalf("failed-over run is not byte-identical to the fault-free run:\n--- failover (%d bytes)\n%s\n--- fault-free (%d bytes)\n%s",

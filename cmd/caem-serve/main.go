@@ -25,8 +25,8 @@
 // pair refuses it (409 model_mismatch), and the worker process logs the
 // refusal once and exits with status 1.
 //
-// API (canonical paths live under /v1; see routes.go for the full
-// table and testdata/api_routes.golden for the locked surface):
+// API (every route lives under /v1; see routes.go for the full table
+// and testdata/api_routes.golden for the locked surface):
 //
 //	POST /v1/campaigns                submit a campaign (idempotent: equal
 //	                                  requests map to the same campaign id)
@@ -34,12 +34,13 @@
 //	                                  page_size, page_token)
 //	GET  /v1/campaigns/{id}           status: per-cell states + counters
 //	GET  /v1/campaigns/{id}/results   completed cells + mean±CI aggregates,
-//	                                  read back from the store (works
-//	                                  mid-run and after restarts);
-//	                                  filterable (scenario, protocol,
-//	                                  metric, min, max), orderable (top),
-//	                                  percentile surfaces (percentiles),
-//	                                  paginated (page_size, page_token)
+//	                                  served from the campaign's in-memory
+//	                                  results view (works mid-run and
+//	                                  after restarts); filterable
+//	                                  (scenario, protocol, metric, min,
+//	                                  max), orderable (top), percentile
+//	                                  surfaces (percentiles), paginated
+//	                                  (page_size, page_token)
 //	GET  /v1/campaigns/{id}/progress  NDJSON progress stream (curl -N)
 //	GET  /v1/healthz                  liveness + store stats + build version
 //	GET  /v1/metrics                  Prometheus text-format exposition
@@ -50,17 +51,16 @@
 //	GET  /debug/pprof/                runtime profiling (unversioned by Go
 //	                                  convention)
 //
-// Legacy unversioned paths remain mounted for one release: GETs answer
-// 301 to their /v1 twin (query string preserved); POSTs, /healthz, and
-// /metrics are served at both paths (redirecting a POST would make
-// net/http clients replay it as a bodyless GET, and probes/scrapers
-// commonly treat redirects as failures). Every non-2xx response bodies
-// the uniform envelope {"error":{"code","message","details"}} with a
-// stable machine-readable code.
+// Each route is mounted once, at /v1: an unversioned API path answers
+// 404 like any other unknown path (503 on a standby, like every route
+// it does not serve). Every non-2xx response bodies the uniform
+// envelope {"error":{"code","message","details"}} with a stable
+// machine-readable code.
 //
-// Worker mode serves the same /metrics, /healthz, and /debug/pprof/
-// surface on its own observability listener (-obs-addr, loopback by
-// default), so every process of a cluster is scrapeable.
+// Worker mode serves /metrics, /healthz, and /debug/pprof/ on its own
+// observability listener (-obs-addr, loopback by default), so every
+// process of a cluster is scrapeable. That listener is not the API and
+// keeps its unversioned paths.
 //
 // A campaign request names library scenarios (or embeds inline specs),
 // protocols, seeds, and partial config overrides:
@@ -459,9 +459,8 @@ func serveMode(opts serveOptions) int {
 // under the real leader.
 func standbyMux(reg *obs.Registry, lockPath, primaryHint string) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("GET /v1/metrics", reg.Handler())
-	health := func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		v := version
 		if v == "" {
 			v = "dev"
@@ -469,18 +468,14 @@ func standbyMux(reg *obs.Registry, lockPath, primaryHint string) *http.ServeMux 
 		writeJSON(w, http.StatusOK, map[string]any{
 			"ok": true, "role": "standby", "ready": false, "version": v,
 		})
-	}
-	mux.HandleFunc("GET /healthz", health)
-	mux.HandleFunc("GET /v1/healthz", health)
-	leader := func(w http.ResponseWriter, _ *http.Request) {
+	})
+	mux.HandleFunc("GET /v1/cluster/leader", func(w http.ResponseWriter, _ *http.Request) {
 		out := cluster.LeaderInfo{LeaderURL: primaryHint, Role: "standby"}
 		if info, err := cluster.ReadLockFile(lockPath); err == nil {
 			out.LeaderURL, out.Epoch = info.URL, info.Epoch
 		}
 		writeJSON(w, http.StatusOK, out)
-	}
-	mux.HandleFunc("GET /v1/cluster/leader", leader)
-	mux.HandleFunc("GET /cluster/leader", api.RedirectV1)
+	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		api.WriteError(w, http.StatusServiceUnavailable, api.CodeUnavailable,

@@ -52,7 +52,7 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 		t.Fatalf("campaign did not finish: %+v", final)
 	}
 
-	exp := scrapeMetrics(t, ts.URL)
+	exp := scrapeMetrics(t, ts.URL+"/v1")
 	if v, ok := exp.Value("caem_cells_settled_total"); !ok || int(v) != final.Total {
 		t.Fatalf("caem_cells_settled_total = %v (ok=%v), want %d", v, ok, final.Total)
 	}
@@ -80,7 +80,7 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 
 	// Status and metrics are two reads of the same registry.
 	var cst clusterStatus
-	if code := getJSON(t, ts.URL+"/cluster/status", &cst); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/cluster/status", &cst); code != http.StatusOK {
 		t.Fatalf("cluster status: HTTP %d", code)
 	}
 	if v, _ := exp.Value("caem_cells_settled_total"); int(v) != cst.Settled {
@@ -246,7 +246,7 @@ func TestHealthzVersion(t *testing.T) {
 		OK      bool   `json:"ok"`
 		Version string `json:"version"`
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
 	if !health.OK || health.Version != "dev" {

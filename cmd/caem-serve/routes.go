@@ -1,56 +1,42 @@
 package main
 
-import (
-	"net/http"
+import "net/http"
 
-	"repro/internal/api"
-)
-
-// apiRoute is one row of the service's route table: the canonical
-// path (always mounted under /v1), how the legacy unversioned path is
-// kept alive for one release, and the one-line contract recorded in
-// the api-check golden.
-//
-// Legacy modes:
-//
-//	redirect — 301 to the /v1 twin, query string preserved (GETs a
-//	           generic client can follow)
-//	alias    — served directly at both paths. POSTs must alias: a
-//	           301 makes net/http clients replay the request as a
-//	           bodyless GET. /healthz and /metrics also alias, since
-//	           liveness probes and metric scrapers are commonly
-//	           configured to treat any redirect as a failure.
+// apiRoute is one row of the service's route table: the method, the
+// path below /v1, and the one-line contract recorded in the api-check
+// golden.
 type apiRoute struct {
 	Method string
 	Path   string
-	Legacy string // "redirect" | "alias"
 	Doc    string
 }
 
-// routeTable is the single source of truth for the /v1 API surface.
+// routeTable is the single source of truth for the API surface: every
+// row is mounted once, at /v1, and nothing else of the API is.
 // mountAPI wires the campaign rows; the lease and cluster rows are
 // mounted by cluster.RegisterHTTPObserved under the same conventions
 // and are listed here so the golden covers the whole surface.
 // TestAPIRouteTable locks this table against testdata/api_routes.golden
-// and probes every row against a live server — changing the API
-// without updating the golden fails `make api-check`.
+// and checks it against a live server both ways — every row mounted,
+// nothing else instrumented — so changing the API without updating the
+// golden fails `make api-check`.
 //
 // /debug/pprof/ stays unversioned by Go convention (tooling hardcodes
 // the path), as does the worker-mode observability listener.
 var routeTable = []apiRoute{
-	{"GET", "/healthz", "alias", "liveness + store stats + build version"},
-	{"POST", "/campaigns", "alias", "submit a campaign (idempotent: equal requests map to one id)"},
-	{"GET", "/campaigns", "redirect", "list campaigns; page_size, page_token"},
-	{"GET", "/campaigns/{id}", "redirect", "status: per-cell states + counters"},
-	{"GET", "/campaigns/{id}/results", "redirect", "queryable results; scenario, protocol, metric, min, max, top, percentiles, page_size, page_token"},
-	{"GET", "/campaigns/{id}/progress", "redirect", "NDJSON progress stream"},
-	{"GET", "/metrics", "alias", "Prometheus text-format exposition"},
-	{"GET", "/cluster/status", "redirect", "work queue, leases, workers, poisons"},
-	{"GET", "/cluster/leader", "redirect", "leadership: current leader URL, epoch, role"},
-	{"POST", "/leases/claim", "alias", "lease protocol: claim a cell batch"},
-	{"POST", "/leases/{id}/renew", "alias", "lease protocol: heartbeat"},
-	{"POST", "/leases/{id}/complete", "alias", "lease protocol: settle results"},
-	{"POST", "/leases/{id}/release", "alias", "lease protocol: return unfinished cells"},
+	{"GET", "/healthz", "liveness + store stats + build version"},
+	{"POST", "/campaigns", "submit a campaign (idempotent: equal requests map to one id)"},
+	{"GET", "/campaigns", "list campaigns; page_size, page_token"},
+	{"GET", "/campaigns/{id}", "status: per-cell states + counters"},
+	{"GET", "/campaigns/{id}/results", "queryable results; scenario, protocol, metric, min, max, top, percentiles, page_size, page_token"},
+	{"GET", "/campaigns/{id}/progress", "NDJSON progress stream"},
+	{"GET", "/metrics", "Prometheus text-format exposition"},
+	{"GET", "/cluster/status", "work queue, leases, workers, poisons"},
+	{"GET", "/cluster/leader", "leadership: current leader URL, epoch, role"},
+	{"POST", "/leases/claim", "lease protocol: claim a cell batch"},
+	{"POST", "/leases/{id}/renew", "lease protocol: heartbeat"},
+	{"POST", "/leases/{id}/complete", "lease protocol: settle results"},
+	{"POST", "/leases/{id}/release", "lease protocol: return unfinished cells"},
 }
 
 // mountAPI wires the campaign-service rows of the route table. Rows
@@ -68,16 +54,8 @@ func (s *server) mountAPI() {
 		"GET /metrics":                 s.reg.Handler().ServeHTTP,
 	}
 	for _, rt := range routeTable {
-		key := rt.Method + " " + rt.Path
-		h, ok := handlers[key]
-		if !ok {
-			continue // coordinator-owned row
-		}
-		s.handle(rt.Method+" /v1"+rt.Path, h)
-		if rt.Legacy == "alias" {
-			s.handle(key, h)
-		} else {
-			s.handle(key, api.RedirectV1)
+		if h, ok := handlers[rt.Method+" "+rt.Path]; ok {
+			s.handle(rt.Method+" /v1"+rt.Path, h)
 		}
 	}
 }

@@ -806,13 +806,10 @@ func pageBounds(total, size int, cur api.Cursor) (start, end int) {
 	return start, end
 }
 
-// setNextLink advertises the next page as a Link header on the
-// canonical /v1 path, regardless of which alias served the request.
+// setNextLink advertises the next page as a Link header: the request's
+// own path and query with page_token replaced.
 func setNextLink(w http.ResponseWriter, r *http.Request, token string) {
 	u := *r.URL
-	if !strings.HasPrefix(u.Path, "/v1/") {
-		u.Path = "/v1" + u.Path
-	}
 	q := u.Query()
 	q.Set("page_token", token)
 	u.RawQuery = q.Encode()

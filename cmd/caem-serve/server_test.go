@@ -60,7 +60,7 @@ func waitDone(t *testing.T, base, id string) campaignStatus {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		var st campaignStatus
-		getJSON(t, base+"/campaigns/"+id, &st)
+		getJSON(t, base+"/v1/campaigns/"+id, &st)
 		if st.State != "running" {
 			return st
 		}
@@ -89,7 +89,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Health before any work.
 	var health map[string]any
-	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
 	if health["ok"] != true {
@@ -97,7 +97,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Submit.
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(testRequest))
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Idempotent re-POST returns the same campaign.
-	resp2, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(testRequest))
+	resp2, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Progress stream must carry events through to a terminal state.
-	preq, err := http.Get(ts.URL + "/campaigns/" + created.ID + "/progress")
+	preq, err := http.Get(ts.URL + "/v1/campaigns/" + created.ID + "/progress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Results straight from the store.
 	var results resultsDoc
-	getJSON(t, ts.URL+"/campaigns/"+created.ID+"/results", &results)
+	getJSON(t, ts.URL+"/v1/campaigns/"+created.ID+"/results", &results)
 	if results.Completed != 4 || len(results.Cells) != 4 {
 		t.Fatalf("results = %+v", results)
 	}
@@ -200,7 +200,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	var results2 resultsDoc
-	getJSON(t, ts2.URL+"/campaigns/"+created.ID+"/results", &results2)
+	getJSON(t, ts2.URL+"/v1/campaigns/"+created.ID+"/results", &results2)
 	b1, _ := json.Marshal(results)
 	b2, _ := json.Marshal(results2)
 	if !bytes.Equal(b1, b2) {
@@ -224,7 +224,7 @@ func TestServeInlineSpecAndErrors(t *testing.T) {
 	  "seeds": [7],
 	  "config": {"durationSeconds": 10, "nodes": 20}
 	}`
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(inline))
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(inline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestServeInlineSpecAndErrors(t *testing.T) {
 		"bad gen count":    `{"generate":["mixed:0"]}`,
 		"bad gen spec":     `{"generate":["mixed"]}`,
 	} {
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestServeInlineSpecAndErrors(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/campaigns/nope")
+	resp, err = http.Get(ts.URL + "/v1/campaigns/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestServeInlineSpecAndErrors(t *testing.T) {
 	var list struct {
 		Campaigns []campaignStatus `json:"campaigns"`
 	}
-	getJSON(t, ts.URL+"/campaigns", &list)
+	getJSON(t, ts.URL+"/v1/campaigns", &list)
 	if len(list.Campaigns) != 1 {
 		t.Fatalf("list has %d campaigns, want 1", len(list.Campaigns))
 	}
@@ -292,7 +292,7 @@ func TestServeGeneratedCampaignRecovers(t *testing.T) {
 	  "seeds": [3],
 	  "config": {"durationSeconds": 10}
 	}`
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(req))
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestServeGeneratedCampaignRecovers(t *testing.T) {
 		t.Fatalf("generated campaign settled as %+v", status)
 	}
 	var results resultsDoc
-	getJSON(t, ts.URL+"/campaigns/"+created.ID+"/results", &results)
+	getJSON(t, ts.URL+"/v1/campaigns/"+created.ID+"/results", &results)
 
 	ts.Close()
 	srv.Close()
@@ -333,7 +333,7 @@ func TestServeGeneratedCampaignRecovers(t *testing.T) {
 		}
 	}
 	var results2 resultsDoc
-	getJSON(t, ts2.URL+"/campaigns/"+created.ID+"/results", &results2)
+	getJSON(t, ts2.URL+"/v1/campaigns/"+created.ID+"/results", &results2)
 	b1, _ := json.Marshal(results)
 	b2, _ := json.Marshal(results2)
 	if !bytes.Equal(b1, b2) {
@@ -349,7 +349,7 @@ func TestServeRejectedRequestLeavesNoTrace(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, st := startServer(t, dir)
 
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
 		strings.NewReader(`{"scenarios":["no-such-scenario"]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestServeRejectedRequestLeavesNoTrace(t *testing.T) {
 	srv2, ts2, st2 := startServer(t, dir) // must not wedge on recovery
 	defer func() { ts2.Close(); srv2.Close(); st2.Close() }()
 	var health map[string]any
-	if code := getJSON(t, ts2.URL+"/healthz", &health); code != http.StatusOK || health["ok"] != true {
+	if code := getJSON(t, ts2.URL+"/v1/healthz", &health); code != http.StatusOK || health["ok"] != true {
 		t.Fatalf("restart after rejected POST unhealthy: %d %v", code, health)
 	}
 }
@@ -394,7 +394,7 @@ func TestServeConcurrentEqualPosts(t *testing.T) {
 	results := make(chan outcome, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(testRequest))
+			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
 			if err != nil {
 				results <- outcome{}
 				return
@@ -437,7 +437,7 @@ func TestServeResultsMatchLibraryRun(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()
 
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(testRequest))
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestServeResultsMatchLibraryRun(t *testing.T) {
 	waitDone(t, ts.URL, created.ID)
 
 	var results resultsDoc
-	getJSON(t, ts.URL+"/campaigns/"+created.ID+"/results", &results)
+	getJSON(t, ts.URL+"/v1/campaigns/"+created.ID+"/results", &results)
 
 	sc, err := caem.FindScenario("node-churn")
 	if err != nil {

@@ -152,7 +152,7 @@ func TestResultsViewMatchesStore(t *testing.T) {
 	}
 
 	srv, ts, st := startServerNoWorkers(t, dir)
-	camp := postCampaign(t, ts.URL+"/v1", viewRequest)
+	camp := postCampaign(t, ts.URL, viewRequest)
 	if camp.Total != 18 {
 		t.Fatalf("campaign has %d cells, want 18", camp.Total)
 	}
@@ -224,7 +224,7 @@ func TestResultsViewAllocsFlat(t *testing.T) {
 
 	dir := t.TempDir()
 	srv, ts, st := startServerNoWorkers(t, dir)
-	ids := []string{postCampaign(t, ts.URL+"/v1", small).ID, postCampaign(t, ts.URL+"/v1", large).ID}
+	ids := []string{postCampaign(t, ts.URL, small).ID, postCampaign(t, ts.URL, large).ID}
 	settleByHand(t, srv, 0, func() {})
 	ts.Close()
 	srv.Close()

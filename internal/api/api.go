@@ -1,8 +1,7 @@
 // Package api defines the wire conventions shared by every HTTP
-// surface of the campaign service — the /v1 error envelope, the legacy
-// unversioned-path redirect, and the opaque pagination cursor — so
-// cmd/caem-serve and internal/cluster speak the same dialect without
-// importing each other.
+// surface of the campaign service — the /v1 error envelope and the
+// opaque pagination cursor — so cmd/caem-serve and internal/cluster
+// speak the same dialect without importing each other.
 package api
 
 import (
@@ -47,18 +46,6 @@ func WriteError(w http.ResponseWriter, status int, code, message string, details
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(errorBody{Error: Error{Code: code, Message: message, Details: details}})
-}
-
-// RedirectV1 is the handler mounted at legacy unversioned GET paths:
-// a 301 to the /v1 twin, preserving the query string. POST routes are
-// aliased instead — net/http clients rewrite a redirected POST into a
-// bodyless GET, which would silently drop the request payload.
-func RedirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusMovedPermanently)
 }
 
 // cursorVersion is bumped when the cursor schema changes; tokens from

@@ -81,15 +81,3 @@ func TestWriteError(t *testing.T) {
 		t.Fatalf("envelope = %+v", body.Error)
 	}
 }
-
-func TestRedirectV1PreservesQuery(t *testing.T) {
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/campaigns/abc/results?protocol=leach&top=3", nil)
-	RedirectV1(rec, req)
-	if rec.Code != 301 {
-		t.Fatalf("status = %d, want 301", rec.Code)
-	}
-	if loc := rec.Header().Get("Location"); loc != "/v1/campaigns/abc/results?protocol=leach&top=3" {
-		t.Fatalf("Location = %q", loc)
-	}
-}

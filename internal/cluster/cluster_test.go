@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/caem"
+	"repro/internal/obs"
 )
 
 // testSink records settlement callbacks.
@@ -652,8 +653,8 @@ func TestGracefulReleaseReturnsCells(t *testing.T) {
 }
 
 // TestHTTPQueueRoundTrip: the full lease protocol over real HTTP —
-// Remote against RegisterHTTP — including 204 no-work, 410 lease-gone,
-// and /cluster/status.
+// Remote against RegisterHTTPObserved — including 204 no-work, 410
+// lease-gone, and /v1/cluster/status.
 func TestHTTPQueueRoundTrip(t *testing.T) {
 	cells := testCells(t, 4)
 	want := referenceResults(t, cells)
@@ -662,7 +663,7 @@ func TestHTTPQueueRoundTrip(t *testing.T) {
 	c := NewCoordinator(sink, Options{LeaseTTL: 2 * time.Second, MaxBatch: 2})
 	defer c.Stop()
 	mux := http.NewServeMux()
-	c.RegisterHTTP(mux)
+	c.RegisterHTTPObserved(mux, obs.NewRegistry())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	remote := &Remote{Base: ts.URL}

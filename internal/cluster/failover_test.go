@@ -16,6 +16,7 @@ import (
 	"repro/caem"
 	"repro/internal/api"
 	"repro/internal/cluster/journal"
+	"repro/internal/obs"
 )
 
 // countingSink wraps testSink to count CellFailed deliveries — the map
@@ -86,7 +87,7 @@ func TestDrainClaimUnavailable(t *testing.T) {
 	c := NewCoordinator(sink, Options{LeaseTTL: 2 * time.Second})
 	defer c.Stop()
 	mux := http.NewServeMux()
-	c.RegisterHTTP(mux)
+	c.RegisterHTTPObserved(mux, obs.NewRegistry())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -128,7 +129,7 @@ func TestFencedOverHTTP(t *testing.T) {
 	c := NewCoordinator(sink, Options{Epoch: 3, LeaseTTL: time.Minute})
 	defer c.Stop()
 	mux := http.NewServeMux()
-	c.RegisterHTTP(mux)
+	c.RegisterHTTPObserved(mux, obs.NewRegistry())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -350,7 +351,7 @@ func TestRemoteFailoverRotation(t *testing.T) {
 	defer c.Stop()
 	c.Submit(testCells(t, 2))
 	leaderMux := http.NewServeMux()
-	c.RegisterHTTP(leaderMux)
+	c.RegisterHTTPObserved(leaderMux, obs.NewRegistry())
 	leader := httptest.NewServer(leaderMux)
 	defer leader.Close()
 

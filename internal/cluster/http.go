@@ -40,8 +40,10 @@ type settleRequest struct {
 	Results []CellResult `json:"results"`
 }
 
-// RegisterHTTP mounts the lease protocol and cluster observability on
-// mux:
+// RegisterHTTPObserved mounts the lease protocol and cluster
+// observability on mux, each route once under /v1, with per-route
+// request-count and latency instrumentation on reg, labeled by the mux
+// pattern:
 //
 //	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch
 //	POST /v1/leases/{id}/renew    → 204 | 410 lease gone
@@ -49,41 +51,16 @@ type settleRequest struct {
 //	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410
 //	GET  /v1/cluster/status       → Status
 //
-// The legacy unversioned paths stay mounted for one release: the POST
-// routes as aliases (a 301 would make net/http clients replay the
-// request as a bodyless GET), the status GET as a 301 to its /v1
-// twin. Errors use the uniform api envelope; 410 Gone maps to
-// ErrLeaseGone on the Remote side, where the worker drops the batch
-// and claims fresh work. A claim whose model or GOARCH differs from the
-// coordinator's is refused with 409 model_mismatch, whose details name
-// the wanted and the claimed pair; the Remote maps it to
-// ErrModelMismatch.
-func (c *Coordinator) RegisterHTTP(mux *http.ServeMux) {
-	c.registerHTTP(mux, nil)
-}
-
-// RegisterHTTPObserved mounts the same routes as RegisterHTTP with
-// per-route request-count and latency instrumentation on reg, labeled
-// by the mux pattern.
+// Errors use the uniform api envelope; 410 Gone maps to ErrLeaseGone on
+// the Remote side, where the worker drops the batch and claims fresh
+// work. A claim whose model or GOARCH differs from the coordinator's is
+// refused with 409 model_mismatch, whose details name the wanted and
+// the claimed pair; the Remote maps it to ErrModelMismatch.
 func (c *Coordinator) RegisterHTTPObserved(mux *http.ServeMux, reg *obs.Registry) {
-	c.registerHTTP(mux, reg)
-}
-
-func (c *Coordinator) registerHTTP(mux *http.ServeMux, reg *obs.Registry) {
 	handle := func(pattern string, h http.HandlerFunc) {
-		if reg != nil {
-			mux.Handle(pattern, obs.WrapHandler(reg, pattern, h))
-			return
-		}
-		mux.HandleFunc(pattern, h)
+		mux.Handle(pattern, obs.WrapHandler(reg, pattern, h))
 	}
-	// post mounts a POST route at its canonical /v1 path and, for one
-	// release, at the legacy unversioned path.
-	post := func(path string, h http.HandlerFunc) {
-		handle("POST /v1"+path, h)
-		handle("POST "+path, h)
-	}
-	post("/leases/claim", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/leases/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
@@ -129,10 +106,10 @@ func (c *Coordinator) registerHTTP(mux *http.ServeMux, reg *obs.Registry) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(lease)
 	})
-	post("/leases/{id}/renew", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/leases/{id}/renew", func(w http.ResponseWriter, r *http.Request) {
 		settleHTTP(w, c.Renew(r.PathValue("id")))
 	})
-	post("/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req settleRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
@@ -141,7 +118,7 @@ func (c *Coordinator) registerHTTP(mux *http.ServeMux, reg *obs.Registry) {
 		}
 		settleHTTP(w, c.Complete(r.PathValue("id"), req.Results))
 	})
-	post("/leases/{id}/release", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /v1/leases/{id}/release", func(w http.ResponseWriter, r *http.Request) {
 		var req settleRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
@@ -156,7 +133,6 @@ func (c *Coordinator) registerHTTP(mux *http.ServeMux, reg *obs.Registry) {
 		enc.SetIndent("", "  ")
 		enc.Encode(c.Status())
 	})
-	handle("GET /cluster/status", api.RedirectV1)
 }
 
 func settleHTTP(w http.ResponseWriter, err error) {
@@ -175,10 +151,9 @@ func settleHTTP(w http.ResponseWriter, err error) {
 }
 
 // Remote is the worker-side Queue over HTTP: the client half of
-// RegisterHTTP, used by cmd/caem-serve -join. It targets the /v1
-// paths; joining a pre-/v1 coordinator is not supported. Its claims
-// name this build's caem.ModelVersion and GOARCH, so a worker that
-// predates the model check cannot join this coordinator either.
+// RegisterHTTPObserved, used by cmd/caem-serve -join. Its claims name
+// this build's caem.ModelVersion and GOARCH, so a worker that predates
+// the model check cannot join this coordinator.
 //
 // For failover deployments list every coordinator (primary and
 // standbys) in Bases: a connection failure, a fenced response, or a
@@ -305,57 +280,45 @@ func (r *Remote) checkFailover(err error) {
 }
 
 // post sends a JSON body and decodes a 2xx response into out (when
-// non-nil). 410 maps to ErrLeaseGone or ErrFenced by envelope code,
-// 503 to *UnavailableError; 204 leaves out untouched.
-func (r *Remote) post(path string, body, out any) error {
+// non-nil), reporting whether the answer had a body: a 204 returns
+// false and leaves out untouched. Error answers map through
+// decodeError (410 to ErrLeaseGone or ErrFenced by envelope code, 409
+// model_mismatch to ErrModelMismatch, 503 to *UnavailableError).
+func (r *Remote) post(path string, body, out any) (bool, error) {
 	blob, err := json.Marshal(body)
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return false, fmt.Errorf("cluster: %w", err)
 	}
 	resp, err := r.client().Post(r.base()+path, "application/json", bytes.NewReader(blob))
 	if err != nil {
 		r.rotate()
-		return fmt.Errorf("cluster: %w", err)
+		return false, fmt.Errorf("cluster: %w", err)
 	}
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusNoContent:
-		return nil
+		return false, nil
 	case resp.StatusCode >= 300:
 		perr := decodeError(path, resp)
 		r.checkFailover(perr)
-		return perr
+		return false, perr
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
-		return nil
+		return true, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return true, fmt.Errorf("cluster: decoding %s answer: %w", path, err)
+	}
+	return true, nil
 }
 
 // Claim implements Queue.
 func (r *Remote) Claim(worker string, max int) (*Lease, error) {
-	blob, err := json.Marshal(claimRequest{Worker: worker, Max: max, Model: caem.ModelVersion, GOARCH: runtime.GOARCH})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	resp, err := r.client().Post(r.base()+"/v1/leases/claim", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		r.rotate()
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-		return nil, nil
-	case resp.StatusCode >= 300:
-		perr := decodeError("claim", resp)
-		r.checkFailover(perr)
-		return nil, perr
-	}
 	var lease Lease
-	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
-		return nil, fmt.Errorf("cluster: decoding lease: %w", err)
+	req := claimRequest{Worker: worker, Max: max, Model: caem.ModelVersion, GOARCH: runtime.GOARCH}
+	if ok, err := r.post("/v1/leases/claim", req, &lease); !ok || err != nil {
+		return nil, err
 	}
 	return &lease, nil
 }
@@ -386,17 +349,20 @@ func (r *Remote) ResolveLeader() (LeaderInfo, error) {
 
 // Renew implements Queue.
 func (r *Remote) Renew(leaseID string) error {
-	return r.post("/v1/leases/"+leaseID+"/renew", struct{}{}, nil)
+	_, err := r.post("/v1/leases/"+leaseID+"/renew", struct{}{}, nil)
+	return err
 }
 
 // Complete implements Queue.
 func (r *Remote) Complete(leaseID string, results []CellResult) error {
-	return r.post("/v1/leases/"+leaseID+"/complete", settleRequest{Results: results}, nil)
+	_, err := r.post("/v1/leases/"+leaseID+"/complete", settleRequest{Results: results}, nil)
+	return err
 }
 
 // Release implements Queue.
 func (r *Remote) Release(leaseID string, results []CellResult) error {
-	return r.post("/v1/leases/"+leaseID+"/release", settleRequest{Results: results}, nil)
+	_, err := r.post("/v1/leases/"+leaseID+"/release", settleRequest{Results: results}, nil)
+	return err
 }
 
 // WaitIdle polls the coordinator until it reports no queued, delayed,

@@ -15,6 +15,7 @@ import (
 
 	"repro/caem"
 	"repro/internal/api"
+	"repro/internal/obs"
 )
 
 // claimBody is a raw claim request naming the given model and GOARCH.
@@ -32,7 +33,7 @@ func TestClaimModelMismatch(t *testing.T) {
 	defer c.Stop()
 	c.Submit(testCells(t, 1))
 	mux := http.NewServeMux()
-	c.RegisterHTTP(mux)
+	c.RegisterHTTPObserved(mux, obs.NewRegistry())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 

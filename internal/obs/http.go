@@ -26,7 +26,7 @@ func RegisterHTTPMetrics(reg *Registry) (*CounterVec, *HistogramVec) {
 
 // WrapHandler instruments an HTTP handler with a per-route request
 // counter (labeled by status code) and latency histogram. route should
-// be the mux pattern ("GET /campaigns/{id}"), not the concrete URL —
+// be the mux pattern ("GET /v1/campaigns/{id}"), not the concrete URL —
 // bounded label cardinality is what keeps the exposition scrapeable.
 func WrapHandler(reg *Registry, route string, h http.Handler) http.Handler {
 	requests, latency := RegisterHTTPMetrics(reg)
