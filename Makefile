@@ -136,15 +136,23 @@ profile:
 		-cpuprofile out/profiles/figure9.cpu -memprofile out/profiles/figure9.mem .
 	@echo "profiles written to out/profiles/"
 
-# Golden-determinism gate: regenerate a pinned-seed replicated figure
-# serially and with 8 workers and require byte-identical CSVs — the
-# invariant every parallel sweep in this repo promises.
+# Golden-determinism gate: both consumers of the one replication
+# executor (internal/runner's Do) must print the same bytes serially and
+# in parallel — the invariant every parallel sweep in this repo
+# promises. A pinned-seed replicated figure (internal/experiment) is
+# regenerated serially and with 8 workers, and a caem-sim scenario
+# campaign (caem.RunCampaignWith) runs at 1 and at 4 workers.
+DETERMINISM_CAMPAIGN = -scenario node-churn -protocol all -seeds 2 -duration 60 -nodes 50
 determinism:
 	rm -rf out/determinism
+	@mkdir -p out/determinism
 	$(GO) run ./cmd/caem-bench -experiment figure11 -scale 0.3 -reps 3 -seed 1 -workers 1 -quiet -out out/determinism/serial
 	$(GO) run ./cmd/caem-bench -experiment figure11 -scale 0.3 -reps 3 -seed 1 -workers 8 -quiet -out out/determinism/parallel
 	cmp out/determinism/serial/figure11.csv out/determinism/parallel/figure11.csv
-	@echo "golden determinism: serial and parallel CSVs are byte-identical"
+	$(GO) run ./cmd/caem-sim $(DETERMINISM_CAMPAIGN) -workers 1 > out/determinism/campaign-serial.txt
+	$(GO) run ./cmd/caem-sim $(DETERMINISM_CAMPAIGN) -workers 4 > out/determinism/campaign-parallel.txt
+	cmp out/determinism/campaign-serial.txt out/determinism/campaign-parallel.txt
+	@echo "golden determinism: serial and parallel figure CSVs and campaign outputs are byte-identical"
 
 # Resume-determinism gate: a campaign checkpointed mid-flight
 # (-halt-after, the deterministic stand-in for a kill) and resumed from

@@ -315,7 +315,7 @@ func runSim(p *runner.Pool, c Config, sc core.Config) (Result, error) {
 //
 // The runs are independent, so they execute in parallel per
 // Config.Workers unless a trace writer is attached — trace streams are
-// sequential by nature, so tracing forces the legacy serial order.
+// sequential by nature, so tracing forces one worker.
 func RunComparison(c Config, protocols ...Protocol) ([]Result, error) {
 	if len(protocols) == 0 {
 		protocols = Protocols()
@@ -333,38 +333,22 @@ func RunComparison(c Config, protocols ...Protocol) ([]Result, error) {
 		})
 }
 
-// runVariants executes n independent variants through the worker pool,
-// handing every worker a resident context pool so grid cells reuse
-// simulation state instead of rebuilding the world per cell. When the
-// effective worker count is 1 (requested, or forced by tracing) the
-// variants run serially on one pool and the first failure
-// short-circuits the rest; in parallel mode every variant completes and
-// the lowest-indexed error wins. A panicking variant re-raises on the
-// caller with its description.
+// runVariants executes n independent variants through runner.Do,
+// which hands every worker a resident context pool so grid cells reuse
+// simulation state instead of rebuilding the world per cell. Do's one
+// failure policy holds at every worker count: once a variant fails no
+// new variant starts, and the lowest-indexed failure is reported — an
+// error wrapped with the variant's description, a panic re-raised on
+// the caller with its index.
 func runVariants(workers, n int, describe func(int) string, run func(p *runner.Pool, i int) (Result, error)) ([]Result, error) {
-	if runner.EffectiveWorkers(workers, n) == 1 {
-		pool := runner.NewPool()
-		out := make([]Result, 0, n)
-		for i := 0; i < n; i++ {
-			r, err := run(pool, i)
-			if err != nil {
-				return nil, fmt.Errorf("caem: %s run failed: %w", describe(i), err)
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
 	out := make([]Result, n)
-	errs := make([]error, n)
-	if i, v := runner.DoPooled(workers, n, func(p *runner.Pool, i int) {
-		out[i], errs[i] = run(p, i)
-	}); i >= 0 {
-		panic(fmt.Sprintf("caem: %s run panicked: %v", describe(i), v))
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("caem: %s run failed: %w", describe(i), err)
+	if err := runner.Do(workers, n, func(p *runner.Pool, i int) (err error) {
+		if out[i], err = run(p, i); err != nil {
+			return fmt.Errorf("caem: %s run failed: %w", describe(i), err)
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package caem
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -150,6 +151,27 @@ func TestRunComparisonSubset(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Protocol != Scheme2 {
 		t.Fatal("subset comparison wrong")
+	}
+}
+
+// A failing grid reports the same error at every worker count: the
+// lowest failing variant wins, wrapped with its description.
+func TestRunComparisonFailureSameAtEveryWorkerCount(t *testing.T) {
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		cfg := quickConfig()
+		cfg.Workers = workers
+		res, err := RunComparison(cfg, PureLEACH, Protocol(9), Scheme2)
+		if err == nil || res != nil {
+			t.Fatalf("workers=%d: unknown protocol gave (%v, %v), want an error", workers, res, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("workers=1 and workers=4 disagree:\n %s\n %s", msgs[0], msgs[1])
+	}
+	if !strings.Contains(msgs[0], "Protocol(9) run failed") {
+		t.Fatalf("error %q does not name the failing variant", msgs[0])
 	}
 }
 

@@ -50,7 +50,10 @@ type CampaignOptions struct {
 // headline metrics, exactly as first measured) with Restored set, so
 // per-cell reports and AggregateCampaign output are byte-identical to
 // an uninterrupted run. On a MaxRuns halt the slice covers only the
-// cells that have results, and the error wraps ErrCampaignHalted.
+// cells that have results, and the error wraps ErrCampaignHalted. When
+// a cell fails, no further cell starts and the lowest-indexed failing
+// cell's error is returned at every worker count; the cells stored
+// before it stay stored, so a Resume rerun continues from them.
 func RunCampaignWith(base Config, scs []Scenario, protocols []Protocol, seeds []uint64, opts CampaignOptions) ([]CampaignCell, error) {
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("caem: campaign needs at least one scenario")

@@ -5,7 +5,21 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/store"
 )
+
+// openSegmentedStore opens a campaign store that rolls its tail every
+// 700 bytes and never compacts, so a handful of cells spans several
+// sealed segments.
+func openSegmentedStore(t *testing.T, dir string) *CampaignStore {
+	t.Helper()
+	s, err := store.OpenWith(dir, store.Options{SegmentBytes: 700, CompactAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &CampaignStore{s: s}
+}
 
 // qcell builds a synthetic stored cell with a controlled delay metric.
 func qcell(scen string, p Protocol, seed uint64, delay float64) CampaignCell {
@@ -49,10 +63,7 @@ func fillQueryStore(t *testing.T, cs *CampaignStore) []CellRef {
 // correct results through point reads only — the store-level full-scan
 // counter stays at zero throughout.
 func TestQueryCellsNoRescan(t *testing.T) {
-	cs, err := OpenStoreWith(t.TempDir(), StoreOptions{SegmentBytes: 700, CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := openSegmentedStore(t, t.TempDir())
 	defer cs.Close()
 	refs := fillQueryStore(t, cs)
 	if cs.Stats().Segments == 0 {
@@ -214,10 +225,7 @@ func TestFlatLogMigrationAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs2, err := OpenStoreWith(dir, StoreOptions{SegmentBytes: 700, CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs2 := openSegmentedStore(t, dir)
 	defer cs2.Close()
 	if cs2.Stats().Segments == 0 {
 		t.Fatal("migration open did not segment the flat log")

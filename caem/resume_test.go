@@ -117,6 +117,41 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
+// A serial campaign stops at its first failing store write: the cells
+// before it stay stored, no later cell runs, and the write error is
+// returned.
+func TestSerialCampaignStopsAtStoreFault(t *testing.T) {
+	base, scs, protos, seeds := resumeTestGrid(t)
+	base.Workers = 1
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const k = 3 // the failing put
+	injected := errors.New("injected write fault")
+	puts := 0
+	st.s.SetFault(func(op string) error {
+		if op != "append" {
+			return nil
+		}
+		if puts++; puts == k {
+			return injected
+		}
+		return nil
+	})
+	cells, err := RunCampaignWith(base, scs, protos, seeds, CampaignOptions{Store: st})
+	if !errors.Is(err, injected) || cells != nil {
+		t.Fatalf("campaign returned (%d cells, %v), want the injected fault", len(cells), err)
+	}
+	if puts != k {
+		t.Fatalf("campaign attempted %d puts, want it to stop at put %d", puts, k)
+	}
+	if st.Len() != k-1 {
+		t.Fatalf("store holds %d cells, want the %d stored before the fault", st.Len(), k-1)
+	}
+}
+
 // TestGeneratedCampaignResume is the generated-scenario half of the
 // checkpoint/resume differential: a campaign over GenerateScenarios
 // specs is halted at a checkpoint, the store is closed and reopened (a

@@ -28,31 +28,10 @@ type CampaignStore struct {
 	s *store.Store
 }
 
-// StoreOptions tunes the underlying segmented store. The zero value
-// picks the defaults (4 MiB segments, background compaction after 1024
-// superseded cells).
-type StoreOptions struct {
-	// SegmentBytes is the active-tail size at which the store rolls the
-	// tail into an immutable segment. <= 0 selects the default.
-	SegmentBytes int64
-	// CompactAfter schedules background compaction once this many
-	// stored cells have been superseded by re-puts; 0 selects the
-	// default, negative disables it.
-	CompactAfter int
-}
-
 // OpenStore opens (creating if needed) the results store rooted at dir,
 // recovering from a torn log tail left by a killed campaign.
 func OpenStore(dir string) (*CampaignStore, error) {
-	return OpenStoreWith(dir, StoreOptions{})
-}
-
-// OpenStoreWith is OpenStore with explicit store tuning.
-func OpenStoreWith(dir string, opts StoreOptions) (*CampaignStore, error) {
-	s, err := store.OpenWith(dir, store.Options{
-		SegmentBytes: opts.SegmentBytes,
-		CompactAfter: opts.CompactAfter,
-	})
+	s, err := store.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("caem: %w", err)
 	}
@@ -78,11 +57,6 @@ func (cs *CampaignStore) Observe(reg *obs.Registry) { cs.s.Observe(reg) }
 // Stats returns a snapshot of the underlying store's shape and access
 // counters (segments, distinct cells, scan/roll/compaction counts).
 func (cs *CampaignStore) Stats() store.Stats { return cs.s.Stats() }
-
-// Compact synchronously rewrites store segments to drop superseded
-// cells. Background compaction normally makes this unnecessary; it is
-// exposed for maintenance and tests.
-func (cs *CampaignStore) Compact() error { return cs.s.Compact() }
 
 // Flush does nothing and returns nil: every PutCell and PutCells is
 // already durable when it returns. It remains for callers written when

@@ -31,9 +31,6 @@ type Worker struct {
 	// Poll is the idle re-claim interval when no work is available
 	// (default 200ms).
 	Poll time.Duration
-	// MaxBatch caps how many cells one claim may return (default: the
-	// coordinator's batch limit).
-	MaxBatch int
 	// Chaos, when non-nil, injects deterministic faults.
 	Chaos *Chaos
 	// Metrics receives the worker's instruments (cells completed,
@@ -83,7 +80,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.log.Warn("worker killed by chaos injection", "cells_run", w.cellsRun)
 			return ErrWorkerKilled
 		}
-		lease, err := w.Queue.Claim(w.Name, w.MaxBatch)
+		lease, err := w.Queue.Claim(w.Name, 0) // 0: the coordinator's Options.MaxBatch
 		if errors.Is(err, ErrModelMismatch) {
 			return err
 		}

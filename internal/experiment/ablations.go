@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/queueing"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -24,7 +23,7 @@ func AblationThresholdParams(opts Options) Report {
 		qths = []int{5, 15, 40}
 		ms = []int{1, 5}
 	}
-	var cells []runner.Job
+	var cells []job
 	for _, qth := range qths {
 		for _, m := range ms {
 			cfg := opts.baseConfig()
@@ -32,7 +31,7 @@ func AblationThresholdParams(opts Options) Report {
 			cfg.Adjust.QueueThreshold = qth
 			cfg.Adjust.SampleEvery = m
 			cfg.Horizon = opts.horizon(300 * sim.Second)
-			cells = append(cells, runner.Job{Label: fmt.Sprintf("ablation-threshold/q%d-m%d", qth, m), Config: cfg})
+			cells = append(cells, job{Label: fmt.Sprintf("ablation-threshold/q%d-m%d", qth, m), Config: cfg})
 		}
 	}
 	reps := opts.runReplicated(cells)
@@ -77,14 +76,14 @@ func AblationDoppler(opts Options) Report {
 		{"Scheme1", queueing.PolicyAdaptive},
 		{"Scheme2", queueing.PolicyFixedHighest},
 	}
-	var cells []runner.Job
+	var cells []job
 	for _, d := range dops {
 		for _, pc := range pcs {
 			cfg := opts.baseConfig()
 			cfg.Policy = pc.policy
 			cfg.Channel.DopplerHz = d
 			cfg.Horizon = opts.horizon(300 * sim.Second)
-			cells = append(cells, runner.Job{Label: fmt.Sprintf("ablation-doppler/%s/%.1fHz", pc.name, d), Config: cfg})
+			cells = append(cells, job{Label: fmt.Sprintf("ablation-doppler/%s/%.1fHz", pc.name, d), Config: cfg})
 		}
 	}
 	reps := opts.runReplicated(cells)
@@ -133,14 +132,14 @@ func AblationBurst(opts Options) Report {
 		}
 		return r.EnergyByCause[energy.DataStartup] / r.CommEnergyJ
 	}
-	var cells []runner.Job
+	var cells []job
 	for _, c := range cases {
 		cfg := opts.baseConfig()
 		cfg.Policy = queueing.PolicyAdaptive
 		cfg.MAC.MinBurst = c.min
 		cfg.MAC.MaxBurst = c.max
 		cfg.Horizon = opts.horizon(300 * sim.Second)
-		cells = append(cells, runner.Job{Label: fmt.Sprintf("ablation-burst/min%d-max%d", c.min, c.max), Config: cfg})
+		cells = append(cells, job{Label: fmt.Sprintf("ablation-burst/min%d-max%d", c.min, c.max), Config: cfg})
 	}
 	reps := opts.runReplicated(cells)
 	for i, c := range cases {
@@ -204,14 +203,14 @@ func AblationCSINoise(opts Options) Report {
 		{"Scheme1", queueing.PolicyAdaptive},
 		{"Scheme2", queueing.PolicyFixedHighest},
 	}
-	var cells []runner.Job
+	var cells []job
 	for _, sigma := range sigmas {
 		for _, pc := range pcs {
 			cfg := opts.baseConfig()
 			cfg.Policy = pc.policy
 			cfg.CSINoiseSigmaDB = sigma
 			cfg.Horizon = opts.horizon(300 * sim.Second)
-			cells = append(cells, runner.Job{Label: fmt.Sprintf("ablation-csinoise/%s/%.0fdB", pc.name, sigma), Config: cfg})
+			cells = append(cells, job{Label: fmt.Sprintf("ablation-csinoise/%s/%.0fdB", pc.name, sigma), Config: cfg})
 		}
 	}
 	reps := opts.runReplicated(cells)
@@ -257,14 +256,14 @@ func AblationRician(opts Options) Report {
 		{"Scheme1", queueing.PolicyAdaptive},
 	}
 	eppMilli := func(r core.Result) float64 { return 1000 * r.EnergyPerPktJ }
-	var cells []runner.Job
+	var cells []job
 	for _, k := range ks {
 		for _, pc := range pcs {
 			cfg := opts.baseConfig()
 			cfg.Policy = pc.policy
 			cfg.Channel.RicianK = k
 			cfg.Horizon = opts.horizon(300 * sim.Second)
-			cells = append(cells, runner.Job{Label: fmt.Sprintf("ablation-rician/%s/K%.0f", pc.name, k), Config: cfg})
+			cells = append(cells, job{Label: fmt.Sprintf("ablation-rician/%s/K%.0f", pc.name, k), Config: cfg})
 		}
 	}
 	reps := opts.runReplicated(cells)
@@ -330,14 +329,14 @@ func deltaCell(s stats.Stream, prec int) string {
 // deltas can be significant even when the per-protocol CIs overlap.
 func SeedSweep(opts Options) Report {
 	seeds := opts.seedList()
-	var cells []runner.Job
+	var cells []job
 	for _, pc := range protocolCases() {
 		cfg := opts.baseConfig()
 		cfg.Policy = pc.policy
 		cfg.Horizon = opts.horizon(4000 * sim.Second)
 		cfg.StopWhenNetworkDead = true
 		cfg.SampleInterval = 20 * sim.Second
-		cells = append(cells, runner.Job{Label: "seedsweep/" + pc.name, Config: cfg})
+		cells = append(cells, job{Label: "seedsweep/" + pc.name, Config: cfg})
 	}
 	reps := opts.runReplicated(cells)
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plot"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -58,7 +57,7 @@ func DynamicWorld(opts Options) Report {
 	horizon := opts.horizon(600 * sim.Second)
 	spec := dynamicWorldSpec(opts.nodes(), horizon)
 
-	cells := make([]runner.Job, 0, 3)
+	cells := make([]job, 0, 3)
 	for _, pc := range protocolCases() {
 		cfg := opts.baseConfig()
 		cfg.Policy = pc.policy
@@ -69,7 +68,7 @@ func DynamicWorld(opts Options) Report {
 		if err := scenario.Compile(spec, &cfg); err != nil {
 			panic(fmt.Sprintf("experiment: dynamic-world spec failed to compile: %v", err))
 		}
-		cells = append(cells, runner.Job{Label: "dynamicworld/" + pc.name, Config: cfg})
+		cells = append(cells, job{Label: "dynamicworld/" + pc.name, Config: cfg})
 	}
 	reps := opts.runReplicated(cells)
 

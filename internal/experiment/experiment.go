@@ -11,6 +11,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/plot"
@@ -38,8 +39,8 @@ type Options struct {
 	// overrides Replications.
 	Seeds []uint64
 	// Workers is the number of simulations run concurrently: 0 means one
-	// per CPU, 1 restores the legacy serial execution. Every run owns its
-	// own random streams and the replicated grid is aggregated in
+	// per CPU, 1 runs serially on the calling goroutine. Every run owns
+	// its own random streams and the replicated grid is aggregated in
 	// submission order, so the reports are bit-identical for any value.
 	Workers int
 	// Progress, when non-nil, receives one line per completed run.
@@ -85,21 +86,37 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
+// job is one labelled simulation of an experiment grid.
+type job struct {
+	// Label identifies the run in progress lines ("figure9/Scheme1").
+	Label string
+	// Config fully specifies the run.
+	Config core.Config
+}
+
 // run submits a batch of labelled configurations to the worker pool and
 // returns the results in submission order. All experiment sweeps funnel
 // through here: the grid cells are fully independent simulations, so they
 // fan out across Options.Workers goroutines with bit-identical output.
-func (o Options) run(jobs []runner.Job) []core.Result {
+// Progress lines arrive in completion order, one per run.
+func (o Options) run(jobs []job) []core.Result {
 	if len(jobs) > 1 {
 		o.logf("running %d simulations (workers=%d; 0 means NumCPU)...", len(jobs), o.Workers)
 	}
-	return runner.Run(runner.Options{
-		Workers: o.Workers,
-		Progress: func(j runner.Job, res core.Result) {
-			o.logf("  %s: consumed %.1f J, delivered %d, elapsed %.0f s",
-				j.Label, res.TotalConsumedJ, res.Delivered, res.Elapsed.Seconds())
-		},
-	}, jobs)
+	results := make([]core.Result, len(jobs))
+	var mu sync.Mutex // serializes progress lines
+	// A run fails only by panicking (an invalid Config), which Do
+	// re-raises here, so there is no error to return.
+	_ = runner.Do(o.Workers, len(jobs), func(p *runner.Pool, i int) error {
+		res := p.Run(jobs[i].Config)
+		results[i] = res
+		mu.Lock()
+		o.logf("  %s: consumed %.1f J, delivered %d, elapsed %.0f s",
+			jobs[i].Label, res.TotalConsumedJ, res.Delivered, res.Elapsed.Seconds())
+		mu.Unlock()
+		return nil
+	})
+	return results
 }
 
 // nodes returns the scaled node count (never below 20, so clustering and

@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // quickOpts runs experiments at a small scale that still exercises every
@@ -320,6 +322,33 @@ func TestProgressCallback(t *testing.T) {
 	Figure8(opts)
 	if lines == 0 {
 		t.Fatal("no progress lines emitted by Figure8")
+	}
+}
+
+// Progress must report every run exactly once, serialized, when the
+// runs fan out across workers.
+func TestProgressCalledOncePerJob(t *testing.T) {
+	base := quickOpts().baseConfig()
+	base.Horizon = 30 * sim.Second
+	jobs := make([]job, 12)
+	for i := range jobs {
+		jobs[i] = job{Label: string(rune('a' + i)), Config: base}
+		jobs[i].Config.Seed = uint64(i + 1)
+	}
+	seen := map[string]int{}
+	opts := Options{Workers: 4, Progress: func(format string, args ...any) {
+		if len(args) == 4 { // a per-run line, not the batch header
+			seen[args[0].(string)]++
+		}
+	}}
+	opts.run(jobs)
+	if len(seen) != len(jobs) {
+		t.Fatalf("progress saw %d distinct runs, want %d", len(seen), len(jobs))
+	}
+	for label, n := range seen {
+		if n != 1 {
+			t.Fatalf("run %q reported %d times", label, n)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/plot"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -13,15 +12,15 @@ import (
 // protocolJobs builds one grid cell per protocol variant from a shared
 // configuration template, labelled "<prefix>/<protocol>". Each cell is
 // replicated across the options' seed list by runReplicated.
-func protocolJobs(opts Options, prefix string, mutate func(*core.Config)) []runner.Job {
-	jobs := make([]runner.Job, 0, 3)
+func protocolJobs(opts Options, prefix string, mutate func(*core.Config)) []job {
+	jobs := make([]job, 0, 3)
 	for _, pc := range protocolCases() {
 		cfg := opts.baseConfig()
 		cfg.Policy = pc.policy
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		jobs = append(jobs, runner.Job{Label: prefix + "/" + pc.name, Config: cfg})
+		jobs = append(jobs, job{Label: prefix + "/" + pc.name, Config: cfg})
 	}
 	return jobs
 }
@@ -156,7 +155,7 @@ func Figure10(opts Options) Report {
 	for i, pc := range protocolCases() {
 		sweep[i].Name = pc.name
 	}
-	var cells []runner.Job
+	var cells []job
 	for _, load := range opts.loads() {
 		cells = append(cells, protocolJobs(opts, fmt.Sprintf("figure10/load%.0f", load), func(cfg *core.Config) {
 			cfg.ArrivalRatePerSecond = load
@@ -258,7 +257,7 @@ func Figure11(opts Options) Report {
 		sweep[i].Name = pc.name
 	}
 	eppMilli := func(r core.Result) float64 { return 1000 * r.EnergyPerPktJ }
-	var cells []runner.Job
+	var cells []job
 	for _, load := range opts.loads() {
 		cells = append(cells, protocolJobs(opts, fmt.Sprintf("figure11/load%.0f", load), func(cfg *core.Config) {
 			cfg.ArrivalRatePerSecond = load
@@ -322,7 +321,7 @@ func Figure12(opts Options) Report {
 		sweep[i].Name = pc.name
 	}
 	queueDev := func(r core.Result) float64 { return r.QueueStdDev }
-	var cells []runner.Job
+	var cells []job
 	for _, load := range loads {
 		cells = append(cells, protocolJobs(opts, fmt.Sprintf("figure12/load%.0f", load), func(cfg *core.Config) {
 			cfg.ArrivalRatePerSecond = load
@@ -382,7 +381,7 @@ func NetworkPerformance(opts Options) Report {
 	tab := Table{Headers: []string{
 		"load(pkt/s)", "protocol", "delay(ms)", "p95-delay(ms)", "throughput(kbps)", "delivery",
 	}}
-	var cells []runner.Job
+	var cells []job
 	for _, load := range opts.loads() {
 		cells = append(cells, protocolJobs(opts, fmt.Sprintf("netperf/load%.0f", load), func(cfg *core.Config) {
 			cfg.ArrivalRatePerSecond = load

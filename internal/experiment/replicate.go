@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/plot"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -27,14 +26,14 @@ type replicates struct {
 // runReplicated expands every cell across the options' seed list and
 // executes the whole grid through the worker pool, cell-major then
 // seed. The returned slice is parallel to cells.
-func (o Options) runReplicated(cells []runner.Job) []replicates {
+func (o Options) runReplicated(cells []job) []replicates {
 	seeds := o.seedList()
-	jobs := make([]runner.Job, 0, len(cells)*len(seeds))
+	jobs := make([]job, 0, len(cells)*len(seeds))
 	for _, c := range cells {
 		for _, s := range seeds {
 			cfg := c.Config
 			cfg.Seed = s
-			jobs = append(jobs, runner.Job{Label: fmt.Sprintf("%s/seed%d", c.Label, s), Config: cfg})
+			jobs = append(jobs, job{Label: fmt.Sprintf("%s/seed%d", c.Label, s), Config: cfg})
 		}
 	}
 	results := o.run(jobs)

@@ -2,31 +2,23 @@
 // goroutines. Every experiment in the paper's evaluation is a grid of
 // fully independent runs (protocol × load × seed), and each run roots all
 // of its randomness in its own rng.Source derived from Config.Seed — so a
-// parallel execution is bit-identical to a serial one, and results are
-// always returned in submission order regardless of which worker finished
-// first.
+// parallel execution is bit-identical to a serial one, provided each task
+// writes its result into the slot of its own index.
 //
-// The pool is deliberately simple: a shared index channel, one goroutine
-// per worker, and a result slot per job. There is no cross-run state to
-// synchronize; the only serialized section is the optional Progress
-// callback.
+// Do is the one executor, used by the paper figures (internal/experiment)
+// and by every caem grid (RunComparison, RunSeeds, RunCampaignWith). It
+// runs tasks 0..n-1 under one worker policy (0 = NumCPU, 1 or negative =
+// serial on the caller's goroutine, never more workers than tasks) and
+// hands each worker its own Pool of resident simulation contexts, so
+// consecutive tasks on one worker reset a kept world in place instead of
+// rebuilding it (the run-reuse engine; see Pool).
 //
-// # Primitives
+// # Failure policy
 //
-// Run executes a batch of core.Config jobs. Beneath it sit three
-// composable scheduling primitives, also used directly by the public
-// caem wrappers:
-//
-//   - Do(workers, n, fn) — invoke fn(0..n-1) under the worker policy
-//     (0 = NumCPU, 1 or negative = serial inline).
-//   - DoWorkers — Do with the executing worker's dense index, for
-//     worker-local scratch state.
-//   - DoPooled — DoWorkers with a worker-owned Pool of resident
-//     simulation contexts, so consecutive jobs on one worker reset a
-//     kept world in place instead of rebuilding it (the run-reuse
-//     engine; see Pool).
-//
-// Panic policy is uniform: the panic of the lowest-indexed failing task
-// wins — deterministically — and is surfaced after every other task has
-// drained.
+// Tasks start in index order, and once any task fails no new task
+// starts. The lowest-indexed failure is reported: an error is returned,
+// a panic is re-raised on the caller with its index. Because indices
+// start in order, every index below a failing one has already started
+// and runs to completion, so the reported failure is the same at every
+// worker count.
 package runner

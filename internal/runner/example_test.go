@@ -1,46 +1,32 @@
 package runner_test
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/runner"
 )
 
-// Do fans fn(0..n-1) across workers; per-index results land in
-// per-index slots, so the output never depends on scheduling.
+// Do fans tasks 0..n-1 across workers; per-index results land in
+// per-index slots, so the output never depends on scheduling. A failing
+// task stops the batch, and the lowest failing index is reported at
+// every worker count.
 func ExampleDo() {
 	squares := make([]int, 6)
-	failed, _ := runner.Do(3, len(squares), func(i int) {
+	err := runner.Do(3, len(squares), func(_ *runner.Pool, i int) error {
 		squares[i] = i * i
+		return nil
 	})
-	fmt.Println(squares, failed)
-	// Output:
-	// [0 1 4 9 16 25] -1
-}
+	fmt.Println(squares, err)
 
-// DoWorkers exposes the executing worker's dense index, for
-// worker-local scratch state (resident pools, arenas).
-func ExampleDoWorkers() {
-	const workers = 2
-	perWorker := make([]int, workers) // worker-local tallies: no locking needed
-	runner.DoWorkers(workers, 8, func(w, i int) {
-		perWorker[w]++
+	err = runner.Do(3, 100, func(_ *runner.Pool, i int) error {
+		if i == 4 {
+			return errors.New("task 4 failed")
+		}
+		return nil
 	})
-	total := 0
-	for _, n := range perWorker {
-		total += n
-	}
-	fmt.Println("tasks executed:", total)
+	fmt.Println(err)
 	// Output:
-	// tasks executed: 8
-}
-
-// EffectiveWorkers resolves the worker policy: never more workers than
-// tasks, never fewer than one.
-func ExampleEffectiveWorkers() {
-	fmt.Println(runner.EffectiveWorkers(8, 3))  // capped by task count
-	fmt.Println(runner.EffectiveWorkers(-1, 3)) // negative = serial
-	// Output:
-	// 3
-	// 1
+	// [0 1 4 9 16 25] <nil>
+	// task 4 failed
 }

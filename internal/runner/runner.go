@@ -8,42 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// Job is one simulation to execute.
-type Job struct {
-	// Label identifies the run in progress reporting ("figure9/Scheme1").
-	Label string
-	// Config fully specifies the run.
-	Config core.Config
-}
-
-// Options tunes the pool.
-type Options struct {
-	// Workers is the number of concurrent runs: 0 means NumCPU, 1 runs
-	// serially inline on the calling goroutine (the legacy behaviour),
-	// larger values cap at the job count.
-	Workers int
-	// Progress, when non-nil, is called once per completed run. Calls are
-	// serialized, but arrive in completion order, not submission order.
-	Progress func(job Job, res core.Result)
-}
-
-// workers resolves the effective worker count for a batch of n jobs.
-// Zero means NumCPU; a negative value falls back to serial (the
-// conservative reading of an underflowed caller computation).
-func (o Options) workers(n int) int {
-	w := o.Workers
-	if w == 0 {
-		w = runtime.NumCPU()
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Pool is a cache of resident simulation contexts keyed by configuration
 // shape (node count). Instead of building a fresh world per run — the
 // dominant fixed cost of a replication grid, whose cells differ only by
@@ -52,9 +16,9 @@ func (o Options) workers(n int) int {
 // and metric storage all survive between runs.
 //
 // A Pool is NOT safe for concurrent use; give each worker goroutine its
-// own (as Run and DoPooled do). Determinism is unaffected: a pooled
-// Reset-then-Run is bit-identical to a fresh New-then-Run, so results do
-// not depend on which jobs a worker's context previously executed.
+// own (as Do does). Determinism is unaffected: a pooled Reset-then-Run
+// is bit-identical to a fresh New-then-Run, so results do not depend on
+// which jobs a worker's context previously executed.
 type Pool struct {
 	byShape map[int]*core.Network
 }
@@ -74,125 +38,86 @@ func (p *Pool) Run(cfg core.Config) core.Result {
 	return net.Run()
 }
 
-// Run executes every job and returns the results in submission order.
-// With the same seeds, the output is bit-identical for every worker
-// count: each run is single-threaded over its own state, and the workers
-// share nothing but the job list. Each worker runs its jobs on a
-// resident pooled context (reset in place per job) rather than building
-// a fresh world every time, which is what makes an N-seed replication
-// grid cost less than N times a cold run.
+// Do runs fn(p, i) for every i in 0..n-1 on up to workers goroutines,
+// the calling one included, and reports the lowest-indexed failure.
+// 0 workers means one per CPU; 1 or a negative count runs every task
+// serially on the calling goroutine; there are never more workers than
+// tasks. Each worker owns one Pool for the whole batch, so fn must
+// treat p as worker-private, and must be safe to call concurrently when
+// more than one worker resolves. fn should write its result into a slot
+// keyed by i: which worker runs which index depends on scheduling.
 //
-// A panic inside any run (e.g. an invalid Config) is re-raised on the
-// calling goroutine — deterministically the panic of the lowest-indexed
-// failing job — after the remaining jobs have drained.
-func Run(opts Options, jobs []Job) []core.Result {
-	results := make([]core.Result, len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
-	var mu sync.Mutex // serializes Progress
-	failed, failVal := DoPooled(opts.Workers, len(jobs), func(p *Pool, i int) {
-		res := p.Run(jobs[i].Config)
-		results[i] = res
-		if opts.Progress != nil {
-			mu.Lock()
-			opts.Progress(jobs[i], res)
-			mu.Unlock()
-		}
-	})
-	if failed >= 0 {
-		panic(fmt.Sprintf("runner: job %d (%s) panicked: %v", failed, jobs[failed].Label, failVal))
-	}
-	return results
-}
-
-// Do is the pool primitive Run is built on, and the generic escape hatch
-// for callers whose work is not a core.Config (the public caem
-// wrappers): it invokes fn(0..n-1) across the worker policy (0 = NumCPU,
-// 1 or negative = serial inline). fn must be safe to call concurrently
-// when more than one worker resolves.
-//
-// A panic inside fn is captured — the lowest failing index wins, for
-// determinism — and returned as (index, value) after every other task
-// has drained; (-1, nil) means all tasks completed. Callers that cannot
-// continue should re-raise it with context, as Run does.
-func Do(workers, n int, fn func(int)) (failedIndex int, panicValue any) {
-	return DoWorkers(workers, n, func(_, i int) { fn(i) })
-}
-
-// DoPooled is Do with a worker-local context Pool handed to fn: each
-// worker goroutine owns one Pool for the batch, so consecutive jobs on
-// the same worker reuse a resident simulation context. fn must treat the
-// Pool as worker-private (it is never shared across goroutines).
-func DoPooled(workers, n int, fn func(p *Pool, i int)) (failedIndex int, panicValue any) {
+// Tasks start in index order, and once any task fails no new task
+// starts; Do returns after the running ones finish. If the lowest
+// failing index returned an error, Do returns that error; if it
+// panicked, Do re-raises the panic on the calling goroutine, naming the
+// index. Every index below a failing one has already started and runs
+// to completion, so the reported failure is the same at every worker
+// count.
+func Do(workers, n int, fn func(p *Pool, i int) error) error {
 	if n <= 0 {
-		return -1, nil
+		return nil
 	}
-	pools := make([]*Pool, EffectiveWorkers(workers, n))
-	for j := range pools {
-		pools[j] = NewPool()
+	if workers == 0 {
+		workers = runtime.NumCPU()
 	}
-	return DoWorkers(workers, n, func(w, i int) { fn(pools[w], i) })
-}
+	workers = max(1, min(workers, n))
 
-// EffectiveWorkers resolves the worker policy for a batch of n tasks:
-// 0 means NumCPU, negative means serial, and the count never exceeds n.
-func EffectiveWorkers(workers, n int) int {
-	return Options{Workers: workers}.workers(n)
-}
-
-// DoWorkers is the scheduling primitive beneath Do and DoPooled: it
-// invokes fn(worker, i) for i in 0..n-1, where worker identifies the
-// executing goroutine densely in [0, EffectiveWorkers(workers, n)).
-// Worker-local state (resident contexts, scratch arenas) keys off the
-// worker index; task results must key off i — which tasks land on which
-// worker depends on runtime scheduling, only the per-i results are
-// deterministic.
-//
-// Panic policy is Do's: lowest failing index wins, returned after every
-// task has drained.
-func DoWorkers(workers, n int, fn func(worker, i int)) (failedIndex int, panicValue any) {
 	var (
 		mu       sync.Mutex
-		panicked = -1
-		panicVal any
+		next     int // the next index to start
+		failed   = n // the lowest failing index; n while none has failed
+		failedBy error
 	)
-	task := func(w, i int) {
-		defer func() {
-			if r := recover(); r != nil {
+	work := func() {
+		pool := NewPool()
+		for {
+			mu.Lock()
+			i := next
+			if i == n || failed < n {
+				mu.Unlock()
+				return
+			}
+			next++
+			mu.Unlock()
+			if err := call(fn, pool, i); err != nil {
 				mu.Lock()
-				if panicked < 0 || i < panicked {
-					panicked, panicVal = i, r
+				if i < failed {
+					failed, failedBy = i, err
 				}
 				mu.Unlock()
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
 		}()
-		fn(w, i)
 	}
-	if n <= 0 {
-		return -1, nil
+	work()
+	wg.Wait()
+
+	if p, ok := failedBy.(taskPanic); ok {
+		panic(fmt.Sprintf("runner: task %d panicked: %v", failed, p.val))
 	}
-	if w := EffectiveWorkers(workers, n); w == 1 {
-		for i := 0; i < n; i++ {
-			task(0, i)
+	return failedBy
+}
+
+// taskPanic carries a recovered panic through Do's failure bookkeeping,
+// so a panic and an error compete for the lowest index alike.
+type taskPanic struct{ val any }
+
+func (p taskPanic) Error() string { return fmt.Sprint(p.val) }
+
+// call runs one task, returning a panic as a taskPanic.
+func call(fn func(*Pool, int) error, p *Pool, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = taskPanic{r}
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				for i := range idx {
-					task(worker, i)
-				}
-			}(wi)
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	return panicked, panicVal
+	}()
+	return fn(p, i)
 }

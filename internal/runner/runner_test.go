@@ -1,9 +1,11 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -11,10 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-// testJobs builds a small protocol × seed grid of fast, fully independent
-// runs — the shape every experiment sweep has.
-func testJobs() []Job {
-	var jobs []Job
+// testConfigs builds a small protocol × seed grid of fast, fully
+// independent runs — the shape every experiment sweep has.
+func testConfigs() []core.Config {
+	var cfgs []core.Config
 	for _, policy := range []queueing.ThresholdPolicy{
 		queueing.PolicyNone, queueing.PolicyAdaptive, queueing.PolicyFixedHighest,
 	} {
@@ -26,138 +28,206 @@ func testJobs() []Job {
 			cfg.SampleInterval = 5 * sim.Second
 			cfg.Policy = policy
 			cfg.Seed = seed
-			jobs = append(jobs, Job{Label: "grid", Config: cfg})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	return jobs
+	return cfgs
+}
+
+// runAll runs every configuration on its worker's pool, the way the
+// experiment grids do, and returns the results in submission order.
+func runAll(workers int, cfgs []core.Config) []core.Result {
+	results := make([]core.Result, len(cfgs))
+	if err := Do(workers, len(cfgs), func(p *Pool, i int) error {
+		results[i] = p.Run(cfgs[i])
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return results
 }
 
 // Parallel execution must be bit-identical to serial: each run owns its
 // rng.Source, so worker count and completion order cannot leak into the
 // results.
 func TestParallelMatchesSerial(t *testing.T) {
-	jobs := testJobs()
-	serial := Run(Options{Workers: 1}, jobs)
+	cfgs := testConfigs()
+	serial := runAll(1, cfgs)
 	for _, workers := range []int{0, 2, 4, 16} {
-		parallel := Run(Options{Workers: workers}, jobs)
-		for i := range jobs {
+		parallel := runAll(workers, cfgs)
+		for i := range cfgs {
 			if !reflect.DeepEqual(serial[i], parallel[i]) {
-				t.Fatalf("workers=%d: job %d diverged from the serial run", workers, i)
+				t.Fatalf("workers=%d: run %d diverged from the serial run", workers, i)
 			}
 		}
 	}
 }
 
 // Results must come back in submission order even when completion order
-// differs: each job gets a distinct horizon, which its result echoes back
+// differs: each run gets a distinct horizon, which its result echoes back
 // as Elapsed (no node dies within these short runs).
 func TestSubmissionOrderPreserved(t *testing.T) {
-	jobs := testJobs()
-	for i := range jobs {
-		jobs[i].Config.Horizon = sim.Time(20+i) * sim.Second
+	cfgs := testConfigs()
+	for i := range cfgs {
+		cfgs[i].Horizon = sim.Time(20+i) * sim.Second
 	}
-	res := Run(Options{Workers: 4}, jobs)
-	if len(res) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(res), len(jobs))
+	res := runAll(4, cfgs)
+	if len(res) != len(cfgs) {
+		t.Fatalf("got %d results for %d runs", len(res), len(cfgs))
 	}
-	for i, j := range jobs {
-		if res[i].Elapsed != j.Config.Horizon {
-			t.Fatalf("result %d has Elapsed %v, want job %d's horizon %v", i, res[i].Elapsed, i, j.Config.Horizon)
+	for i, c := range cfgs {
+		if res[i].Elapsed != c.Horizon {
+			t.Fatalf("result %d has Elapsed %v, want run %d's horizon %v", i, res[i].Elapsed, i, c.Horizon)
 		}
 	}
 }
 
-// Worker-count edge cases: zero (NumCPU), more workers than jobs, a
-// single job, and no jobs at all.
+// Worker-count edge cases: zero (NumCPU), more workers than runs, a
+// single run, and no runs at all.
 func TestWorkerEdgeCases(t *testing.T) {
-	jobs := testJobs()
-	want := Run(Options{Workers: 1}, jobs)
+	cfgs := testConfigs()
+	want := runAll(1, cfgs)
 
-	for _, workers := range []int{0, len(jobs) + 50} {
-		got := Run(Options{Workers: workers}, jobs)
-		if !reflect.DeepEqual(want, got) {
+	for _, workers := range []int{0, len(cfgs) + 50} {
+		if got := runAll(workers, cfgs); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged", workers)
 		}
 	}
-	one := Run(Options{Workers: 8}, jobs[:1])
+	one := runAll(8, cfgs[:1])
 	if len(one) != 1 || !reflect.DeepEqual(one[0], want[0]) {
-		t.Fatal("single-job batch diverged")
+		t.Fatal("single-run batch diverged")
 	}
-	if got := Run(Options{Workers: 8}, nil); len(got) != 0 {
+	if got := runAll(8, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
 
-// Progress must fire exactly once per job, serialized.
-func TestProgressCalledOncePerJob(t *testing.T) {
-	jobs := testJobs()
-	for i := range jobs {
-		jobs[i].Label = string(rune('a' + i))
-	}
-	var mu sync.Mutex
-	seen := map[string]int{}
-	opts := Options{
-		Workers: 4,
-		Progress: func(j Job, res core.Result) {
-			mu.Lock()
-			seen[j.Label]++
-			mu.Unlock()
-		},
-	}
-	Run(opts, jobs)
-	if len(seen) != len(jobs) {
-		t.Fatalf("progress saw %d distinct jobs, want %d", len(seen), len(jobs))
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("job %q reported %d times", k, n)
-		}
-	}
-}
-
-// A panicking job must surface as a panic on the caller, not crash a
-// worker goroutine, and it must be the lowest-indexed failing job.
+// An invalid configuration panics inside the simulation; the panic
+// must surface on the caller, not crash a worker goroutine, and name
+// the run's index.
 func TestPanicPropagates(t *testing.T) {
-	jobs := testJobs()
-	jobs[2].Config.Nodes = 0 // invalid: core.New panics
+	cfgs := testConfigs()
+	cfgs[2].Nodes = 0 // invalid: core.New panics
 	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid job did not panic the caller")
+		r := recover()
+		if r == nil {
+			t.Fatal("invalid run did not panic the caller")
+		}
+		if s := fmt.Sprint(r); !strings.Contains(s, "task 2 ") {
+			t.Fatalf("panic %q does not name task 2", s)
 		}
 	}()
-	Run(Options{Workers: 4}, jobs)
+	runAll(4, cfgs)
 }
 
-// Do covers the generic fan-out used by the public API wrappers.
+// Every index runs exactly once under every worker policy, and an empty
+// batch never calls fn.
 func TestDo(t *testing.T) {
 	for _, workers := range []int{1, 0, 3, 100, -2} {
-		out := make([]int, 50)
-		if i, v := Do(workers, len(out), func(i int) { out[i] = i + 1 }); i >= 0 {
-			t.Fatalf("workers=%d: unexpected panic report (%d, %v)", workers, i, v)
+		runs := make([]atomic.Int32, 50)
+		if err := Do(workers, len(runs), func(_ *Pool, i int) error {
+			runs[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for i, v := range out {
-			if v != i+1 {
-				t.Fatalf("workers=%d: slot %d = %d", workers, i, v)
+		for i := range runs {
+			if n := runs[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
 			}
 		}
 	}
-	Do(4, 0, func(int) { t.Fatal("fn called for n=0") })
+	if err := Do(4, 0, func(*Pool, int) error {
+		t.Fatal("fn called for n=0")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// Do must capture worker panics instead of crashing the process, and
-// report the lowest failing index for determinism.
+// A panic re-raises on the caller, naming the lowest failing index and
+// carrying its value, at every worker count.
 func TestDoCapturesPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		i, v := Do(workers, 10, func(i int) {
-			if i == 3 || i == 7 {
-				panic(fmt.Sprintf("boom-%d", i))
+		func() {
+			defer func() {
+				s := fmt.Sprint(recover())
+				if !strings.Contains(s, "task 3 ") || !strings.Contains(s, "boom-3") {
+					t.Fatalf("workers=%d: panic %q, want task 3's boom-3", workers, s)
+				}
+			}()
+			Do(workers, 10, func(_ *Pool, i int) error {
+				if i == 3 || i == 7 {
+					panic(fmt.Sprintf("boom-%d", i))
+				}
+				return nil
+			})
+		}()
+	}
+}
+
+// The lowest failing index wins even when a higher index fails first:
+// task 1 fails only after task 3 has failed.
+func TestLowestFailureWins(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		threeFailed := make(chan struct{})
+		err := Do(workers, 10, func(_ *Pool, i int) error {
+			switch i {
+			case 1:
+				<-threeFailed
+				return fmt.Errorf("fail-%d", i)
+			case 3:
+				close(threeFailed)
+				return fmt.Errorf("fail-%d", i)
 			}
+			return nil
 		})
-		if i != 3 {
-			t.Fatalf("workers=%d: failed index = %d, want 3 (lowest)", workers, i)
+		if err == nil || err.Error() != "fail-1" {
+			t.Fatalf("workers=%d: err = %v, want fail-1", workers, err)
 		}
-		if s, ok := v.(string); !ok || s != "boom-3" {
-			t.Fatalf("workers=%d: panic value = %v", workers, v)
+	}
+}
+
+// After a failure no new task starts: with task 0 failing while the
+// others wait for it, only the tasks already running can have started.
+func TestFailureStopsNewTasks(t *testing.T) {
+	const n = 1000
+	failed := make(chan struct{})
+	var started atomic.Int32
+	err := Do(4, n, func(_ *Pool, i int) error {
+		started.Add(1)
+		if i == 0 {
+			close(failed)
+			return errors.New("fail-0")
+		}
+		<-failed
+		return nil
+	})
+	if err == nil || err.Error() != "fail-0" {
+		t.Fatalf("err = %v, want fail-0", err)
+	}
+	if s := started.Load(); s > n/10 {
+		t.Fatalf("%d of %d tasks started around a failure at task 0", s, n)
+	}
+}
+
+// Serially, exactly the indices up to the failing one run.
+func TestSerialStopsAtFailure(t *testing.T) {
+	const k = 4
+	for _, workers := range []int{1, -1} {
+		var ran []int
+		err := Do(workers, 10, func(_ *Pool, i int) error {
+			ran = append(ran, i)
+			if i == k {
+				return errors.New("fail")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: no error", workers)
+		}
+		if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(ran, want) {
+			t.Fatalf("workers=%d: ran %v, want %v", workers, ran, want)
 		}
 	}
 }
