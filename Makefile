@@ -29,14 +29,17 @@ chaos:
 
 # Coordinator fault-tolerance gate: the leader is SIGKILLed mid-campaign
 # with two live worker processes; the hot standby must take over within
-# 2x the lock TTL (replaying the coordinator journal), fence the dead
-# epoch's writes (410 + "fenced", observed via the scraped
+# 2x the lock TTL (restoring the journal's attempt counts and poisons,
+# then re-planning every stored campaign spec against the store), fence
+# the dead epoch's writes (410 + "fenced", observed via the scraped
 # caem_cluster_fenced_total), and finish the campaign with a results
-# document byte-identical to a fault-free run. Race-enabled for the same
-# reason as chaos: election, journal replay, and the handler swap are
-# exactly where concurrency bugs would hide.
+# document byte-identical to a fault-free run. A campaign in flight
+# across a model upgrade must be re-planned under the current model, so
+# its cells are stored under their current hashes. Race-enabled for the
+# same reason as chaos: election, journal replay, and the handler swap
+# are exactly where concurrency bugs would hide.
 failover:
-	$(GO) test -race -count=1 -v -timeout 300s -run 'TestCoordinatorFailover|TestLeaderLock|TestCoordinatorFencing|TestJournalFailoverRoundTrip' ./cmd/caem-serve/ ./internal/cluster/
+	$(GO) test -race -count=1 -v -timeout 300s -run 'TestCoordinatorFailover|TestLeaderLock|TestCoordinatorFencing|TestJournalFailoverRoundTrip|TestRecoveryReplansUnderCurrentModel' ./cmd/caem-serve/ ./internal/cluster/
 
 vet:
 	$(GO) vet ./...

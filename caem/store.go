@@ -215,9 +215,9 @@ func (cs *CampaignStore) Aggregates() ([]CampaignAggregate, error) {
 	return AggregateCampaign(cells), nil
 }
 
-// SaveCampaignSpec persists an opaque campaign spec blob under id —
-// service metadata that lets caem-serve recover in-flight campaigns
-// after a restart.
+// SaveCampaignSpec persists an opaque campaign spec blob under id,
+// durably when it returns — service metadata that lets caem-serve
+// recover in-flight campaigns after a restart or a takeover.
 func (cs *CampaignStore) SaveCampaignSpec(id string, blob []byte) error {
 	return cs.s.PutCampaign(id, blob)
 }

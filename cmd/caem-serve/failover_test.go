@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"repro/caem"
 	"repro/internal/cluster"
+	"repro/internal/cluster/journal"
 	"repro/internal/obs"
 )
 
@@ -284,5 +286,116 @@ func TestCoordinatorFailover(t *testing.T) {
 	if !bytes.Equal(failedOver, reference) {
 		t.Fatalf("failed-over run is not byte-identical to the fault-free run:\n--- failover (%d bytes)\n%s\n--- fault-free (%d bytes)\n%s",
 			len(failedOver), failedOver, len(reference), reference)
+	}
+}
+
+// startJournaledServer starts a server the way serveMode does: the
+// journal under <dir>/cluster is replayed, the next epoch begins, and
+// the server restores the replayed attempts and poisons before it
+// re-plans the stored campaign specs. The journal's instruments share
+// the server's registry.
+func startJournaledServer(t *testing.T, dir string) (*server, *httptest.Server, *caem.CampaignStore) {
+	t.Helper()
+	st, err := caem.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl, jstate, err := journal.Open(filepath.Join(dir, "cluster"))
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jnl.Close() })
+	reg := obs.NewRegistry()
+	jnl.Observe(reg)
+	epoch := jstate.Epoch + 1
+	if err := jnl.Begin(epoch, jstate); err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	srv, err := newServerWith(st, serverConfig{
+		workers: 2,
+		lease:   cluster.Options{Epoch: epoch, Journal: jnl},
+		metrics: reg,
+		jstate:  &jstate,
+	})
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
+	return srv, httptest.NewServer(srv), st
+}
+
+// TestRecoveryReplansUnderCurrentModel: a campaign in flight across a
+// model upgrade. The store holds the campaign's spec, and the journal
+// an epoch file of the format that also recorded submissions, whose
+// submit record carries the campaign's cells under a stale hash (the
+// hash an older model computed). A start re-plans the spec under the
+// current model, so every cell is filed under its current CellHash and
+// none under the stale one.
+func TestRecoveryReplansUnderCurrentModel(t *testing.T) {
+	dir := t.TempDir()
+	var req campaignRequest
+	if err := json.Unmarshal([]byte(testRequest), &req); err != nil {
+		t.Fatal(err)
+	}
+	id, canonical, err := campaignID(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := caem.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCampaignSpec(id, canonical); err != nil {
+		t.Fatal(err)
+	}
+	_, cells, err := (&server{store: st}).plan(id, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Repeat("0", len(cells[0].Hash))
+	type submitCell struct {
+		Key  string       `json:"k"`
+		Cell cluster.Cell `json:"c"`
+	}
+	var submit struct {
+		T     string       `json:"t"`
+		Cells []submitCell `json:"cells"`
+	}
+	submit.T = "submit"
+	for _, cell := range cells {
+		old := cell
+		old.Hash = stale
+		submit.Cells = append(submit.Cells, submitCell{Key: old.Key(), Cell: old})
+	}
+	line, err := json.Marshal(submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterDir := filepath.Join(dir, "cluster")
+	if err := os.MkdirAll(clusterDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	epochFile := append([]byte(`{"t":"snap","epoch":1}`+"\n"), append(line, '\n')...)
+	if err := os.WriteFile(filepath.Join(clusterDir, "epoch-1.jsonl"), epochFile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts, st := startJournaledServer(t, dir)
+	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	if final := waitDone(t, ts.URL, id); final.State != "done" || final.Completed != len(cells) {
+		t.Fatalf("recovered campaign = %+v, want done with %d cells", final, len(cells))
+	}
+	for _, cell := range cells {
+		if !st.HasCell(cell.Hash, cell.Scenario.Name, cell.Config.Protocol, cell.Config.Seed) {
+			t.Errorf("cell %s is not stored under its current hash", cell.Key())
+		}
+		if st.HasCell(stale, cell.Scenario.Name, cell.Config.Protocol, cell.Config.Seed) {
+			t.Errorf("cell %s is stored under the stale hash", cell.Key())
+		}
 	}
 }

@@ -11,9 +11,10 @@
 // The first form runs a coordinator: it owns the store, serves the
 // campaign API, and executes cells on its local worker budget. The
 // second runs a hot standby over the same store directory: it watches
-// the coordinator's leader lock and takes over — replaying the
-// coordinator journal, fencing the dead leader's epoch — the moment the
-// lock expires. The third form runs a worker process that joins the
+// the coordinator's leader lock and takes over — restoring the failure
+// history from the coordinator journal, re-planning every stored
+// campaign, fencing the dead leader's epoch — the moment the lock
+// expires. The third form runs a worker process that joins the
 // cluster over HTTP (list every coordinator, comma-separated, so the
 // worker can re-target across a failover): it claims leases of campaign
 // cells, executes them on its own simulation pools, and pushes the
@@ -217,8 +218,8 @@ type serveOptions struct {
 // immediately and refuses to start if another coordinator holds it; a
 // standby (-standby) serves only health/metrics/leader-lookup until the
 // lock expires, then takes over at a higher epoch — replaying the
-// journal the dead leader wrote — and fences everything the old epoch
-// granted.
+// journal the dead leader wrote and re-planning the stored campaigns —
+// and fences everything the old epoch granted.
 func serveMode(opts serveOptions) int {
 	logger := opts.log
 	if logger == nil {
@@ -325,7 +326,9 @@ func serveMode(opts serveOptions) int {
 	}
 
 	// Leadership held at epoch. Open the store, replay the predecessor's
-	// journal, and start journaling our own epoch before any scheduling.
+	// journal (attempt counts and poisons), and start journaling our own
+	// epoch before any scheduling; the server then re-plans every stored
+	// campaign spec against the store.
 	st, err := caem.OpenStore(opts.storeDir)
 	if err != nil {
 		logger.Error("opening store failed", "error", err.Error())
@@ -342,7 +345,8 @@ func serveMode(opts serveOptions) int {
 	jnl.Observe(reg)
 	if n := jnl.ReplayedRecords(); n > 0 {
 		logger.Info("coordinator journal replayed",
-			"records", n, "epoch", jstate.Epoch, "queued", len(jstate.Queue))
+			"records", n, "epoch", jstate.Epoch,
+			"attempts", len(jstate.Attempts), "poisoned", len(jstate.Poisoned))
 	}
 	if n := jnl.RecoveredBytes(); n > 0 {
 		logger.Warn("journal recovered from a torn tail", "dropped_bytes", n)

@@ -98,9 +98,11 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 
 // TestStoreFsyncPerLease pins group commit at the HTTP surface: over
 // one campaign the store fsyncs once per completed lease, not once per
-// cell.
+// cell, and that fsync is the settlement's only durable write. The
+// server runs with a journal attached, and a fault-free campaign
+// appends nothing to it.
 func TestStoreFsyncPerLease(t *testing.T) {
-	srv, ts, st := startServer(t, t.TempDir())
+	srv, ts, st := startJournaledServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()
 
 	// Twelve cells on two workers: guided self-scheduling hands out
@@ -111,21 +113,25 @@ func TestStoreFsyncPerLease(t *testing.T) {
   "seeds": [1, 2, 3, 4, 5, 6],
   "config": {"durationSeconds": 12}
 }`
-	// Both counters move before the write's last cell marks the campaign
+	// The counters move before the write's last cell marks the campaign
 	// done: a lease counts as completed when it is reserved, and the
 	// fsync is observed before the sink reports progress.
-	counts := func(exp *obs.Exposition) (fsyncs, leases float64) {
+	counts := func(exp *obs.Exposition) (fsyncs, leases, appends float64) {
 		fsyncs, _ = exp.Value("caem_store_fsync_seconds_count")
 		leases, _ = exp.Value("caem_lease_completed_total")
+		var ok bool
+		if appends, ok = exp.Value("caem_journal_appends_total"); !ok {
+			t.Fatal("caem_journal_appends_total missing: no journal attached")
+		}
 		return
 	}
-	f0, l0 := counts(scrapeMetrics(t, ts.URL+"/v1"))
+	f0, l0, a0 := counts(scrapeMetrics(t, ts.URL+"/v1"))
 	camp := postCampaign(t, ts.URL, request)
 	final := waitDone(t, ts.URL, camp.ID)
 	if final.State != "done" || final.Completed != 12 {
 		t.Fatalf("campaign did not finish cleanly: %+v", final)
 	}
-	f1, l1 := counts(scrapeMetrics(t, ts.URL+"/v1"))
+	f1, l1, a1 := counts(scrapeMetrics(t, ts.URL+"/v1"))
 	fsyncs, leases := f1-f0, l1-l0
 	if leases == 0 || leases >= float64(final.Completed) {
 		t.Fatalf("%v leases settled %d cells; want fewer leases than cells", leases, final.Completed)
@@ -133,6 +139,9 @@ func TestStoreFsyncPerLease(t *testing.T) {
 	if fsyncs != leases {
 		t.Fatalf("store fsyncs = %v over %v completed leases (%d cells), want one per lease",
 			fsyncs, leases, final.Completed)
+	}
+	if a1 != a0 {
+		t.Fatalf("the fault-free campaign appended %v journal records, want none", a1-a0)
 	}
 }
 

@@ -141,8 +141,8 @@ type serverConfig struct {
 	// caem_build_info ("" reads as "dev").
 	version string
 	// jstate, when non-nil, is the replayed coordinator journal of a
-	// predecessor: the coordinator restores it (adopting cells whose
-	// results the store already holds) before campaign recovery replans.
+	// predecessor: the coordinator restores its attempt counts and
+	// poisons before campaign recovery re-plans the stored specs.
 	jstate *journal.State
 	// advertise is the base URL workers use to reach this server,
 	// published by GET /v1/cluster/leader ("" falls back to the request
@@ -218,14 +218,10 @@ func newServerWith(st *caem.CampaignStore, cfg serverConfig) (*server, error) {
 	registerPprof(s.mux)
 
 	if cfg.jstate != nil {
-		// Replay the predecessor's journal before recovery replans: cells
-		// whose results already landed in the store are adopted as settled
-		// (the crash window between PutCell and the journal settle record),
-		// everything else resumes with its attempt counts intact.
-		adopt := func(cell cluster.Cell) bool {
-			return st.HasCell(cell.Hash, cell.Scenario.Name, cell.Config.Protocol, cell.Config.Seed)
-		}
-		if err := s.coord.Restore(*cfg.jstate, adopt); err != nil {
+		// Restore the predecessor's attempt counts and poisons before
+		// recovery re-plans: a resubmitted failing cell keeps its poison
+		// budget, and a poisoned one is reported failed, not re-run.
+		if err := s.coord.Restore(*cfg.jstate, nil); err != nil {
 			s.coord.Stop()
 			return nil, err
 		}
@@ -565,7 +561,8 @@ func (s *server) schedule(pending []cluster.Cell) {
 }
 
 // launch plans, registers, and schedules a campaign (the recovery
-// path; handleCreate interleaves spec persistence between the steps).
+// path; handleCreate persists the spec between planning and
+// registering).
 func (s *server) launch(id string, req campaignRequest) (*campaign, error) {
 	c, pending, err := s.plan(id, req)
 	if err != nil {
@@ -582,9 +579,12 @@ func (s *server) launch(id string, req campaignRequest) (*campaign, error) {
 
 // recover reloads every persisted campaign spec and relaunches it —
 // completed campaigns restore entirely from the store, interrupted ones
-// re-run only their missing cells. A spec that no longer resolves (for
-// example a library scenario renamed across versions) is skipped with a
-// warning rather than wedging the whole service on startup.
+// re-run only their missing cells. It is how every start and takeover
+// resumes work: each spec is re-planned under the current model, so a
+// cell is restored only from a result stored under its current
+// CellHash. A spec that no longer resolves (for example a library
+// scenario renamed across versions) is skipped with a warning rather
+// than wedging the whole service on startup.
 func (s *server) recover() error {
 	ids, err := s.store.CampaignIDs()
 	if err != nil {
@@ -739,12 +739,18 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	// Plan first (pure validation: an invalid request must leave no
 	// trace, or its persisted spec would wedge every future recovery),
-	// then atomically claim the id — the idempotency path for retried
-	// and concurrent equal POSTs — then persist the spec BEFORE any cell
-	// runs, so a crash mid-campaign can always recover it.
+	// then persist the spec, then atomically claim the id — the
+	// idempotency path for retried and concurrent equal POSTs. The spec
+	// is the campaign's only durable record until its cells settle, so
+	// it is written before the campaign exists: a failed write leaves
+	// nothing registered, and a retried POST starts afresh.
 	c, pending, err := s.plan(id, req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, err)
+		return
+	}
+	if err := s.store.SaveCampaignSpec(id, canonical); err != nil {
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 		return
 	}
 	existing, err := s.register(c)
@@ -754,10 +760,6 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if existing != nil { // idempotent re-POST
 		writeJSON(w, http.StatusOK, existing.snapshot())
-		return
-	}
-	if err := s.store.SaveCampaignSpec(id, canonical); err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, err)
 		return
 	}
 	// The 202 is the plan, snapshotted before any cell can run: its

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -427,6 +429,56 @@ func TestServeConcurrentEqualPosts(t *testing.T) {
 	}
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d cells, want 4 (grid must not run twice)", st.Len())
+	}
+}
+
+// TestServeSpecWriteFailureRetries: a POST whose spec write fails
+// answers 500 and leaves no campaign behind, so the retried POST
+// registers, persists and runs the campaign as if it were the first.
+func TestServeSpecWriteFailureRetries(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, st := startServer(t, dir)
+	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	post := func() (int, campaignStatus) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var status campaignStatus
+		json.NewDecoder(resp.Body).Decode(&status)
+		return resp.StatusCode, status
+	}
+
+	// A regular file where the campaigns directory should be fails every
+	// spec write.
+	campaigns := filepath.Join(dir, "campaigns")
+	if err := os.Remove(campaigns); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(campaigns, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := post(); code != http.StatusInternalServerError {
+		t.Fatalf("POST with an unwritable spec = %d, want 500", code)
+	}
+
+	if err := os.Remove(campaigns); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(campaigns, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, created := post()
+	if code != http.StatusAccepted {
+		t.Fatalf("retried POST = %d, want 202 (the failed POST left a campaign registered)", code)
+	}
+	if ids, err := st.CampaignIDs(); err != nil || len(ids) != 1 || ids[0] != created.ID {
+		t.Fatalf("stored specs = %v, %v; want [%s]", ids, err, created.ID)
+	}
+	if done := waitDone(t, ts.URL, created.ID); done.State != "done" || done.Completed != 4 {
+		t.Fatalf("campaign = %+v, want done with 4 cells", done)
 	}
 }
 

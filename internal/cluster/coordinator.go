@@ -40,10 +40,12 @@ type Options struct {
 	// operations carrying a dead epoch. Default 1 (a standalone
 	// coordinator with no election behaves exactly as before).
 	Epoch int64
-	// Journal, when non-nil, receives a write-ahead record of every
-	// scheduling decision so a successor coordinator can rebuild the
-	// queue, lease, retry, and poison state after this one dies. The
-	// caller must have called Journal.Begin for this epoch.
+	// Journal, when non-nil, receives a durable record of every cell
+	// failure (its attempt count) and every poison, the scheduling state
+	// a successor coordinator cannot re-derive from the results store and
+	// the stored campaign specs. Claims, renewals and settlements write
+	// nothing to it. The caller must have called Journal.Begin for this
+	// epoch.
 	Journal *journal.Journal
 	// Guard, when non-nil, is the resource-level fence check consulted
 	// before the coordinator grants a lease or settles one — the paths
@@ -178,9 +180,9 @@ func NewCoordinator(sink Sink, opts Options) *Coordinator {
 	return c
 }
 
-// journal appends one write-ahead record, if a journal is attached. A
-// journal write failure is logged and survived: stalling the cluster
-// on a full disk would cost more than the degraded failover fidelity.
+// journal appends one record, if a journal is attached. A journal
+// write failure is logged and survived: stalling the cluster on a full
+// disk would cost more than the degraded failover fidelity.
 func (c *Coordinator) journal(op string, fn func(j *journal.Journal) error) {
 	if c.opts.Journal == nil {
 		return
@@ -307,17 +309,13 @@ func (c *Coordinator) sweeper() {
 }
 
 // Submit enqueues cells for distribution, deduplicating against
-// everything the coordinator already tracks, so replaying a campaign
-// plan over journal-restored state never double-queues a cell. Two
-// reconciliations handle the journal/store crash windows — callers
-// only submit cells whose results are absent from the store, which is
-// evidence the journal and store disagree:
-//
-//   - a submitted cell the journal recorded as settled lost its result
-//     to a torn store tail: it is un-settled and queued to re-run;
-//   - a submitted cell the journal recorded as poisoned is re-reported
-//     to the Sink as terminally failed, so the re-planned campaign
-//     folds the poison in instead of waiting forever.
+// everything the coordinator already tracks: queued, backing off,
+// leased, settling and settled cells. A settled cell is never queued
+// again. Callers submit only cells whose results are absent from the
+// store, so a settled cell among them is a poisoned one, restored from
+// the journal or poisoned by this coordinator. Its poison is re-reported
+// to the Sink as terminally failed, so a re-planned campaign folds it in
+// instead of waiting forever.
 func (c *Coordinator) Submit(cells []Cell) {
 	c.mu.Lock()
 	if c.fenced {
@@ -340,37 +338,21 @@ func (c *Coordinator) Submit(cells []Cell) {
 			known[cell.Key()] = true
 		}
 	}
-	var fresh []Cell
+	queued := 0
 	var repoison []Cell
 	for _, cell := range cells {
 		key := cell.Key()
-		if known[key] {
-			continue
-		}
-		if c.settled[key] {
+		switch {
+		case known[key]:
+		case c.settled[key]:
 			if c.poisonReportLocked(key) != nil {
 				repoison = append(repoison, cell)
-				continue
 			}
-			delete(c.settled, key) // journal settled it, the store lost it
-			c.log.Warn("re-running journal-settled cell missing from the store", "cell", key)
+		default:
+			known[key] = true
+			c.queue = append(c.queue, cell)
+			queued++
 		}
-		known[key] = true
-		fresh = append(fresh, cell)
-	}
-	c.queue = append(c.queue, fresh...)
-	if len(fresh) > 0 {
-		c.journal("submit", func(j *journal.Journal) error {
-			sub := make([]journal.SubmitCell, len(fresh))
-			for i, cell := range fresh {
-				blob, err := json.Marshal(cell)
-				if err != nil {
-					return err
-				}
-				sub[i] = journal.SubmitCell{Key: cell.Key(), Cell: blob}
-			}
-			return j.Submit(sub)
-		})
 	}
 	// Re-deliver poisons under mu, like CellFailed on the retry path.
 	for _, cell := range repoison {
@@ -380,7 +362,7 @@ func (c *Coordinator) Submit(cells []Cell) {
 	c.syncGaugesLocked()
 	c.mu.Unlock()
 	c.log.Debug("cells submitted",
-		"cells", len(cells), "queued", len(fresh), "repoisoned", len(repoison))
+		"cells", len(cells), "queued", queued, "repoisoned", len(repoison))
 }
 
 // poisonReportLocked finds the poison report for a key. Caller holds
@@ -394,13 +376,13 @@ func (c *Coordinator) poisonReportLocked(key string) *PoisonReport {
 	return nil
 }
 
-// Restore rebuilds the coordinator from a replayed journal: queued and
-// reclaimed cells, settled keys, absolute attempt counts, and poison
-// reports. adopt, when non-nil, is consulted per queued cell; true
-// means the cell's result is already durable (the predecessor crashed
-// between persisting the result and journaling the settlement), so the
-// cell is settled instead of re-queued — "adopted on replay". Call
-// before submitting new work.
+// Restore rebuilds the coordinator's failure history from a replayed
+// journal: absolute attempt counts and poison reports. A poisoned cell
+// counts as settled, so resubmitting it re-reports the poison instead
+// of queueing it. Call before submitting work; the caller then re-plans
+// its stored campaigns and submits the cells the store lacks. adopt is
+// unused: it remains for callers written when the journal recorded the
+// queue.
 func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -409,15 +391,13 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 			c.attempts[k] = n
 		}
 	}
-	for k := range st.Settled {
-		c.settled[k] = true
-	}
 	for key, blob := range st.Poisoned {
 		var rep PoisonReport
 		if err := json.Unmarshal(blob, &rep); err != nil {
 			c.log.Warn("undecodable poison report in journal", "cell", key, "error", err.Error())
 			continue
 		}
+		c.settled[key] = true
 		c.poisoned = append(c.poisoned, rep)
 	}
 	sort.Slice(c.poisoned, func(i, j int) bool {
@@ -426,32 +406,8 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 		}
 		return c.poisoned[i].Index < c.poisoned[j].Index
 	})
-	var adopted []string
-	restored := 0
-	for _, q := range st.Queue {
-		var cell Cell
-		if err := json.Unmarshal(q.Cell, &cell); err != nil {
-			return fmt.Errorf("cluster: journal cell %s does not decode: %w", q.Key, err)
-		}
-		if c.settled[q.Key] {
-			continue
-		}
-		if adopt != nil && adopt(cell) {
-			c.settled[q.Key] = true
-			adopted = append(adopted, q.Key)
-			c.met.cellsSettled.Inc()
-			continue
-		}
-		c.queue = append(c.queue, cell)
-		restored++
-	}
-	if len(adopted) > 0 {
-		c.journal("settle", func(j *journal.Journal) error { return j.Settle(adopted) })
-	}
-	c.syncGaugesLocked()
 	c.log.Info("coordinator state restored from journal",
-		"queued", restored, "adopted", len(adopted),
-		"settled", len(st.Settled), "poisoned", len(st.Poisoned))
+		"attempts", len(st.Attempts), "poisoned", len(c.poisoned))
 	return nil
 }
 
@@ -531,13 +487,6 @@ func (c *Coordinator) Claim(worker string, max int) (*Lease, error) {
 		deadline: now.Add(c.opts.LeaseTTL),
 	}
 	c.leases[l.id] = l
-	c.journal("grant", func(j *journal.Journal) error {
-		keys := make([]string, len(cells))
-		for i, cell := range cells {
-			keys[i] = cell.Key()
-		}
-		return j.Grant(l.id, keys)
-	})
 	for _, cell := range cells {
 		c.sink.CellStarted(cell)
 	}
@@ -583,7 +532,6 @@ func (c *Coordinator) Renew(leaseID string) error {
 	if w := c.workers[l.worker]; w != nil {
 		w.lastSeen = now
 	}
-	c.journal("renew", func(j *journal.Journal) error { return j.Renew(leaseID) })
 	c.met.renews.Inc()
 	return nil
 }
@@ -611,9 +559,8 @@ func (c *Coordinator) Release(leaseID string, results []CellResult) error {
 //     cells marked settling;
 //   - write, outside mu: the sink persists every done cell, with one
 //     CellsDone call when it is a BatchSink, else one CellDone each;
-//   - publish, under mu again: the persisted cells settle, a cell whose
-//     write failed takes the retry path, and then the journal's settle
-//     record is appended.
+//   - publish, under mu again: the persisted cells settle, and a cell
+//     whose write failed takes the retry path.
 //
 // While a cell is settling, Submit and Claim treat it as known and a
 // duplicate completion skips it, as if it had settled.
@@ -714,13 +661,12 @@ func (c *Coordinator) persist(s settlement) []error {
 
 // publishLocked is settle's last step. A cell whose write failed (a
 // transient store fault) goes through the retry path rather than being
-// lost. The journal's settle record follows the durable store write: a
-// crash between the two re-runs nothing, because the successor adopts
-// the already-stored results on replay. A coordinator fenced while the
-// write ran publishes nothing (no settle, retry or poison record, no
-// CellFailed), since its successor may already be replaying the
-// journal; the successor adopts the stored cells and reclaims the rest.
-// Caller holds mu.
+// lost. A settled cell needs no journal record: the store write that
+// just returned is the record, and a successor's re-plan finds it there.
+// A coordinator fenced while the write ran publishes nothing (no retry
+// or poison record, no CellFailed), since its successor may already be
+// replaying the journal; the successor's re-plan restores the stored
+// cells and re-queues the rest. Caller holds mu.
 func (c *Coordinator) publishLocked(s settlement, errs []error) error {
 	if c.fenced {
 		for _, cell := range s.cells {
@@ -729,7 +675,6 @@ func (c *Coordinator) publishLocked(s settlement, errs []error) error {
 		return c.fenceCheckLocked("")
 	}
 	now := c.now()
-	var settledKeys []string
 	for i, cell := range s.cells {
 		key := cell.Key()
 		delete(c.settling, key)
@@ -738,14 +683,10 @@ func (c *Coordinator) publishLocked(s settlement, errs []error) error {
 			continue
 		}
 		c.settled[key] = true
-		settledKeys = append(settledKeys, key)
 		c.met.cellsSettled.Inc()
 		if s.worker != nil {
 			s.worker.settledC.Inc()
 		}
-	}
-	if len(settledKeys) > 0 {
-		c.journal("settle", func(j *journal.Journal) error { return j.Settle(settledKeys) })
 	}
 	c.syncGaugesLocked()
 	return nil

@@ -143,11 +143,15 @@ func TestFencedOverHTTP(t *testing.T) {
 }
 
 // TestJournalFailoverRoundTrip is the tentpole in miniature, without
-// HTTP: a journaled coordinator makes scheduling decisions and "dies";
-// a successor replays the journal, adopts cells whose results are
-// already durable, re-queues the rest, and finishes the campaign with
-// byte-identical results. Both settlement write paths: per-cell
-// CellDone and a BatchSink's CellsDone.
+// HTTP: a journaled coordinator settles some cells, retries a failing
+// one, and "dies" with a lease outstanding. A successor restores the
+// journal's attempt counts, is given the cells missing from the first
+// sink (as caem-serve's re-plan submits the cells missing from the
+// store), and finishes the campaign with byte-identical results. The
+// failing cell's attempt count carries into epoch 2, where it is
+// poisoned at MaxAttempts, and the poison carries into epoch 3. Both
+// settlement write paths: per-cell CellDone and a BatchSink's
+// CellsDone.
 func TestJournalFailoverRoundTrip(t *testing.T) {
 	for _, kind := range sinkKinds {
 		t.Run(kind.name, func(t *testing.T) { testJournalFailoverRoundTrip(t, kind.wrap) })
@@ -158,67 +162,91 @@ func testJournalFailoverRoundTrip(t *testing.T, wrap func(*testSink) Sink) {
 	dir := t.TempDir()
 	cells := testCells(t, 6)
 	want := referenceResults(t, cells)
+	failing := cells[5].Key() // every attempt at it fails
+	complete := func(c *Coordinator, lease *Lease) {
+		t.Helper()
+		var rs []CellResult
+		for _, cell := range lease.Cells {
+			r := CellResult{Campaign: cell.Campaign, Index: cell.Index}
+			if cell.Key() == failing {
+				r.Error = "boom"
+			} else {
+				res, err := caem.NewSimPool().RunScenario(cell.Scenario, cell.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Result = &res
+			}
+			rs = append(rs, r)
+		}
+		if err := c.Complete(lease.ID, rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := func(epoch int64, j *journal.Journal) Options {
+		return Options{Epoch: epoch, Journal: j, LeaseTTL: time.Minute, MaxAttempts: 2}
+	}
 
 	j, st := mustOpenJournal(t, dir)
 	if err := j.Begin(1, st); err != nil {
 		t.Fatal(err)
 	}
 	sink1 := newTestSink()
-	c1 := NewCoordinator(wrap(sink1), Options{Epoch: 1, Journal: j, LeaseTTL: time.Minute, MaxAttempts: 2})
+	c1 := NewCoordinator(wrap(sink1), opts(1, j))
 	c1.Submit(cells)
 
-	// One worker computes one batch (3 cells with a single worker) and
-	// completes it; a second batch is claimed but never settled — the
-	// coordinator "dies" with the lease outstanding.
+	// With a single worker the leases are three cells, then two, then the
+	// failing one. The first settles, the second is claimed but never
+	// settled (the coordinator "dies" with it outstanding), and the third
+	// fails once.
 	lease1, err := c1.Claim("w1", 3)
 	if err != nil || lease1 == nil || len(lease1.Cells) != 3 {
 		t.Fatalf("first claim: %+v, %v", lease1, err)
 	}
-	var results []CellResult
-	for _, cell := range lease1.Cells {
-		res := want[cell.Key()]
-		results = append(results, CellResult{Campaign: cell.Campaign, Index: cell.Index, Result: &res})
-	}
-	if err := c1.Complete(lease1.ID, results); err != nil {
-		t.Fatal(err)
-	}
+	complete(c1, lease1)
 	lease2, err := c1.Claim("w1", 2)
-	if err != nil || lease2 == nil {
-		t.Fatalf("second claim: %v", err)
+	if err != nil || lease2 == nil || len(lease2.Cells) != 2 {
+		t.Fatalf("second claim: %+v, %v", lease2, err)
 	}
-	// Crash: no Release, no Complete. The journal is all that survives.
+	lease3, err := c1.Claim("w1", 1)
+	if err != nil || lease3 == nil || lease3.Cells[0].Key() != failing {
+		t.Fatalf("third claim: %+v, %v; want the failing cell", lease3, err)
+	}
+	complete(c1, lease3)
+	// Crash: no Release, no Complete. The journal and sink1 (the store)
+	// are all that survive.
 	c1.Stop()
 	j.Close()
 
-	// The successor replays, adopts what the "store" already has (the
-	// results sink1 persisted), and re-queues the leased-but-unsettled
-	// cells.
 	j2, st2 := mustOpenJournal(t, dir)
 	defer j2.Close()
 	if err := j2.Begin(2, st2); err != nil {
 		t.Fatal(err)
 	}
-	sink2 := newTestSink()
-	c2 := NewCoordinator(wrap(sink2), Options{Epoch: 2, Journal: j2, LeaseTTL: time.Minute})
-	defer c2.Stop()
-	adopt := func(c Cell) bool {
-		sink1.mu.Lock()
-		defer sink1.mu.Unlock()
-		_, ok := sink1.done[c.Key()]
-		return ok
+	if n := st2.Attempts[failing]; n != 1 {
+		t.Fatalf("journal replayed %d attempts for %s, want 1", n, failing)
 	}
-	if err := c2.Restore(st2, adopt); err != nil {
+	sink2 := newTestSink()
+	c2 := NewCoordinator(wrap(sink2), opts(2, j2))
+	defer c2.Stop()
+	if err := c2.Restore(st2, nil); err != nil {
 		t.Fatal(err)
 	}
+	var missing []Cell
+	for _, cell := range cells {
+		if _, ok := sink1.done[cell.Key()]; !ok {
+			missing = append(missing, cell)
+		}
+	}
+	c2.Submit(missing)
 	if st := c2.Status(); st.Epoch != 2 || st.Queue != 3 {
-		t.Fatalf("restored status = epoch %d queue %d, want epoch 2 queue 3", st.Epoch, st.Queue)
+		t.Fatalf("re-planned status = epoch %d queue %d, want epoch 2 queue 3", st.Epoch, st.Queue)
 	}
 	// An epoch-1 lease arriving at the successor is fenced.
 	if err := c2.Renew(lease2.ID); !errors.Is(err, ErrFenced) {
 		t.Fatalf("old lease at successor = %v, want ErrFenced", err)
 	}
-	// Finish the campaign at epoch 2 and check byte-identical results
-	// across the combined sinks.
+	// Finish the campaign at epoch 2.
 	for {
 		lease, err := c2.Claim("w2", 0)
 		if err != nil {
@@ -227,20 +255,42 @@ func testJournalFailoverRoundTrip(t *testing.T, wrap func(*testSink) Sink) {
 		if lease == nil {
 			break
 		}
-		var rs []CellResult
-		pool := caem.NewSimPool()
-		for _, cell := range lease.Cells {
-			res, err := pool.RunScenario(cell.Scenario, cell.Config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs = append(rs, CellResult{Campaign: cell.Campaign, Index: cell.Index, Result: &res})
-		}
-		if err := c2.Complete(lease.ID, rs); err != nil {
-			t.Fatal(err)
-		}
+		complete(c2, lease)
 	}
-	for _, cell := range cells {
+	// The failing cell failed once per epoch: its second attempt, the
+	// first at epoch 2, spent the budget.
+	if st := c2.Status(); len(st.Poisoned) != 1 || st.Poisoned[0].Index != cells[5].Index || st.Poisoned[0].Attempts != 2 {
+		t.Fatalf("poisoned = %+v, want %s poisoned at attempt 2", st.Poisoned, failing)
+	}
+	if _, ok := sink2.failed[failing]; !ok {
+		t.Fatalf("%s was not reported failed at epoch 2", failing)
+	}
+	// Epoch 3 restores the poison: resubmitting the cell, as the re-plan
+	// does while its result is missing from the store, reports it failed
+	// instead of queueing it.
+	c2.Stop()
+	j2.Close()
+	j3, st3 := mustOpenJournal(t, dir)
+	defer j3.Close()
+	if err := j3.Begin(3, st3); err != nil {
+		t.Fatal(err)
+	}
+	sink3 := newTestSink()
+	c3 := NewCoordinator(wrap(sink3), opts(3, j3))
+	defer c3.Stop()
+	if err := c3.Restore(st3, nil); err != nil {
+		t.Fatal(err)
+	}
+	c3.Submit(cells[5:])
+	if st := c3.Status(); st.Queue != 0 || len(st.Poisoned) != 1 {
+		t.Fatalf("epoch 3 status = queue %d, poisoned %+v; want the poison restored, nothing queued", st.Queue, st.Poisoned)
+	}
+	if _, ok := sink3.failed[failing]; !ok {
+		t.Fatalf("%s was not reported failed at epoch 3", failing)
+	}
+	// Every other cell settled once, with byte-identical results across
+	// the failover.
+	for _, cell := range cells[:5] {
 		key := cell.Key()
 		got, ok := sink1.done[key]
 		if !ok {
@@ -255,10 +305,9 @@ func testJournalFailoverRoundTrip(t *testing.T, wrap func(*testSink) Sink) {
 	}
 }
 
-// TestSubmitReconciliation: re-submitting over journal-restored state
-// never double-queues; a journal-settled cell whose result the store
-// lost is un-settled and re-run; a journal-poisoned cell is re-reported
-// to the sink instead of queued.
+// TestSubmitReconciliation: re-submitting never double-queues, a
+// poisoned cell is re-reported to the sink instead of queued, and a
+// settled cell is not queued again.
 func TestSubmitReconciliation(t *testing.T) {
 	cells := testCells(t, 3)
 	sink := &countingSink{testSink: newTestSink()}
@@ -301,11 +350,11 @@ func TestSubmitReconciliation(t *testing.T) {
 		t.Fatalf("queue = %d, want 1 (poisoned cell must not re-queue)", st.Queue)
 	}
 
-	// The settled cell resubmitted means the store lost it: un-settle
-	// and re-queue.
+	// The settled cell's result is in the store; resubmitting it queues
+	// nothing.
 	c.Submit(cells[1:2])
-	if st := c.Status(); st.Queue != 2 {
-		t.Fatalf("queue = %d, want 2 (settled-but-lost cell re-queued)", st.Queue)
+	if st := c.Status(); st.Queue != 1 {
+		t.Fatalf("queue = %d, want 1 (settled cell must not re-queue)", st.Queue)
 	}
 }
 

@@ -1,9 +1,18 @@
-// Package journal is the coordinator's write-ahead log: an append-only
-// JSONL record of every scheduling decision — campaign submissions,
-// lease grants and renewals, settlements, retry counts, and poisons —
-// durable enough that a restarted or successor coordinator rebuilds its
-// exact queue/lease/backoff state instead of re-planning from store
-// contents alone.
+// Package journal is the coordinator's write-ahead log of what the
+// results store cannot know: how often each cell has failed, and which
+// cells are poisoned. Everything else a successor coordinator needs is
+// durable elsewhere. A settled cell is its record in the results store,
+// and a submitted campaign is its spec in the store's campaigns area. So
+// a start or takeover restores attempts and poisons from the journal,
+// then re-plans every stored spec against the store.
+//
+// There are three record types: snap opens each epoch file with the
+// replayed state, retry carries a failing cell's absolute attempt
+// count, and poison a terminally failed cell's opaque report. Each is
+// fsynced before the operation that caused it is acknowledged. Losing a
+// retry would reset a poison budget, and losing a poison would resurrect
+// a cell that fails deterministically. A fault-free campaign appends
+// nothing after its epoch's snapshot.
 //
 // The on-disk idioms mirror the results store: records are appended
 // with WriteAt at a validated offset and fsynced, and Open truncates a
@@ -15,15 +24,13 @@
 // the accumulated state, so recovery converges no matter where a crash
 // interleaved with the hand-off.
 //
-// Durability is graded by what a lost record costs. Submissions,
-// settlements, retry counts, and poisons are fsynced — losing one
-// would re-run settled work, reset a poison budget, or resurrect a
-// poisoned cell. Grants and renewals are appended without fsync: a
-// lost grant merely re-queues cells the next leader would have
-// reclaimed from the dead epoch anyway, and determinism makes the
-// duplicate execution harmless.
+// Epoch files written when the journal also recorded submissions,
+// grants, renewals and settlements still replay. Their submit, grant,
+// renew and settle records, and the queue and settled fields of their
+// snapshots, are skipped, and the next Begin writes a snapshot without
+// them.
 //
-// The journal stores cell payloads as opaque JSON keyed by the cell's
+// The journal stores poison reports as opaque JSON keyed by the cell's
 // queue key; it knows nothing of the cluster package's types, so the
 // cluster coordinator can depend on it without a cycle.
 package journal
@@ -32,6 +39,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,78 +51,30 @@ import (
 	"repro/internal/obs"
 )
 
-// SubmitCell is one queued cell: its queue key plus the opaque payload
-// the coordinator needs to reconstruct it on replay.
-type SubmitCell struct {
-	Key  string          `json:"k"`
-	Cell json.RawMessage `json:"c"`
-}
-
-// State is the replayed journal: everything a successor coordinator
-// needs to resume scheduling exactly where the last leader stopped.
-// Queue holds every unsettled cell in recovery order — ready cells
-// first, then cells reclaimed from the dead epoch's outstanding leases
-// in grant order. Attempts carries absolute per-key failure counts
-// (so a replayed retry cannot double-count), Settled the terminally
-// settled keys, and Poisoned the opaque poison reports.
+// State is the replayed journal: the failure history a successor
+// coordinator restores before it re-plans the stored campaigns.
+// Attempts carries absolute per-key failure counts (so a replayed retry
+// cannot double-count), and Poisoned the opaque poison reports.
 type State struct {
 	Epoch    int64
-	Queue    []SubmitCell
-	Settled  map[string]bool
 	Attempts map[string]int
 	Poisoned map[string]json.RawMessage
-
-	// leased tracks granted-but-unsettled payloads during replay so a
-	// dead epoch's outstanding leases can be reclaimed onto the queue.
-	// Always empty in a returned State.
-	leased map[string]json.RawMessage
-}
-
-// hasKey reports whether the key is queued or leased.
-func (st *State) hasKey(key string) bool {
-	if _, ok := st.leased[key]; ok {
-		return true
-	}
-	for _, q := range st.Queue {
-		if q.Key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// takeQueued removes the key from the queue, returning its payload.
-func (st *State) takeQueued(key string) (json.RawMessage, bool) {
-	for i, q := range st.Queue {
-		if q.Key == key {
-			st.Queue = append(st.Queue[:i], st.Queue[i+1:]...)
-			return q.Cell, true
-		}
-	}
-	return nil, false
 }
 
 // record is one JSONL line. T selects the variant; unused fields are
-// omitted.
+// omitted. Replay skips any other type and any other field.
 type record struct {
-	T string `json:"t"` // snap | submit | grant | renew | settle | retry | poison
+	T string `json:"t"` // snap | retry | poison
 
 	// snap
 	Epoch    int64                      `json:"epoch,omitempty"`
-	Queue    []SubmitCell               `json:"queue,omitempty"`
-	Settled  []string                   `json:"settled,omitempty"`
 	Attempts map[string]int             `json:"attempts,omitempty"`
 	Poisoned map[string]json.RawMessage `json:"poisoned,omitempty"`
 
-	// submit
-	Cells []SubmitCell `json:"cells,omitempty"`
-
-	// grant / renew / settle / retry / poison
-	Lease string          `json:"lease,omitempty"`
-	Keys  []string        `json:"keys,omitempty"`
-	Key   string          `json:"k,omitempty"`
-	N     int             `json:"n,omitempty"`
-	Cell  json.RawMessage `json:"c,omitempty"`
+	// retry / poison
+	Key    string          `json:"k,omitempty"`
+	N      int             `json:"n,omitempty"`
+	Report json.RawMessage `json:"c,omitempty"`
 }
 
 // Metric families owned by this package.
@@ -141,7 +101,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		bytes: reg.Counter(metricBytes,
 			"Bytes appended to the coordinator journal."),
 		fsync: reg.Histogram(metricFsync,
-			"Journal fsync latency in seconds (durable records only).",
+			"Journal fsync latency in seconds.",
 			obs.LatencyBuckets),
 		replayed: reg.Gauge(metricReplayed,
 			"Journal records replayed by the last Open."),
@@ -165,7 +125,6 @@ type Journal struct {
 	mu        sync.Mutex
 	f         *os.File // current epoch file, nil until Begin
 	size      int64    // validated length of the current file
-	epoch     int64
 	replayed  int
 	recovered int64
 	met       *metrics
@@ -197,10 +156,8 @@ func Open(dir string) (*Journal, State, error) {
 
 func emptyState() State {
 	return State{
-		Settled:  make(map[string]bool),
 		Attempts: make(map[string]int),
 		Poisoned: make(map[string]json.RawMessage),
-		leased:   make(map[string]json.RawMessage),
 	}
 }
 
@@ -245,23 +202,17 @@ func (j *Journal) replayFile(path string, st *State, truncate bool) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	// inflight mirrors the epoch's outstanding leases: grant moves keys
-	// out of the queue, settle/retry/poison remove them, and whatever is
-	// left at EOF belonged to a leader that died — those cells re-queue.
-	inflight := make(map[string][]string) // lease id → keys, insertion-ordered
-	var grantOrder []string
 	valid := int64(0)
 	for len(blob) > 0 {
 		nl := bytes.IndexByte(blob, '\n')
 		if nl < 0 {
 			break // torn tail: no newline
 		}
-		line := blob[:nl]
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := json.Unmarshal(blob[:nl], &rec); err != nil {
 			break // torn tail: undecodable line
 		}
-		j.applyRecord(st, rec, inflight, &grantOrder)
+		st.apply(rec)
 		j.replayed++
 		valid += int64(nl + 1)
 		blob = blob[nl+1:]
@@ -274,90 +225,28 @@ func (j *Journal) replayFile(path string, st *State, truncate bool) error {
 			}
 		}
 	}
-	// Reclaim cells this file's dead epoch still had leased, in grant
-	// order: keys settled, retried, or poisoned after their grant have
-	// already left the leased set and are skipped naturally.
-	for _, id := range grantOrder {
-		for _, key := range inflight[id] {
-			if cell, ok := st.leased[key]; ok {
-				delete(st.leased, key)
-				st.Queue = append(st.Queue, SubmitCell{Key: key, Cell: cell})
-			}
-		}
-	}
 	return nil
 }
 
-func (j *Journal) applyRecord(st *State, rec record, inflight map[string][]string, grantOrder *[]string) {
+// apply folds one record into st.
+func (st *State) apply(rec record) {
 	switch rec.T {
 	case "snap":
 		// A snapshot replaces everything accumulated so far — it is the
 		// new epoch's authoritative view of its predecessors.
 		*st = emptyState()
 		st.Epoch = rec.Epoch
-		st.Queue = append(st.Queue, rec.Queue...)
-		for _, k := range rec.Settled {
-			st.Settled[k] = true
-		}
-		for k, n := range rec.Attempts {
-			st.Attempts[k] = n
-		}
-		for k, rep := range rec.Poisoned {
-			st.Poisoned[k] = rep
-			st.Settled[k] = true
-		}
-		for id := range inflight {
-			delete(inflight, id)
-		}
-		*grantOrder = (*grantOrder)[:0]
-	case "submit":
-		for _, c := range rec.Cells {
-			if st.Settled[c.Key] || st.hasKey(c.Key) {
-				continue // replayed duplicate
-			}
-			st.Queue = append(st.Queue, c)
-		}
-	case "grant":
-		if _, seen := inflight[rec.Lease]; !seen {
-			*grantOrder = append(*grantOrder, rec.Lease)
-		}
-		for _, key := range rec.Keys {
-			if cell, ok := st.takeQueued(key); ok {
-				st.leased[key] = cell
-				inflight[rec.Lease] = append(inflight[rec.Lease], key)
-			}
-		}
-	case "renew":
-		// Renewals carry no state; they exist so the journal is a
-		// complete lease-lifecycle record for post-mortems.
-	case "settle":
-		for _, key := range rec.Keys {
-			st.Settled[key] = true
-			st.takeQueued(key)
-			delete(st.leased, key)
-		}
-	case "retry":
+		maps.Copy(st.Attempts, rec.Attempts)
+		maps.Copy(st.Poisoned, rec.Poisoned)
+	case "retry", "poison":
 		// Absolute count: replaying the same record twice cannot
 		// double-charge the poison budget.
 		if rec.N > st.Attempts[rec.Key] {
 			st.Attempts[rec.Key] = rec.N
 		}
-		// The cell leaves its lease and waits out a backoff; on recovery
-		// it is simply ready again.
-		if cell, ok := st.leased[rec.Key]; ok {
-			delete(st.leased, rec.Key)
-			if !st.Settled[rec.Key] {
-				st.Queue = append(st.Queue, SubmitCell{Key: rec.Key, Cell: cell})
-			}
+		if rec.T == "poison" {
+			st.Poisoned[rec.Key] = rec.Report
 		}
-	case "poison":
-		if rec.N > st.Attempts[rec.Key] {
-			st.Attempts[rec.Key] = rec.N
-		}
-		st.Settled[rec.Key] = true
-		st.Poisoned[rec.Key] = rec.Cell
-		st.takeQueued(rec.Key)
-		delete(st.leased, rec.Key)
 	}
 }
 
@@ -373,22 +262,13 @@ func (j *Journal) Begin(epoch int64, snap State) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	rec := record{
-		T:        "snap",
-		Epoch:    epoch,
-		Queue:    snap.Queue,
-		Attempts: snap.Attempts,
-		Poisoned: snap.Poisoned,
-	}
-	for k := range snap.Settled {
-		rec.Settled = append(rec.Settled, k)
-	}
-	sort.Strings(rec.Settled)
 	if j.f != nil {
 		j.f.Close()
 	}
-	j.f, j.size, j.epoch = f, 0, epoch
-	if err := j.appendLocked(rec, true); err != nil {
+	j.f, j.size = f, 0
+	if err := j.appendLocked(record{
+		T: "snap", Epoch: epoch, Attempts: snap.Attempts, Poisoned: snap.Poisoned,
+	}); err != nil {
 		return err
 	}
 	// Make the new epoch file's directory entry durable BEFORE unlinking
@@ -427,9 +307,9 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// appendLocked writes one record line at the validated offset,
-// fsyncing when durable. Caller holds mu.
-func (j *Journal) appendLocked(rec record, durable bool) error {
+// appendLocked writes one record line at the validated offset and
+// fsyncs it. Caller holds mu.
+func (j *Journal) appendLocked(rec record) error {
 	if j.f == nil {
 		return fmt.Errorf("journal: append before Begin")
 	}
@@ -441,69 +321,33 @@ func (j *Journal) appendLocked(rec record, durable bool) error {
 	if _, err := j.f.WriteAt(line, j.size); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if durable {
-		start := time.Now()
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-		if j.met != nil {
-			j.met.fsync.Observe(time.Since(start).Seconds())
-		}
+	start := time.Now()
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("journal: sync: %w", err)
 	}
 	j.size += int64(len(line))
 	if j.met != nil {
+		j.met.fsync.Observe(time.Since(start).Seconds())
 		j.met.appends.Inc()
 		j.met.bytes.Add(float64(len(line)))
 	}
 	return nil
 }
 
-func (j *Journal) append(rec record, durable bool) error {
+func (j *Journal) append(rec record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(rec, durable)
-}
-
-// Submit records newly queued cells. Durable: losing a submission
-// would lose the cells until the campaign is re-planned.
-func (j *Journal) Submit(cells []SubmitCell) error {
-	return j.append(record{T: "submit", Cells: cells}, true)
-}
-
-// Grant records a lease hand-out. Not fsynced: a lost grant only
-// re-queues cells a successor would reclaim from the dead epoch anyway.
-func (j *Journal) Grant(leaseID string, keys []string) error {
-	return j.append(record{T: "grant", Lease: leaseID, Keys: keys}, false)
-}
-
-// Renew records a heartbeat. Not fsynced; informational only.
-func (j *Journal) Renew(leaseID string) error {
-	return j.append(record{T: "renew", Lease: leaseID}, false)
-}
-
-// Settle records terminal settlement of the given keys. Durable:
-// losing a settlement would re-run settled work after failover.
-func (j *Journal) Settle(keys []string) error {
-	return j.append(record{T: "settle", Keys: keys}, true)
+	return j.appendLocked(rec)
 }
 
 // Retry records a cell failure with its absolute attempt count.
-// Durable: losing it would reset the poison budget across failover.
 func (j *Journal) Retry(key string, attempts int) error {
-	return j.append(record{T: "retry", Key: key, N: attempts}, true)
+	return j.append(record{T: "retry", Key: key, N: attempts})
 }
 
 // Poison records a terminally failed cell with its opaque report.
-// Durable: a resurrected poisoned cell would livelock the successor.
 func (j *Journal) Poison(key string, attempts int, report json.RawMessage) error {
-	return j.append(record{T: "poison", Key: key, N: attempts, Cell: report}, true)
-}
-
-// Epoch returns the epoch Begin started, 0 before Begin.
-func (j *Journal) Epoch() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.epoch
+	return j.append(record{T: "poison", Key: key, N: attempts, Report: report})
 }
 
 // ReplayedRecords reports how many records the Open replay folded.

@@ -2,17 +2,15 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-func cellPayload(key string) SubmitCell {
-	return SubmitCell{Key: key, Cell: json.RawMessage(`{"key":"` + key + `"}`)}
-}
 
 func openT(t *testing.T, dir string) (*Journal, State) {
 	t.Helper()
@@ -23,88 +21,50 @@ func openT(t *testing.T, dir string) (*Journal, State) {
 	return j, st
 }
 
-func queueKeys(st State) []string {
-	keys := make([]string, 0, len(st.Queue))
-	for _, q := range st.Queue {
-		keys = append(keys, q.Key)
+func mustDo(t *testing.T, errs ...error) {
+	t.Helper()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	return keys
 }
 
-// TestJournalRoundTrip writes one epoch's full record vocabulary and
-// replays it: submissions minus settlements are queued, a dead grant's
-// cells are reclaimed, attempts and poisons survive.
+// TestJournalRoundTrip writes one epoch's record vocabulary and replays
+// it: attempt counts and poison reports survive, byte for byte.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, st := openT(t, dir)
-	if len(st.Queue) != 0 || len(st.Settled) != 0 {
+	if len(st.Attempts) != 0 || len(st.Poisoned) != 0 {
 		t.Fatalf("fresh journal is not empty: %+v", st)
 	}
-	if err := j.Begin(1, st); err != nil {
-		t.Fatal(err)
-	}
-	cells := []SubmitCell{cellPayload("c/0"), cellPayload("c/1"), cellPayload("c/2"), cellPayload("c/3")}
-	if err := j.Submit(cells); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Grant("lease-1-1", []string{"c/0", "c/1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Renew("lease-1-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Settle([]string{"c/0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Retry("c/2", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Poison("c/3", 4, json.RawMessage(`{"error":"boom"}`)); err != nil {
-		t.Fatal(err)
-	}
+	mustDo(t,
+		j.Begin(1, st),
+		j.Retry("c/2", 1),
+		j.Retry("c/2", 2),
+		j.Poison("c/3", 4, json.RawMessage(`{"error":"boom"}`)),
+	)
 	j.Close()
 
 	_, got := openT(t, dir)
 	if got.Epoch != 1 {
 		t.Fatalf("Epoch = %d, want 1", got.Epoch)
 	}
-	// c/1 was leased by the dead epoch and reclaims after the still-ready
-	// c/2; c/0 settled, c/3 poisoned.
-	if want := []string{"c/2", "c/1"}; !reflect.DeepEqual(queueKeys(got), want) {
-		t.Fatalf("queue = %v, want %v", queueKeys(got), want)
+	if want := map[string]int{"c/2": 2, "c/3": 4}; !reflect.DeepEqual(got.Attempts, want) {
+		t.Fatalf("attempts = %v, want %v", got.Attempts, want)
 	}
-	if !got.Settled["c/0"] || !got.Settled["c/3"] {
-		t.Fatalf("settled = %v, want c/0 and c/3", got.Settled)
-	}
-	if got.Attempts["c/2"] != 1 || got.Attempts["c/3"] != 4 {
-		t.Fatalf("attempts = %v", got.Attempts)
-	}
-	if string(got.Poisoned["c/3"]) != `{"error":"boom"}` {
-		t.Fatalf("poison report = %s", got.Poisoned["c/3"])
-	}
-	// Payloads round-trip exactly.
-	for _, q := range got.Queue {
-		if string(q.Cell) != `{"key":"`+q.Key+`"}` {
-			t.Fatalf("payload for %s corrupted: %s", q.Key, q.Cell)
-		}
+	if len(got.Poisoned) != 1 || string(got.Poisoned["c/3"]) != `{"error":"boom"}` {
+		t.Fatalf("poisoned = %v, want c/3's report only", got.Poisoned)
 	}
 }
 
-// TestJournalTornTailMidGrant cuts the file mid-way through a grant
-// record: Open must truncate back to the last whole record and replay
-// as if the grant never happened.
+// TestJournalTornTailMidGrant cuts the file mid-way through its last
+// record, a retry: Open must truncate back to the last whole record and
+// replay as if the retry never happened.
 func TestJournalTornTailMidGrant(t *testing.T) {
 	dir := t.TempDir()
 	j, st := openT(t, dir)
-	if err := j.Begin(1, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Submit([]SubmitCell{cellPayload("c/0"), cellPayload("c/1")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Grant("lease-1-1", []string{"c/0"}); err != nil {
-		t.Fatal(err)
-	}
+	mustDo(t, j.Begin(1, st), j.Retry("c/0", 1), j.Retry("c/1", 2))
 	j.Close()
 
 	path := filepath.Join(dir, "epoch-1.jsonl")
@@ -112,15 +72,14 @@ func TestJournalTornTailMidGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail mid-record: drop the grant's trailing bytes.
-	torn := blob[:len(blob)-9]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	// Tear the tail mid-record: drop the last retry's trailing bytes.
+	if err := os.WriteFile(path, blob[:len(blob)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	j2, got := openT(t, dir)
-	if want := []string{"c/0", "c/1"}; !reflect.DeepEqual(queueKeys(got), want) {
-		t.Fatalf("queue after torn grant = %v, want %v", queueKeys(got), want)
+	if want := map[string]int{"c/0": 1}; !reflect.DeepEqual(got.Attempts, want) {
+		t.Fatalf("attempts after torn retry = %v, want %v", got.Attempts, want)
 	}
 	if j2.RecoveredBytes() == 0 {
 		t.Fatal("torn tail recovered no bytes")
@@ -130,60 +89,103 @@ func TestJournalTornTailMidGrant(t *testing.T) {
 	if j3.RecoveredBytes() != 0 {
 		t.Fatalf("second open still recovering %d bytes — tail was not truncated", j3.RecoveredBytes())
 	}
-	// And the truncated file accepts appends cleanly.
-	if err := j3.Begin(2, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := j3.Submit([]SubmitCell{cellPayload("c/9")}); err != nil {
-		t.Fatal(err)
-	}
+	// And the journal carries on cleanly from the truncated state.
+	mustDo(t, j3.Begin(2, got), j3.Retry("c/9", 1))
 	j3.Close()
 	_, again := openT(t, dir)
-	if want := []string{"c/0", "c/1", "c/9"}; !reflect.DeepEqual(queueKeys(again), want) {
-		t.Fatalf("queue after truncate+append = %v, want %v", queueKeys(again), want)
+	if want := map[string]int{"c/0": 1, "c/9": 1}; !reflect.DeepEqual(again.Attempts, want) {
+		t.Fatalf("attempts after truncate+append = %v, want %v", again.Attempts, want)
+	}
+}
+
+// legacyFile is an epoch file in the format written when the journal
+// also recorded the queue: a snap with queue and settled fields, and
+// every retired record type (submit, grant, renew, settle) beside retry
+// and poison.
+const legacyFile = "testdata/legacy-epoch-1.jsonl"
+
+// legacyState is what legacyFile replays to: its attempts and poisons,
+// and nothing of its queue, grants or settlements.
+func legacyState() State {
+	const report = `{"campaign":%q,"index":%d,"scenario":"node-churn","protocol":"Scheme1","seed":1,"attempts":4,"error":"boom"}`
+	return State{
+		Epoch:    1,
+		Attempts: map[string]int{"old/1": 4, "camp/1": 1, "camp/2": 2, "camp/3": 4},
+		Poisoned: map[string]json.RawMessage{
+			"old/1":  json.RawMessage(fmt.Sprintf(report, "old", 1)),
+			"camp/3": json.RawMessage(fmt.Sprintf(report, "camp", 3)),
+		},
 	}
 }
 
 // TestJournalReplayIdempotent: replay ≡ replay∘replay. Folding a
 // journal, snapshotting the result into a new epoch, and folding again
-// yields the same state — and two plain Opens agree byte for byte.
+// yields the same state — and two plain Opens agree. One input is
+// written by this package; the other is legacyFile, which must replay
+// to exactly its attempts and poisons and leave no queue or settled
+// field in the snapshot Begin rewrites.
 func TestJournalReplayIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	j, st := openT(t, dir)
-	if err := j.Begin(1, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Submit([]SubmitCell{cellPayload("c/0"), cellPayload("c/1"), cellPayload("c/2")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Grant("lease-1-1", []string{"c/0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Settle([]string{"c/1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Retry("c/2", 2); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	for _, tc := range []struct {
+		name   string
+		write  func(t *testing.T, dir string)
+		legacy bool
+	}{
+		{"written", func(t *testing.T, dir string) {
+			j, st := openT(t, dir)
+			mustDo(t,
+				j.Begin(1, st),
+				j.Retry("c/1", 1),
+				j.Retry("c/2", 2),
+				j.Poison("c/3", 4, json.RawMessage(`{"error":"boom"}`)),
+			)
+			j.Close()
+		}, false},
+		{"legacy", func(t *testing.T, dir string) {
+			blob, err := os.ReadFile(legacyFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "epoch-1.jsonl"), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir)
 
-	_, first := openT(t, dir)
-	_, second := openT(t, dir)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("two replays disagree:\n%+v\n%+v", first, second)
-	}
+			j1, first := openT(t, dir)
+			_, second := openT(t, dir)
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("two replays disagree:\n%+v\n%+v", first, second)
+			}
+			if j1.RecoveredBytes() != 0 {
+				t.Fatalf("replay dropped %d bytes of a whole file", j1.RecoveredBytes())
+			}
+			if want := legacyState(); tc.legacy && !reflect.DeepEqual(first, want) {
+				t.Fatalf("replayed state:\n%+v\nwant\n%+v", first, want)
+			}
 
-	// Snapshot the replayed state into epoch 2 and replay once more: the
-	// fold is a fixed point.
-	j2, _ := openT(t, dir)
-	if err := j2.Begin(2, first); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	_, third := openT(t, dir)
-	third.Epoch = first.Epoch // the epoch advances by design; all else is fixed
-	if !reflect.DeepEqual(first, third) {
-		t.Fatalf("replay∘replay diverged:\n%+v\n%+v", first, third)
+			// Snapshot the replayed state into epoch 2 and replay once more:
+			// the fold is a fixed point.
+			j2, _ := openT(t, dir)
+			mustDo(t, j2.Begin(2, first))
+			j2.Close()
+			snap, err := os.ReadFile(filepath.Join(dir, "epoch-2.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, field := range []string{`"queue"`, `"settled"`} {
+				if strings.Contains(string(snap), field) {
+					t.Fatalf("Begin wrote a %s field: %s", field, snap)
+				}
+			}
+			_, third := openT(t, dir)
+			third.Epoch = first.Epoch // the epoch advances by design; all else is fixed
+			if !reflect.DeepEqual(first, third) {
+				t.Fatalf("replay∘replay diverged:\n%+v\n%+v", first, third)
+			}
+		})
 	}
 }
 
@@ -193,18 +195,11 @@ func TestJournalReplayIdempotent(t *testing.T) {
 func TestJournalBeginPrunesOldEpochs(t *testing.T) {
 	dir := t.TempDir()
 	j, st := openT(t, dir)
-	if err := j.Begin(1, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Submit([]SubmitCell{cellPayload("c/0")}); err != nil {
-		t.Fatal(err)
-	}
+	mustDo(t, j.Begin(1, st), j.Retry("c/0", 1))
 	j.Close()
 
 	j2, st2 := openT(t, dir)
-	if err := j2.Begin(2, st2); err != nil {
-		t.Fatal(err)
-	}
+	mustDo(t, j2.Begin(2, st2))
 	j2.Close()
 	if _, err := os.Stat(filepath.Join(dir, "epoch-1.jsonl")); !os.IsNotExist(err) {
 		t.Fatalf("epoch-1 file survived Begin(2): %v", err)
@@ -213,15 +208,15 @@ func TestJournalBeginPrunesOldEpochs(t *testing.T) {
 	// Crash window: resurrect the old epoch file alongside the new one.
 	// Replay folds in epoch order and the newer snapshot wins.
 	if err := os.WriteFile(filepath.Join(dir, "epoch-1.jsonl"),
-		[]byte(`{"t":"snap","epoch":1,"queue":[{"k":"stale/0","c":{}}]}`+"\n"), 0o644); err != nil {
+		[]byte(`{"t":"snap","epoch":1,"attempts":{"stale/0":3},"poisoned":{"stale/0":{}}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, got := openT(t, dir)
 	if got.Epoch != 2 {
 		t.Fatalf("Epoch = %d, want 2", got.Epoch)
 	}
-	if want := []string{"c/0"}; !reflect.DeepEqual(queueKeys(got), want) {
-		t.Fatalf("queue = %v, want %v (stale epoch-1 content leaked)", queueKeys(got), want)
+	if want := map[string]int{"c/0": 1}; !reflect.DeepEqual(got.Attempts, want) || len(got.Poisoned) != 0 {
+		t.Fatalf("state = %+v, want attempts %v and no poisons (stale epoch-1 content leaked)", got, want)
 	}
 }
 
@@ -232,14 +227,12 @@ func TestJournalMetrics(t *testing.T) {
 	dir := t.TempDir()
 	j, st := openT(t, dir)
 	j.Observe(reg)
-	if err := j.Begin(1, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Submit([]SubmitCell{cellPayload("c/0")}); err != nil {
-		t.Fatal(err)
-	}
+	mustDo(t, j.Begin(1, st), j.Retry("c/0", 1))
 	j.Close()
 	if errs := reg.Lint("caem_"); len(errs) != 0 {
 		t.Fatalf("journal metrics fail the naming lint: %v", errs)
+	}
+	if n := j.met.appends.Value(); n != 2 {
+		t.Fatalf("appends = %v, want 2 (the snapshot and the retry)", n)
 	}
 }

@@ -903,21 +903,38 @@ func (s *Store) campaignPath(id string) (string, error) {
 	return filepath.Join(s.dir, campaignsDir, url.PathEscape(id)+".json"), nil
 }
 
-// PutCampaign persists an opaque campaign spec blob under id
-// (atomically), creating or replacing it.
+// PutCampaign persists an opaque campaign spec blob under id, creating
+// or replacing it, durably and atomically: the blob is written to a
+// temp file of its own, fsynced, renamed into place, and the directory
+// is fsynced, the way a segment is published. Concurrent puts of one id
+// never share a temp file, and a crash leaves the old blob or the new.
 func (s *Store) PutCampaign(id string, blob []byte) error {
 	path, err := s.campaignPath(id)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	defer os.Remove(f.Name()) // no-op after a successful rename
+	_, err = f.Write(blob)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }
 
 // GetCampaign returns the campaign spec blob stored under id.

@@ -252,7 +252,9 @@ func TestStaleIndexTailScan(t *testing.T) {
 	}
 }
 
-// TestCampaignBlobs: campaign specs round-trip and enumerate.
+// TestCampaignBlobs: campaign specs round-trip, enumerate, and are
+// replaced whole; concurrent puts of one id all succeed and leave no
+// temp file behind.
 func TestCampaignBlobs(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -279,6 +281,26 @@ func TestCampaignBlobs(t *testing.T) {
 	}
 	if _, err := s.GetCampaign("absent"); err == nil {
 		t.Fatal("GetCampaign of absent id succeeded")
+	}
+
+	errs := make(chan error, 8)
+	for range cap(errs) {
+		go func() { errs <- s.PutCampaign("camp-a", []byte(`{"a":2}`)) }()
+	}
+	for range cap(errs) {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent PutCampaign: %v", err)
+		}
+	}
+	if blob, err := s.GetCampaign("camp-a"); err != nil || string(blob) != `{"a":2}` {
+		t.Fatalf("GetCampaign after replace = %q, %v", blob, err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, campaignsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("campaigns dir holds %d files, want the 2 specs and no temp file", len(entries))
 	}
 }
 
