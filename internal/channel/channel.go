@@ -134,13 +134,14 @@ func (p Params) CoherenceTime() sim.Time {
 // identified by the unordered node pair, so reciprocity holds trivially:
 // both directions query the same Link.
 //
-// A Link owns its RNG stream by value and every realization table it
-// needs, so it is fully reusable: Reseed rewinds it in place to the
-// state NewLink would build, recomputing the oscillator tables into the
-// existing backing array. The dense link matrices of pooled simulation
-// contexts rely on this to re-materialize channels without allocating.
+// A Link owns its RNG stream by value and its oscillator records, so it
+// is fully reusable: Reseed rewinds it in place to the state NewLink
+// would build, recomputing the records into the existing array. It keeps
+// no copy of its Params — everything a query reads is derived at Reseed —
+// so the value is 296 bytes plus 72 per oscillator. The link matrices of
+// pooled simulation contexts rely on this to re-materialize channels
+// without allocating.
 type Link struct {
-	params     Params
 	pathLossDB float64
 	stream     rng.Stream
 
@@ -160,13 +161,12 @@ func NewLink(p Params, distance float64, stream *rng.Stream) *Link {
 }
 
 // Reseed re-initializes the link in place for a (possibly new) parameter
-// set, distance, and stream state, reusing the oscillator backing array.
-// A reseeded link is bit-identical in behaviour to NewLink(p, distance,
-// stream): the fading tables are recomputed eagerly from the stream in
-// the same draw order, and shadowing innovations continue to draw lazily
-// from the link's own stream copy.
+// set, distance, and stream state, reusing the oscillator array. A
+// reseeded link is bit-identical in behaviour to NewLink(p, distance,
+// stream): the oscillator records are recomputed eagerly from the stream
+// in the same draw order, and shadowing innovations continue to draw
+// lazily from the link's own stream copy.
 func (l *Link) Reseed(p Params, distance float64, stream *rng.Stream) {
-	l.params = p
 	l.pathLossDB = p.PathLossSNRdB(distance)
 	l.stream = *stream
 	if p.DopplerHz > 0 {
@@ -230,19 +230,11 @@ type rayleigh struct {
 	doppler float64
 	norm    float64
 
-	// backing is the single allocation every per-oscillator table is
-	// carved from (9 contiguous segments of m), so reseeding a link for
-	// a new run — or a new pair in a reused matrix slot — recomputes the
-	// tables without touching the allocator once capacity exists.
-	backing []float64
-
-	// Per-oscillator angular Doppler ω_m = 2π f_d cosθ_m (kept for the
-	// exact checkpoint recomputation), the per-block rotation e^{jωΔ},
-	// and the cos/sin of the I/Q phase offsets.
-	omega        []float64
-	rotRe, rotIm []float64
-	cosI, sinI   []float64
-	cosQ, sinQ   []float64
+	// osc holds one record per oscillator, so a seek reads and writes each
+	// oscillator's state in one place; reseeding a link for a new run — or
+	// a new pair in a reused matrix slot — rewrites the records without
+	// touching the allocator once capacity exists.
+	osc []oscillator
 
 	// Rician LOS component: amplitude sqrt(K/(K+1)), angular Doppler of
 	// the direct path, its phase, and the same phasor machinery.
@@ -263,8 +255,19 @@ type rayleigh struct {
 	curStart, curEnd sim.Time
 	curGain          float64
 	curGainDB        float64
-	phRe, phIm       []float64
 	losRe, losIm     float64
+}
+
+// oscillator is one sinusoid of Clarke's model: its phasor e^{jωt} at the
+// current block, the per-block rotation e^{jωΔ}, the cos/sin of its I and
+// Q phase offsets, and its angular Doppler ω = 2π f_d cosθ (kept for the
+// exact checkpoint recomputation).
+type oscillator struct {
+	re, im       float64
+	rotRe, rotIm float64
+	cosI, sinI   float64
+	cosQ, sinQ   float64
+	omega        float64
 }
 
 // checkpointEvery is the number of coherence blocks between exact
@@ -273,9 +276,9 @@ const checkpointEvery = 64
 
 // reseed (re)builds the generator in place; blockTicks is the coherence
 // time the gain is quantized to (Params.CoherenceTime(), so the cache
-// grid always matches the coherence estimate reported elsewhere). All
-// nine per-oscillator tables are carved from one backing allocation that
-// reseeding reuses whenever the oscillator count fits.
+// grid always matches the coherence estimate reported elsewhere). The
+// oscillator records are rewritten into the existing array whenever the
+// oscillator count fits.
 func (r *rayleigh) reseed(doppler float64, m int, ricianK float64, blockTicks sim.Time, stream *rng.Stream) {
 	// Scattered power is 1/(K+1); each quadrature sum has variance 1/2 of
 	// it, matching the pure-Rayleigh normalization at K=0.
@@ -283,14 +286,10 @@ func (r *rayleigh) reseed(doppler float64, m int, ricianK float64, blockTicks si
 	if blockTicks < 1 {
 		blockTicks = 1
 	}
-	if cap(r.backing) < 9*m {
-		r.backing = make([]float64, 9*m)
+	if cap(r.osc) < m {
+		r.osc = make([]oscillator, m)
 	}
-	b := r.backing[:9*m]
-	r.omega, r.rotRe, r.rotIm = b[0:m:m], b[m:2*m:2*m], b[2*m:3*m:3*m]
-	r.cosI, r.sinI = b[3*m:4*m:4*m], b[4*m:5*m:5*m]
-	r.cosQ, r.sinQ = b[5*m:6*m:6*m], b[6*m:7*m:7*m]
-	r.phRe, r.phIm = b[7*m:8*m:8*m], b[8*m:9*m:9*m]
+	r.osc = r.osc[:m]
 	r.doppler = doppler
 	r.norm = math.Sqrt(scatter / float64(m))
 	r.blockTicks = blockTicks
@@ -301,15 +300,15 @@ func (r *rayleigh) reseed(doppler float64, m int, ricianK float64, blockTicks si
 	r.curGain = 0
 	r.curGainDB = 0
 	r.losRe, r.losIm = 0, 0
-	for k := 0; k < m; k++ {
+	for k := range r.osc {
+		o := &r.osc[k]
 		// Random arrival angle; cosθ spreads oscillator frequencies over
 		// [-f_d, f_d] with the Jakes U-shaped spectrum.
 		theta := 2 * math.Pi * stream.Float64()
-		r.omega[k] = 2 * math.Pi * doppler * math.Cos(theta)
-		r.sinI[k], r.cosI[k] = math.Sincos(2 * math.Pi * stream.Float64())
-		r.sinQ[k], r.cosQ[k] = math.Sincos(2 * math.Pi * stream.Float64())
-		s, c := math.Sincos(r.omega[k] * r.blockSec)
-		r.rotRe[k], r.rotIm[k] = c, s
+		o.omega = 2 * math.Pi * doppler * math.Cos(theta)
+		o.sinI, o.cosI = math.Sincos(2 * math.Pi * stream.Float64())
+		o.sinQ, o.cosQ = math.Sincos(2 * math.Pi * stream.Float64())
+		o.rotIm, o.rotRe = math.Sincos(o.omega * r.blockSec)
 	}
 	r.losAmp, r.losOmega, r.losCos, r.losSin, r.losRotRe, r.losRotIm = 0, 0, 0, 0, 0, 0
 	if ricianK > 0 {
@@ -317,16 +316,15 @@ func (r *rayleigh) reseed(doppler float64, m int, ricianK float64, blockTicks si
 		losTheta := 2 * math.Pi * stream.Float64()
 		r.losOmega = 2 * math.Pi * doppler * math.Cos(losTheta)
 		r.losSin, r.losCos = math.Sincos(2 * math.Pi * stream.Float64())
-		s, c := math.Sincos(r.losOmega * r.blockSec)
-		r.losRotRe, r.losRotIm = c, s
+		r.losRotIm, r.losRotRe = math.Sincos(r.losOmega * r.blockSec)
 	}
 }
 
-// disable turns fading off (|h|² = 1) while keeping the backing array
+// disable turns fading off (|h|² = 1) while keeping the oscillator array
 // for a later reseed with fading enabled.
 func (r *rayleigh) disable() {
-	backing := r.backing
-	*r = rayleigh{backing: backing}
+	osc := r.osc
+	*r = rayleigh{osc: osc}
 }
 
 // powerGain returns |h|² for the coherence block containing t. Repeated
@@ -353,78 +351,67 @@ func (r *rayleigh) powerGainDB(t sim.Time) float64 {
 // The invariant maintained by every path: the state at block n equals the
 // exact checkpoint at c = n - n%checkpointEvery advanced by n-c recurrence
 // steps, which makes the gain a pure function of n.
+//
+// Each oscillator is carried through all pending blocks in registers —
+// re-derived from sin/cos first when the seek starts at the checkpoint —
+// and then adds its term to the gain, in oscillator order. So every
+// phasor sees exactly the multiplies of one block step at a time, and the
+// gain is summed in the same order as from a fully stepped state.
 func (r *rayleigh) seek(idx int64) {
-	c := idx - idx%checkpointEvery
-	if r.started && idx > r.curBlock && c <= r.curBlock {
+	// Cold, backward, or past a checkpoint boundary: re-derive the
+	// governing checkpoint exactly, then apply the remaining steps.
+	from, exact := idx-idx%checkpointEvery, true
+	if r.started && idx > r.curBlock && from <= r.curBlock {
 		// Same checkpoint segment, moving forward: pure recurrence.
-		for b := r.curBlock; b < idx; b++ {
-			r.step()
-		}
-	} else {
-		// Cold, backward, or past a checkpoint boundary: re-derive the
-		// governing checkpoint exactly, then apply the remaining steps.
-		r.resync(c)
-		for b := c; b < idx; b++ {
-			r.step()
-		}
+		from, exact = r.curBlock, false
 	}
-	r.started = true
-	r.curBlock = idx
-	r.curStart = sim.Time(idx) * r.blockTicks
-	r.curEnd = r.curStart + r.blockTicks
-	r.curGain = r.gainFromPhasors()
-	r.curGainDB = 10 * math.Log10(r.curGain)
-}
+	t := float64(from) * r.blockSec
+	steps := idx - from
 
-// resync sets the phasors exactly (via sin/cos) for the given block.
-func (r *rayleigh) resync(blk int64) {
-	t := float64(blk) * r.blockSec
-	for k := range r.omega {
-		s, c := math.Sincos(r.omega[k] * t)
-		r.phRe[k], r.phIm[k] = c, s
-	}
-	if r.losAmp > 0 {
-		s, c := math.Sincos(r.losOmega * t)
-		r.losRe, r.losIm = c, s
-	}
-}
-
-// step advances every phasor by one block: a complex multiply with the
-// precomputed per-block rotation, no trigonometry.
-func (r *rayleigh) step() {
-	for k := range r.phRe {
-		re := r.phRe[k]*r.rotRe[k] - r.phIm[k]*r.rotIm[k]
-		im := r.phRe[k]*r.rotIm[k] + r.phIm[k]*r.rotRe[k]
-		r.phRe[k], r.phIm[k] = re, im
-	}
-	if r.losAmp > 0 {
-		re := r.losRe*r.losRotRe - r.losIm*r.losRotIm
-		im := r.losRe*r.losRotIm + r.losIm*r.losRotRe
-		r.losRe, r.losIm = re, im
-	}
-}
-
-// gainFromPhasors evaluates |h|² at the current phasor state, using
-// cos(ωt+φ) = cos(ωt)cos(φ) - sin(ωt)sin(φ) so the stored phase offsets
-// never need re-evaluating.
-func (r *rayleigh) gainFromPhasors() float64 {
+	// cos(ωt+φ) = cos(ωt)cos(φ) - sin(ωt)sin(φ), so the stored phase
+	// offsets never need re-evaluating.
 	var re, im float64
-	for k := range r.phRe {
-		re += r.phRe[k]*r.cosI[k] - r.phIm[k]*r.sinI[k]
-		im += r.phRe[k]*r.cosQ[k] - r.phIm[k]*r.sinQ[k]
+	for k := range r.osc {
+		o := &r.osc[k]
+		pr, pi := o.re, o.im
+		if exact {
+			pi, pr = math.Sincos(o.omega * t)
+		}
+		rr, ri := o.rotRe, o.rotIm
+		for s := steps; s > 0; s-- {
+			pr, pi = pr*rr-pi*ri, pr*ri+pi*rr
+		}
+		o.re, o.im = pr, pi
+		re += pr*o.cosI - pi*o.sinI
+		im += pr*o.cosQ - pi*o.sinQ
 	}
 	re *= r.norm
 	im *= r.norm
 	if r.losAmp > 0 {
-		re += r.losAmp * (r.losRe*r.losCos - r.losIm*r.losSin)
-		im += r.losAmp * (r.losIm*r.losCos + r.losRe*r.losSin)
+		lr, li := r.losRe, r.losIm
+		if exact {
+			li, lr = math.Sincos(r.losOmega * t)
+		}
+		rr, ri := r.losRotRe, r.losRotIm
+		for s := steps; s > 0; s-- {
+			lr, li = lr*rr-li*ri, lr*ri+li*rr
+		}
+		r.losRe, r.losIm = lr, li
+		re += r.losAmp * (lr*r.losCos - li*r.losSin)
+		im += r.losAmp * (li*r.losCos + lr*r.losSin)
 	}
 	g := re*re + im*im
 	// Guard the log10 in SNRdB against an exact deep-fade zero.
 	if g < 1e-12 {
 		g = 1e-12
 	}
-	return g
+
+	r.started = true
+	r.curBlock = idx
+	r.curStart = sim.Time(idx) * r.blockTicks
+	r.curEnd = r.curStart + r.blockTicks
+	r.curGain = g
+	r.curGainDB = 10 * math.Log10(g)
 }
 
 // shadowAR1 is a block log-normal shadowing process: constant within a

@@ -385,3 +385,172 @@ func TestRicianKValidation(t *testing.T) {
 		t.Fatal("negative RicianK accepted")
 	}
 }
+
+// stepSeek is the reference fading kernel, rayleigh.seek as it was before
+// the per-oscillator pass: every pending block is one step over all
+// phasors, and the gain is summed from the stepped state afterwards. The
+// fused seek must reproduce it bit for bit.
+func stepSeek(r *rayleigh, idx int64) {
+	c := idx - idx%checkpointEvery
+	if r.started && idx > r.curBlock && c <= r.curBlock {
+		for b := r.curBlock; b < idx; b++ {
+			refStep(r)
+		}
+	} else {
+		refResync(r, c)
+		for b := c; b < idx; b++ {
+			refStep(r)
+		}
+	}
+	r.started = true
+	r.curBlock = idx
+	r.curStart = sim.Time(idx) * r.blockTicks
+	r.curEnd = r.curStart + r.blockTicks
+	r.curGain = refGainFromPhasors(r)
+	r.curGainDB = 10 * math.Log10(r.curGain)
+}
+
+func refResync(r *rayleigh, blk int64) {
+	t := float64(blk) * r.blockSec
+	for k := range r.osc {
+		s, c := math.Sincos(r.osc[k].omega * t)
+		r.osc[k].re, r.osc[k].im = c, s
+	}
+	if r.losAmp > 0 {
+		s, c := math.Sincos(r.losOmega * t)
+		r.losRe, r.losIm = c, s
+	}
+}
+
+func refStep(r *rayleigh) {
+	for k := range r.osc {
+		o := &r.osc[k]
+		re := o.re*o.rotRe - o.im*o.rotIm
+		im := o.re*o.rotIm + o.im*o.rotRe
+		o.re, o.im = re, im
+	}
+	if r.losAmp > 0 {
+		re := r.losRe*r.losRotRe - r.losIm*r.losRotIm
+		im := r.losRe*r.losRotIm + r.losIm*r.losRotRe
+		r.losRe, r.losIm = re, im
+	}
+}
+
+func refGainFromPhasors(r *rayleigh) float64 {
+	var re, im float64
+	for k := range r.osc {
+		o := &r.osc[k]
+		re += o.re*o.cosI - o.im*o.sinI
+		im += o.re*o.cosQ - o.im*o.sinQ
+	}
+	re *= r.norm
+	im *= r.norm
+	if r.losAmp > 0 {
+		re += r.losAmp * (r.losRe*r.losCos - r.losIm*r.losSin)
+		im += r.losAmp * (r.losIm*r.losCos + r.losRe*r.losSin)
+	}
+	g := re*re + im*im
+	if g < 1e-12 {
+		g = 1e-12
+	}
+	return g
+}
+
+// refQuery positions l's fading at t through the reference kernel, with
+// the same per-block cache as rayleigh.powerGain.
+func refQuery(l *Link, t sim.Time) *rayleigh {
+	r := &l.fading
+	if !r.started || t < r.curStart || t >= r.curEnd {
+		stepSeek(r, int64(t/r.blockTicks))
+	}
+	return r
+}
+
+// refSNRdB is Link.SNRdB with its fading from the reference kernel.
+func refSNRdB(l *Link, t sim.Time) float64 {
+	snr := l.pathLossDB
+	if l.shadowing.sigma > 0 {
+		snr += l.shadowing.at(t, &l.stream)
+	}
+	return snr + refQuery(l, t).curGainDB
+}
+
+// The fused seek is bit-equal to the stepwise reference over query
+// schedules that advance one block, jump several, cross checkpoints, go
+// backward and start cold, for Rayleigh and Rician links at a slow and a
+// fast Doppler and for one, 12 and 16 oscillators.
+func TestFusedSeekMatchesStepwise(t *testing.T) {
+	schedules := map[string][]int64{} // in thirds of a block
+	var one, jump, cross, back, cold []int64
+	for b := int64(0); b < 300; b++ {
+		one = append(one, 3*b, 3*b+1) // every block, plus a cached re-query
+	}
+	for b, d := int64(0), int64(2); b < 2000; b, d = b+d, d%9+2 {
+		jump = append(jump, 3*b+2)
+	}
+	for _, cp := range []int64{64, 128, 192, 640} {
+		for _, b := range []int64{cp - 2, cp - 1, cp, cp + 1, cp + 63, cp + 64} {
+			cross = append(cross, 3*b)
+		}
+	}
+	for b := int64(400); b >= 0; b -= 7 {
+		back = append(back, 3*b+1, 3*b+4)
+	}
+	for _, b := range []int64{100003, 100004, 100011, 100030, 100031, 100032, 99999, 100200} {
+		cold = append(cold, 3*b+1)
+	}
+	schedules["one-block"], schedules["jump"], schedules["checkpoint"] = one, jump, cross
+	schedules["backward"], schedules["cold"] = back, cold
+
+	for _, k := range []float64{0, 1, 5} {
+		for _, fd := range []float64{2, 25} {
+			for _, m := range []int{1, 12, 16} {
+				p := DefaultParams()
+				p.RicianK, p.DopplerHz, p.Oscillators = k, fd, m
+				bt := p.CoherenceTime()
+				for name, sched := range schedules {
+					id := uint64(40 + m)
+					got, ref := NewLink(p, 35, testStream(id)), NewLink(p, 35, testStream(id))
+					for i, thirds := range sched {
+						tm := sim.Time(thirds) * bt / 3
+						if i%2 == 0 {
+							g, w := got.FadingPowerGain(tm), refQuery(ref, tm).curGain
+							if math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("K=%v fd=%v m=%d %s: FadingPowerGain(%v) = %v, stepwise %v", k, fd, m, name, tm, g, w)
+							}
+						}
+						g, w := got.SNRdB(tm), refSNRdB(ref, tm)
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("K=%v fd=%v m=%d %s: SNRdB(%v) = %v, stepwise %v", k, fd, m, name, tm, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFadingSeek measures the fading kernel alone, queried every
+// 50 ms. At 2 Hz a coherence block is about 90 ms, so a query that
+// leaves the cached block advances one block; at 25 Hz it is about
+// 7.2 ms, so every query advances about seven blocks.
+func BenchmarkFadingSeek(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		doppler float64
+	}{
+		{"1block-2Hz", 2},
+		{"7block-25Hz", 25},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := DefaultParams()
+			p.DopplerHz = bc.doppler
+			l := NewLink(p, 30, testStream(12))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = l.FadingPowerGain(sim.Time(i) * 50 * sim.Millisecond)
+			}
+		})
+	}
+}

@@ -66,17 +66,6 @@ type burst struct {
 	colliderJoin []sim.Time
 	collisionEv  sim.EventID
 	collisionSet bool
-
-	// Packet-error-probability memo. The probability is a pure function
-	// of (CSI, mode, size) and consecutive packets of a burst share one
-	// fading block, so the erfc/exp tower behind PacketErrorProb runs
-	// once per block instead of once per packet. Never invalidated: a
-	// key match from any earlier burst (or run) is still the right value.
-	perrCSI  float64
-	perrSize int
-	perrMode int
-	perrVal  float64
-	perrOK   bool
 }
 
 // acquireBurst takes a burst from the free list (or grows the pool) and
@@ -176,15 +165,15 @@ type Network struct {
 	nodes     []*node
 	aliveMask []bool
 
-	// links is the dense flat link matrix: the channel between nodes a<b
-	// lives at index a*linkN+b, materialized lazily (linkInit) from the
-	// pair's deterministic stream. Replaces the old pairKey-hashed map:
-	// the lookup on the CSI hot path is one multiply-add instead of a
-	// hash probe, and the Link values (with their oscillator tables) are
-	// reusable storage that Reset simply marks uninitialized.
+	// links is the triangular link matrix: one Link per unordered pair
+	// a<b, n(n-1)/2 in all, stored row by row so the pair lives at index
+	// linkRow[a]+b. Each is materialized lazily (linkInit) from the
+	// pair's deterministic stream. The lookup on the CSI hot path is one
+	// table load and an add, and the Link values (with their oscillator
+	// records) are reusable storage that Reset simply marks uninitialized.
 	links    []channel.Link
 	linkInit []bool
-	linkN    int
+	linkRow  []int
 
 	election       *leach.Election
 	electionStream rng.Stream
@@ -225,6 +214,7 @@ type Network struct {
 	energySeries    *metrics.TimeSeries
 	aliveSeries     *metrics.TimeSeries
 	modeCounts      []uint64
+	perBound        []float64 // per mode: phy.Mode.PacketErrorBound of the run's packet size
 	collisionEvents uint64
 	forwardedBits   uint64
 	roundStats      []RoundStat
@@ -289,6 +279,10 @@ func (net *Network) init(cfg Config) {
 		clear(net.modeCounts)
 	} else {
 		net.modeCounts = make([]uint64, cfg.Modes.Len())
+	}
+	net.perBound = net.perBound[:0]
+	for i := 0; i < cfg.Modes.Len(); i++ {
+		net.perBound = append(net.perBound, cfg.Modes.Mode(i).PacketErrorBound(cfg.PacketSizeBits))
 	}
 	net.collisionEvents = 0
 	net.forwardedBits = 0
@@ -379,19 +373,20 @@ func (net *Network) init(cfg Config) {
 		net.election.Reset(ecfg, &net.electionStream)
 	}
 
-	net.linkN = cfg.Nodes
-	if len(net.links) != cfg.Nodes*cfg.Nodes {
-		net.links = make([]channel.Link, cfg.Nodes*cfg.Nodes)
-		net.linkInit = make([]bool, cfg.Nodes*cfg.Nodes)
+	if len(net.linkRow) != cfg.Nodes {
+		n := cfg.Nodes
+		net.links = make([]channel.Link, n*(n-1)/2)
+		net.linkInit = make([]bool, len(net.links))
+		net.linkRow = make([]int, n)
+		// Row a holds pairs (a, a+1) … (a, n-1) and starts where rows
+		// 0 … a-1 end, so pair (a, b) sits b-a-1 slots into it.
+		start := 0
+		for a := range net.linkRow {
+			net.linkRow[a] = start - a - 1
+			start += n - 1 - a
+		}
 	} else {
 		clear(net.linkInit)
-	}
-
-	// The pooled burst free list survives the reset, but its
-	// packet-error memos are keyed by mode *index* — a different Modes
-	// table in the next run could alias an index to different physics.
-	for _, tx := range net.burstFree {
-		tx.perrOK = false
 	}
 }
 
@@ -405,14 +400,15 @@ func pairKey(a, b int) uint64 {
 }
 
 // linkFor returns (materializing on first use) the channel between two
-// nodes, a direct index into the flat link matrix. The link realization
-// is a deterministic function of the pair and the master seed, so
-// re-clustering — or a context reset — reproduces the same channel.
+// distinct nodes, a direct index into the triangular link matrix. The
+// link realization is a deterministic function of the pair and the master
+// seed, so re-clustering — or a context reset — reproduces the same
+// channel.
 func (net *Network) linkFor(a, b int) *channel.Link {
 	if a > b {
 		a, b = b, a
 	}
-	idx := a*net.linkN + b
+	idx := net.linkRow[a] + b
 	l := &net.links[idx]
 	if !net.linkInit[idx] {
 		net.linkInit[idx] = true
@@ -435,11 +431,10 @@ func (net *Network) resetLinks() {
 // single node: only its links changed distance, so only they
 // re-materialize (from the same per-pair streams, at the new geometry).
 func (net *Network) resetLinksOf(i int) {
-	for b := i + 1; b < net.linkN; b++ {
-		net.linkInit[i*net.linkN+b] = false
-	}
+	row := net.linkRow[i]
+	clear(net.linkInit[row+i+1 : row+len(net.linkRow)])
 	for a := 0; a < i; a++ {
-		net.linkInit[a*net.linkN+i] = false
+		net.linkInit[net.linkRow[a]+i] = false
 	}
 }
 
@@ -1061,13 +1056,14 @@ func (net *Network) finishPacket(cl *cluster, tx *burst, gen uint64) {
 		return
 	}
 
-	if !tx.perrOK || tx.perrCSI != tx.pktCSI || tx.perrMode != tx.pktMode.Index || tx.perrSize != pkt.SizeBits {
-		tx.perrCSI, tx.perrMode, tx.perrSize = tx.pktCSI, tx.pktMode.Index, pkt.SizeBits
-		tx.perrVal = tx.pktMode.PacketErrorProb(tx.pktCSI, pkt.SizeBits)
-		tx.perrOK = true
-	}
-	perr := tx.perrVal
-	if n.perStream.Float64() < perr {
+	// The draw decides first. A packet whose CSI the mode admits fails
+	// with at most the mode's bound, so a draw at or above the bound is a
+	// delivery whatever the exact probability; the erfc/exp tower behind
+	// PacketErrorProb runs only for a draw below the bound, or for a
+	// packet sent below the lowest class.
+	u := n.perStream.Float64()
+	if (u < net.perBound[tx.pktMode.Index] || tx.pktCSI < tx.pktMode.ThresholdSNRdB) &&
+		u < tx.pktMode.PacketErrorProb(tx.pktCSI, pkt.SizeBits) {
 		// Corrupted at the head: it answers with a collision tone
 		// (§III.A rule 3 — corruption and collision are indistinguishable
 		// to it), and the sender aborts the burst.

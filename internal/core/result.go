@@ -127,11 +127,14 @@ func (net *Network) buildResult(end sim.Time) Result {
 	}
 
 	var sumRemaining float64
+	causes := energy.Causes()
 	for _, n := range net.nodes {
 		sumRemaining += n.battery.Remaining()
 		r.TotalConsumedJ += n.battery.Consumed()
-		for _, ce := range n.battery.Breakdown() {
-			r.EnergyByCause[ce.Cause] += ce.Joules
+		for _, c := range causes {
+			if j := n.battery.ConsumedBy(c); j > 0 {
+				r.EnergyByCause[c] += j
+			}
 		}
 		r.MAC.Add(n.counters)
 		rep := NodeReport{

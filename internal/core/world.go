@@ -149,10 +149,10 @@ func (w *World) ScaleArrivalRate(i int, factor float64) {
 // hardware, a mobility trace step. Every cached link realization
 // touching the node is discarded and re-materializes lazily at the new
 // distance from the pair's original deterministic stream (the same
-// invalidation path weather events use, restricted to one row/column of
-// the link matrix). Dead nodes move too: the new position takes effect
-// if the node is later revived. It panics on a position outside the
-// field — the scenario compiler validates targets up front.
+// invalidation path weather events use, restricted to the n-1 pairs
+// that contain the node). Dead nodes move too: the new position takes
+// effect if the node is later revived. It panics on a position outside
+// the field — the scenario compiler validates targets up front.
 func (w *World) MoveNode(i int, x, y float64) {
 	net := w.net
 	field := geom.Field{Width: net.cfg.FieldWidth, Height: net.cfg.FieldHeight}

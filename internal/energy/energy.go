@@ -13,7 +13,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -238,27 +237,4 @@ func (b *Battery) DrawPower(now sim.Time, cause Cause, powerW float64, dur sim.T
 		panic(fmt.Sprintf("energy: negative duration %v for %v", dur, cause))
 	}
 	return b.Draw(now, cause, powerW*dur.Seconds())
-}
-
-// Breakdown returns the per-cause consumption, descending by energy.
-// Useful for reports and the caem-sim tool.
-func (b *Battery) Breakdown() []CauseEnergy {
-	out := make([]CauseEnergy, 0, numCauses)
-	for c := Cause(0); c < numCauses; c++ {
-		if b.byCause[c] > 0 {
-			out = append(out, CauseEnergy{Cause: c, Joules: b.byCause[c]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Joules > out[j].Joules })
-	return out
-}
-
-// CauseEnergy pairs a cause with its consumed energy.
-type CauseEnergy struct {
-	Cause  Cause
-	Joules float64
-}
-
-func (ce CauseEnergy) String() string {
-	return fmt.Sprintf("%s=%.4gJ", ce.Cause, ce.Joules)
 }

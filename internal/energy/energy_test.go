@@ -139,26 +139,23 @@ func TestNonPositiveBatteryPanics(t *testing.T) {
 	NewBattery(0)
 }
 
-func TestBreakdownSortedAndComplete(t *testing.T) {
+// The per-cause totals are exactly the draws made against each cause,
+// untouched causes read zero, and the totals sum to the consumption.
+func TestConsumedByComplete(t *testing.T) {
 	b := NewBattery(100)
 	b.Draw(0, DataTx, 5)
 	b.Draw(0, DataRx, 10)
 	b.Draw(0, Baseline, 1)
-	bd := b.Breakdown()
-	if len(bd) != 3 {
-		t.Fatalf("breakdown has %d entries, want 3", len(bd))
-	}
-	for i := 1; i < len(bd); i++ {
-		if bd[i].Joules > bd[i-1].Joules {
-			t.Fatal("breakdown not sorted descending")
-		}
-	}
+	want := map[Cause]float64{DataTx: 5, DataRx: 10, Baseline: 1}
 	var sum float64
-	for _, ce := range bd {
-		sum += ce.Joules
+	for _, c := range Causes() {
+		if got := b.ConsumedBy(c); got != want[c] {
+			t.Errorf("ConsumedBy(%v) = %v, want %v", c, got, want[c])
+		}
+		sum += b.ConsumedBy(c)
 	}
 	if math.Abs(sum-b.Consumed()) > 1e-12 {
-		t.Fatalf("breakdown sums to %v, consumed %v", sum, b.Consumed())
+		t.Fatalf("per-cause totals sum to %v, consumed %v", sum, b.Consumed())
 	}
 }
 

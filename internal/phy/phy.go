@@ -143,6 +143,22 @@ func (m Mode) PacketErrorProb(snrDB float64, payloadBits int) float64 {
 	return -math.Expm1(float64(payloadBits) * math.Log1p(-ber))
 }
 
+// boundMarginDB is how far below the threshold PacketErrorBound
+// evaluates the error model: enough to cover the rounding of the
+// erfc/exp tower, which could otherwise let a CSI just above the
+// threshold read a hair above the value at it.
+const boundMarginDB = 0.01
+
+// PacketErrorBound returns an upper bound on PacketErrorProb(snrDB,
+// payloadBits) over every snrDB at or above the mode's threshold, i.e.
+// every CSI that PickMode maps to this mode: the probability 0.01 dB
+// below the threshold. The error probability falls as the SNR rises, so
+// a uniform draw at or above the bound means the packet survives without
+// evaluating the error model.
+func (m Mode) PacketErrorBound(payloadBits int) float64 {
+	return m.PacketErrorProb(m.ThresholdSNRdB-boundMarginDB, payloadBits)
+}
+
 // Table is the ordered set of ABICM modes, ascending by threshold (and
 // therefore by throughput).
 type Table struct {

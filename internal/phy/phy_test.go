@@ -279,3 +279,34 @@ func BenchmarkPacketErrorProb(b *testing.B) {
 		_ = m.PacketErrorProb(float64(i%25), 2000)
 	}
 }
+
+// PacketErrorBound bounds the error probability over every CSI a mode
+// admits: for each mode of the paper's table and payloads from 1 to
+// 16,000 bits, no point among the first 1,000 float64 values from the
+// threshold up, or on a 1e-4 dB grid over the 60 dB above it, exceeds the
+// bound. The bound also stays within 10% of the value at the threshold,
+// so a draw above it is the common case for an admitted packet.
+func TestPacketErrorBoundHolds(t *testing.T) {
+	for _, m := range Default4Mode().Modes() {
+		for _, bits := range []int{1, 64, 2000, 16000} {
+			bound := m.PacketErrorBound(bits)
+			atThreshold := m.PacketErrorProb(m.ThresholdSNRdB, bits)
+			if bound > 1.1*atThreshold {
+				t.Errorf("%s, %d bits: bound %v more than 10%% above %v at the threshold", m.Name, bits, bound, atThreshold)
+			}
+			check := func(snr float64) {
+				if p := m.PacketErrorProb(snr, bits); p > bound {
+					t.Fatalf("%s, %d bits: PacketErrorProb(%v) = %v exceeds bound %v", m.Name, bits, snr, p, bound)
+				}
+			}
+			snr := m.ThresholdSNRdB
+			for i := 0; i < 1000; i++ {
+				check(snr)
+				snr = math.Nextafter(snr, math.Inf(1))
+			}
+			for i := 0; i <= 600000; i++ {
+				check(m.ThresholdSNRdB + float64(i)*1e-4)
+			}
+		}
+	}
+}
