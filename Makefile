@@ -48,7 +48,7 @@ vet:
 # testdata/fuzz/) already runs as deterministic subtests in plain
 # `go test`; this target explores BEYOND the corpus for a bounded
 # budget per fuzzer (go's fuzz engine allows one -fuzz target per
-# invocation, hence five runs):
+# invocation, hence six runs):
 #   FuzzSpecLoad            — adversarial JSON never panics the loader
 #   FuzzGeneratorValidity   — every generated spec loads and regenerates
 #                             byte-identically
@@ -60,6 +60,12 @@ vet:
 #   FuzzStoreReopen         — after any mix of puts, re-puts,
 #                             compactions, clean and crash reopens, the
 #                             results store matches a map model
+#   FuzzRecordDecode        — the store's record-line decoder fails
+#                             exactly when json.Unmarshal does and
+#                             otherwise returns the same Record, float
+#                             bits included, and every line PutBatch
+#                             writes without JSON escapes takes its
+#                             direct parse
 #   FuzzEngineOrder         — any mix of ordinary and first-class
 #                             schedules, cancels, runs, stops and resets
 #                             executes events in the (time, class,
@@ -72,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorValidity$$' -fuzztime $(FUZZTIME) ./internal/scenario/gen/
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./caem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreReopen$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # Fast-fail lint pass: formatting, vet, and staticcheck when available
@@ -104,8 +111,9 @@ bench-smoke:
 # accidental complexity), not jitter; allocation counts are nearly
 # deterministic, so their bound is tighter — and the series matched by
 # BENCH_EXACT_ALLOCS get no slack at all: the simulated-second hot path
-# must stay at exactly 4 allocs/op and the metrics update path at
-# exactly 0, proving instrumentation never leaked into the engine. The
+# must stay at exactly its BENCH_7 count (4 allocs/op for Scheme1 and
+# Scheme2, 3 for PureLEACH) and the metrics update path at exactly 0,
+# proving instrumentation never leaked into the engine. The
 # campaign service's results view is pinned by a tier-1 test instead
 # (TestResultsViewAllocsFlat in cmd/caem-serve): its read allocates the
 # same for a 4-cell and a 66-cell campaign.

@@ -236,6 +236,34 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestCampaignBodyLimit: a POST /v1/campaigns body of exactly
+// maxCampaignBody bytes is read and judged on its content, and one byte
+// more answers 413 invalid_request without being decoded.
+func TestCampaignBodyLimit(t *testing.T) {
+	srv, ts, st := startServer(t, t.TempDir())
+	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	const body = `{"scenarios":["no-such-scenario"]}`
+	for _, tc := range []struct {
+		size   int
+		status int
+	}{
+		{maxCampaignBody, http.StatusBadRequest}, // read whole: the scenario is unknown
+		{maxCampaignBody + 1, http.StatusRequestEntityTooLarge},
+	} {
+		padded := strings.Repeat(" ", tc.size-len(body)) + body
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(padded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%d-byte body: status = %d, want %d", tc.size, resp.StatusCode, tc.status)
+		}
+		if env := errorEnvelope(t, resp); env.Code != api.CodeInvalidRequest {
+			t.Fatalf("%d-byte body: code = %q, want %q", tc.size, env.Code, api.CodeInvalidRequest)
+		}
+	}
+}
+
 // listPage fetches one page of the campaign listing.
 func listPage(t *testing.T, url string) (listResponse, http.Header) {
 	t.Helper()

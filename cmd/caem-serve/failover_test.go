@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +26,14 @@ import (
 // primary or standby so the test can SIGKILL a genuine leader process.
 func serveFromEnv(role string) int {
 	logger, _ := obs.NewLogger(os.Stderr, "text", false)
+	if path := os.Getenv("CAEM_TEST_SERVE_LOG"); path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return 1
+		}
+		defer f.Close()
+		logger, _ = obs.NewLogger(f, "json", false)
+	}
 	lockTTL, _ := time.ParseDuration(os.Getenv("CAEM_TEST_SERVE_LOCKTTL"))
 	leaseTTL, _ := time.ParseDuration(os.Getenv("CAEM_TEST_SERVE_LEASETTL"))
 	maxBatch, _ := strconv.Atoi(os.Getenv("CAEM_TEST_SERVE_MAXBATCH"))
@@ -107,6 +116,45 @@ func waitRole(t *testing.T, base, role string, timeout time.Duration) map[string
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("%s never reported role %q", base, role)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestLeadingLogTimesStartup: the "caem-serve leading" line a
+// coordinator logs once it leads (on a first start, and the same line
+// on a takeover) carries the bound addr, how long the store took to
+// open (open_ms), and how long journal replay and campaign recovery
+// took (recover_ms).
+func TestLeadingLogTimesStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	logFile := filepath.Join(t.TempDir(), "serve.log")
+	t.Setenv("CAEM_TEST_SERVE_LOG", logFile)
+	cmd, url := spawnServe(t, "primary", t.TempDir(), "", time.Second, time.Second)
+	defer func() {
+		cmd.Process.Signal(os.Interrupt)
+		cmd.Wait()
+	}()
+	waitRole(t, url, "leader", 30*time.Second)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		blob, _ := os.ReadFile(logFile)
+		for _, line := range bytes.Split(blob, []byte{'\n'}) {
+			var rec map[string]any
+			if json.Unmarshal(line, &rec) != nil || rec["msg"] != "caem-serve leading" {
+				continue
+			}
+			open, ok1 := rec["open_ms"].(float64)
+			recov, ok2 := rec["recover_ms"].(float64)
+			if !ok1 || !ok2 || open < 0 || recov < 0 || "http://"+fmt.Sprint(rec["addr"]) != url {
+				t.Fatalf("leading log line %s: want addr %s and non-negative open_ms and recover_ms", line, url)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no \"caem-serve leading\" line in the log:\n%s", blob)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -328,8 +328,12 @@ func serveMode(opts serveOptions) int {
 	// Leadership held at epoch. Open the store, replay the predecessor's
 	// journal (attempt counts and poisons), and start journaling our own
 	// epoch before any scheduling; the server then re-plans every stored
-	// campaign spec against the store.
+	// campaign spec against the store. The two phases are timed for the
+	// leading log line: open_ms is OpenStore, recover_ms the journal
+	// replay through the end of recovery.
+	openStart := time.Now()
 	st, err := caem.OpenStore(opts.storeDir)
+	openMS := msSince(openStart)
 	if err != nil {
 		logger.Error("opening store failed", "error", err.Error())
 		return 1
@@ -337,6 +341,7 @@ func serveMode(opts serveOptions) int {
 	if n := st.RecoveredBytes(); n > 0 {
 		logger.Warn("store recovered from a torn tail", "dropped_bytes", n)
 	}
+	recoverStart := time.Now()
 	jnl, jstate, err := journal.Open(clusterDir)
 	if err != nil {
 		logger.Error("opening coordinator journal failed", "error", err.Error())
@@ -374,11 +379,13 @@ func serveMode(opts serveOptions) int {
 		logger.Error("starting server failed", "error", err.Error())
 		return 1
 	}
+	recoverMS := msSince(recoverStart)
 	var full http.Handler = srv
 	handler.Store(&full)
 	logger.Info("caem-serve leading",
 		"addr", bound, "store", st.Dir(), "workers", opts.workers,
-		"epoch", epoch, "cells_on_disk", st.Len(), "version", version)
+		"epoch", epoch, "cells_on_disk", st.Len(), "version", version,
+		"open_ms", openMS, "recover_ms", recoverMS)
 
 	// Renew the lock at TTL/3. Only a definitive deposition (ErrLockLost:
 	// another holder or epoch owns the lock) fences immediately; a
@@ -454,6 +461,12 @@ func serveMode(opts serveOptions) int {
 		code = 1
 	}
 	return code
+}
+
+// msSince is the time elapsed since t in milliseconds, to the
+// microsecond.
+func msSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1e3
 }
 
 // standbyMux is the HTTP surface of a coordinator that is not (yet)

@@ -9,6 +9,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -46,6 +47,17 @@ func WriteError(w http.ResponseWriter, status int, code, message string, details
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(errorBody{Error: Error{Code: code, Message: message, Details: details}})
+}
+
+// BodyStatus is the status that answers a request body which failed to
+// decode: 413 when it passed its http.MaxBytesReader limit, 400 for any
+// other fault. Both carry CodeInvalidRequest.
+func BodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // cursorVersion is bumped when the cursor schema changes; tokens from

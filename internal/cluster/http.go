@@ -40,6 +40,26 @@ type settleRequest struct {
 	Results []CellResult `json:"results"`
 }
 
+// maxSettleBody caps the body of a complete or release: one lease's
+// results. A full-scale Result marshals to 28–34 KB and a lease holds at
+// most MaxBatch (8 by default) of them, about 272 KB; the largest body
+// the tests and the benchmark send is under 36 KB. 8 MiB leaves 30×
+// headroom over a full lease of full-scale cells.
+const maxSettleBody = 8 << 20
+
+// readSettle decodes a complete or release body, read through
+// http.MaxBytesReader. On failure it answers invalid_request itself
+// (413 past the limit, 400 otherwise) and returns false.
+func readSettle(w http.ResponseWriter, r *http.Request, route string) ([]CellResult, bool) {
+	var req settleRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSettleBody)).Decode(&req); err != nil {
+		api.WriteError(w, api.BodyStatus(err), api.CodeInvalidRequest,
+			fmt.Sprintf("bad %s body: %v", route, err), nil)
+		return nil, false
+	}
+	return req.Results, true
+}
+
 // RegisterHTTPObserved mounts the lease protocol and cluster
 // observability on mux, each route once under /v1, with per-route
 // request-count and latency instrumentation on reg, labeled by the mux
@@ -47,8 +67,8 @@ type settleRequest struct {
 //
 //	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch
 //	POST /v1/leases/{id}/renew    → 204 | 410 lease gone
-//	POST /v1/leases/{id}/complete {"results":[...]} → 204 | 410
-//	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410
+//	POST /v1/leases/{id}/complete {"results":[...]} → 204 | 410 | 413 past maxSettleBody
+//	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410 | 413 past maxSettleBody
 //	GET  /v1/cluster/status       → Status
 //
 // Errors use the uniform api envelope; 410 Gone maps to ErrLeaseGone on
@@ -110,22 +130,14 @@ func (c *Coordinator) RegisterHTTPObserved(mux *http.ServeMux, reg *obs.Registry
 		settleHTTP(w, c.Renew(r.PathValue("id")))
 	})
 	handle("POST /v1/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req settleRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("bad complete body: %v", err), nil)
-			return
+		if results, ok := readSettle(w, r, "complete"); ok {
+			settleHTTP(w, c.Complete(r.PathValue("id"), results))
 		}
-		settleHTTP(w, c.Complete(r.PathValue("id"), req.Results))
 	})
 	handle("POST /v1/leases/{id}/release", func(w http.ResponseWriter, r *http.Request) {
-		var req settleRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("bad release body: %v", err), nil)
-			return
+		if results, ok := readSettle(w, r, "release"); ok {
+			settleHTTP(w, c.Release(r.PathValue("id"), results))
 		}
-		settleHTTP(w, c.Release(r.PathValue("id"), req.Results))
 	})
 	handle("GET /v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -71,6 +71,47 @@ func TestClaimModelMismatch(t *testing.T) {
 	}
 }
 
+// TestSettleBodyLimit: a complete or release body of exactly
+// maxSettleBody bytes is read and judged on its content (here an unknown
+// lease: 410), and one byte more answers 413 invalid_request without
+// being decoded.
+func TestSettleBodyLimit(t *testing.T) {
+	c := NewCoordinator(newTestSink(), Options{LeaseTTL: time.Minute})
+	defer c.Stop()
+	mux := http.NewServeMux()
+	c.RegisterHTTPObserved(mux, obs.NewRegistry())
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	const body = `{"results":[]}`
+	for _, route := range []string{"complete", "release"} {
+		t.Run(route, func(t *testing.T) {
+			for _, tc := range []struct {
+				size   int
+				status int
+				code   string
+			}{
+				{maxSettleBody, http.StatusGone, api.CodeGone},
+				{maxSettleBody + 1, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest},
+			} {
+				padded := strings.Repeat(" ", tc.size-len(body)) + body
+				resp, err := http.Post(ts.URL+"/v1/leases/no-such-lease/"+route, "application/json", strings.NewReader(padded))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var env struct {
+					Error api.Error `json:"error"`
+				}
+				derr := json.NewDecoder(resp.Body).Decode(&env)
+				resp.Body.Close()
+				if resp.StatusCode != tc.status || derr != nil || env.Error.Code != tc.code {
+					t.Fatalf("%d-byte body: %s, code %q (%v); want %d %s", tc.size, resp.Status, env.Error.Code, derr, tc.status, tc.code)
+				}
+			}
+		})
+	}
+}
+
 // TestWorkerStopsOnModelMismatch: a worker whose claim meets a
 // model_mismatch refusal returns ErrModelMismatch from Run after that
 // one claim, instead of retrying.

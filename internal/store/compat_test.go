@@ -1,0 +1,107 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+)
+
+// compatDir is a store written before decodeRecord existed, when every
+// read went through json.Unmarshal: two segments (SegmentBytes 3000)
+// and a five-line tail whose last line re-puts a segment-resident cell.
+// Its scenario names are "a/b", "x y", "<&>" and "é", so its keys need
+// path escaping, and the encoder wrote "<&>" as "\u003c\u0026\u003e".
+const compatDir = "testdata/compat"
+
+// compatLines returns the record lines of a store directory in the order
+// they were written: each segment's record region, oldest segment
+// first, then the tail.
+func compatLines(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*"+segmentExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	var lines [][]byte
+	for _, path := range append(segs, filepath.Join(dir, dataFile)) {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := bytes.Split(bytes.TrimSuffix(blob, []byte{'\n'}), []byte{'\n'})
+		if path != filepath.Join(dir, dataFile) {
+			ls = ls[:len(ls)-2] // the footer and the trailer
+		}
+		lines = append(lines, ls...)
+	}
+	return lines
+}
+
+// TestOpenCompatStore: the current reader opens a store written before
+// it. Has finds every key, which pins the Key.String bytes the committed
+// bloom filters hash; Get and Records return what json.Unmarshal reads
+// from the same lines (last write wins); and exactly the lines whose
+// names the encoder escaped went through json.Unmarshal.
+func TestOpenCompatStore(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(compatDir)); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[Key]Record)
+	escaped := 0
+	for _, line := range compatLines(t, dir) {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("testdata line %s: %v", line, err)
+		}
+		want[r.Key()] = r
+		if bytes.IndexByte(line, '\\') >= 0 {
+			if r.Scenario != "<&>" {
+				t.Fatalf("testdata line %s escapes something other than the <&> scenario", line)
+			}
+			escaped++
+		}
+	}
+	if len(want) != 16 || escaped == 0 {
+		t.Fatalf("testdata holds %d cells and %d escaped lines, want 16 and some", len(want), escaped)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Segments != 2 || st.Distinct != len(want) || st.ActiveRecords != 5 {
+		t.Fatalf("opened shape %+v, want 2 segments, %d cells, 5 tail records", st, len(want))
+	}
+	for k := range want {
+		if !s.Has(k) {
+			t.Fatalf("Has(%v) = false", k)
+		}
+	}
+	if s.jsonDecodes != uint64(escaped) {
+		t.Fatalf("opening and Has(all) sent %d lines through json.Unmarshal, want the %d escaped ones", s.jsonDecodes, escaped)
+	}
+	for k, w := range want {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || !sameRecord(got, w) {
+			t.Fatalf("Get(%v) = %+v, %v, %v; want %+v", k, got, ok, err, w)
+		}
+	}
+	recs, err := s.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("Records lists %d cells, want %d", len(recs), len(want))
+	}
+	for _, r := range recs {
+		if w, ok := want[r.Key()]; !ok || !sameRecord(r, w) {
+			t.Fatalf("Records holds %+v, want %+v", r, w)
+		}
+	}
+}

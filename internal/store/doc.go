@@ -27,10 +27,13 @@
 // PutBatch appends its records with one write and one fsync before it
 // returns; Put is a batch of one. A roll publishes its segment (file
 // fsync, rename, directory fsync) before it truncates the tail. Records
-// round-trip exactly: encoding/json preserves float64 values
-// bit-for-bit, which is what lets a resumed campaign reproduce
-// byte-identical aggregate output from stored cells (see
-// caem.RunCampaignWith and TestResumeEquivalence).
+// round-trip exactly: encoding/json writes float64 values in a form that
+// reads back bit-for-bit, which is what lets a resumed campaign
+// reproduce byte-identical aggregate output from stored cells (see
+// caem.RunCampaignWith and TestResumeEquivalence). Every read decodes a
+// line with one decoder that parses the exact shape the encoder writes
+// and hands any other line to json.Unmarshal, so it returns exactly what
+// json.Unmarshal would (FuzzRecordDecode).
 //
 // Appends from concurrent campaign workers are serialized internally;
 // a Store is safe for concurrent use by one process. Multi-process

@@ -118,9 +118,10 @@ func (g *segment) closeHandle() {
 }
 
 // ensureIndex loads the segment's key index on first use: one read of
-// the record region, one JSON key-decode per line. The caller holds the
-// store lock.
-func (g *segment) ensureIndex() error {
+// the record region, and one decode per line (the store's decodeRecord,
+// which parses the lines PutBatch writes directly). A line that does not
+// decode makes the segment corrupt. The caller holds the store lock.
+func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 	if g.index != nil {
 		return nil
 	}
@@ -140,13 +141,14 @@ func (g *segment) ensureIndex() error {
 		if nl < 0 {
 			return fmt.Errorf("store: segment %s record region is not line-terminated", filepath.Base(g.path))
 		}
-		var r Record
-		if err := json.Unmarshal(buf[:nl], &r); err != nil {
+		r, err := decode(buf[:nl])
+		if err != nil {
 			return fmt.Errorf("store: segment %s holds a corrupt record at %d: %w", filepath.Base(g.path), off, err)
 		}
-		ks := r.Key().String()
+		k := r.Key()
+		ks := k.String()
 		if _, dup := index[ks]; !dup {
-			order = append(order, r.Key())
+			order = append(order, k)
 		}
 		index[ks] = indexEntry{Off: off, Len: nl + 1}
 		off += int64(nl + 1)
@@ -156,20 +158,18 @@ func (g *segment) ensureIndex() error {
 	return nil
 }
 
-// readAt decodes the record at a segment entry.
-func (g *segment) readAt(e indexEntry, r *Record) error {
-	f, err := g.open()
+// readAt decodes the record at a segment entry. The caller holds the
+// store lock.
+func (g *segment) readAt(e indexEntry, decode func([]byte) (Record, error)) (Record, error) {
+	buf, err := g.rawAt(e)
 	if err != nil {
-		return err
+		return Record{}, err
 	}
-	buf := make([]byte, e.Len)
-	if _, err := f.ReadAt(buf, e.Off); err != nil {
-		return fmt.Errorf("store: reading segment record at %d: %w", e.Off, err)
+	r, err := decode(bytes.TrimSuffix(buf, []byte{'\n'}))
+	if err != nil {
+		return Record{}, fmt.Errorf("store: corrupt segment record at %d: %w", e.Off, err)
 	}
-	if err := json.Unmarshal(bytes.TrimSuffix(buf, []byte{'\n'}), r); err != nil {
-		return fmt.Errorf("store: corrupt segment record at %d: %w", e.Off, err)
-	}
-	return nil
+	return r, nil
 }
 
 // rawAt returns the raw line bytes (newline included) at a segment entry.
@@ -186,8 +186,8 @@ func (g *segment) rawAt(e indexEntry) ([]byte, error) {
 }
 
 // footerOf builds the footer for a set of record lines about to become
-// a segment.
-func footerOf(keys []Key, dataSize int64) segFooter {
+// a segment, given their keys and the keys' renderings kss.
+func footerOf(keys []Key, kss []string, dataSize int64) segFooter {
 	ft := segFooter{V: footerVersion, Records: len(keys), DataSize: dataSize, Bloom: newBloom(len(keys))}
 	for i, k := range keys {
 		if i == 0 {
@@ -202,7 +202,7 @@ func footerOf(keys []Key, dataSize int64) segFooter {
 			ft.MinSeed = min(ft.MinSeed, k.Seed)
 			ft.MaxSeed = max(ft.MaxSeed, k.Seed)
 		}
-		ft.Bloom.add(k.String())
+		ft.Bloom.add(kss[i])
 	}
 	return ft
 }

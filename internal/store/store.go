@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -77,11 +78,23 @@ type Key struct {
 	Seed     uint64
 }
 
-// String renders the canonical index key. Fields are escaped so that no
-// scenario or protocol name can alias another key.
+// String renders the canonical index key: the path-escaped hash,
+// scenario and protocol, and the decimal seed, joined by '/'. Fields are
+// escaped so that no scenario or protocol name can alias another key.
+// Every segment's bloom filter hashes these bytes, so they must never
+// change.
 func (k Key) String() string {
-	return fmt.Sprintf("%s/%s/%s/%d",
-		url.PathEscape(k.Hash), url.PathEscape(k.Scenario), url.PathEscape(k.Protocol), k.Seed)
+	// The key is assembled on the stack and copied once, so the string
+	// that indexes hold is exactly its length.
+	var buf [128]byte
+	b := append(buf[:0], url.PathEscape(k.Hash)...)
+	b = append(b, '/')
+	b = append(b, url.PathEscape(k.Scenario)...)
+	b = append(b, '/')
+	b = append(b, url.PathEscape(k.Protocol)...)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, k.Seed, 10)
+	return string(b)
 }
 
 // validate reports the first structural problem with the key.
@@ -200,6 +213,10 @@ type Store struct {
 	rolls            uint64
 	compactions      uint64
 	compactedRecords uint64
+	// jsonDecodes counts record lines that decodeRecord handed to
+	// json.Unmarshal: none that PutBatch wrote, unless a name needed JSON
+	// escaping.
+	jsonDecodes uint64
 }
 
 // SetFault installs a write-fault injector consulted before each log
@@ -244,9 +261,14 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
 // footers are loaded (never their records), the active tail is scanned
 // to rebuild its index, and a torn final line is truncated if the
 // previous writer crashed mid-append. Startup cost is O(segments) plus
-// one pass over the tail, which rolling bounds at SegmentBytes. A tail
-// larger than the segment threshold (such as a flat log written before
-// segmentation) is rolled into a segment on open.
+// one pass over the tail, which rolling bounds at SegmentBytes; each
+// tail line goes through decodeRecord, which parses the lines PutBatch
+// writes without encoding/json. A segment's records are decoded later,
+// once, by the first lookup its bloom filter admits, so a caller that
+// looks up every stored key (as a service re-planning its campaigns
+// does) decodes every record once in all. A tail larger than the
+// segment threshold (such as a flat log written before segmentation) is
+// rolled into a segment on open.
 func OpenWith(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -339,16 +361,16 @@ func (s *Store) scan(to int64, counted bool) error {
 		if nl < 0 {
 			break // torn tail: no final newline
 		}
-		line := buf[:nl]
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.V != recordVersion || r.Key().validate() != nil {
+		r, err := s.decodeLine(buf[:nl])
+		if err != nil || r.V != recordVersion || r.Key().validate() != nil {
 			break // undecodable or wrong-version line: stop here
 		}
 		k := r.Key()
-		if _, dup := s.index[k.String()]; !dup {
+		ks := k.String()
+		if _, dup := s.index[ks]; !dup {
 			s.order = append(s.order, k)
 			if counted {
-				inSeg, err := s.inSegmentsLocked(k)
+				inSeg, err := s.inSegmentsLocked(k, ks)
 				if err != nil {
 					return err
 				}
@@ -359,7 +381,7 @@ func (s *Store) scan(to int64, counted bool) error {
 				}
 			}
 		}
-		s.index[k.String()] = indexEntry{Off: off, Len: nl + 1}
+		s.index[ks] = indexEntry{Off: off, Len: nl + 1}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 		s.size = off
@@ -401,7 +423,7 @@ func (s *Store) ensureSegIndex(g *segment) error {
 	if g.index != nil {
 		return nil
 	}
-	if err := g.ensureIndex(); err != nil {
+	if err := g.ensureIndex(s.decodeLine); err != nil {
 		return err
 	}
 	s.segmentLoads++
@@ -409,10 +431,21 @@ func (s *Store) ensureSegIndex(g *segment) error {
 	return nil
 }
 
-// inSegmentsLocked reports whether any segment holds the key, pruning
-// with bloom filters and footer ranges before touching segment data.
-func (s *Store) inSegmentsLocked(k Key) (bool, error) {
-	ks := k.String()
+// decodeLine decodes one record line (newline excluded) with
+// decodeRecord, counting the lines it hands to json.Unmarshal. Caller
+// holds mu (or is single-threaded during load).
+func (s *Store) decodeLine(line []byte) (Record, error) {
+	r, fast, err := decodeRecord(line)
+	if !fast {
+		s.jsonDecodes++
+	}
+	return r, err
+}
+
+// inSegmentsLocked reports whether any segment holds the key k, rendered
+// as ks, pruning with bloom filters and footer ranges before touching
+// segment data.
+func (s *Store) inSegmentsLocked(k Key, ks string) (bool, error) {
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		seg := s.segs[i]
 		if !seg.mayContain(k, ks) {
@@ -466,12 +499,13 @@ func (s *Store) RecoveredBytes() int64 {
 
 // Has reports whether a cell with the given key is stored.
 func (s *Store) Has(k Key) bool {
+	ks := k.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[k.String()]; ok {
+	if _, ok := s.index[ks]; ok {
 		return true
 	}
-	in, err := s.inSegmentsLocked(k)
+	in, err := s.inSegmentsLocked(k, ks)
 	return err == nil && in
 }
 
@@ -487,8 +521,8 @@ func (s *Store) Get(k Key) (Record, bool, error) {
 func (s *Store) getLocked(k Key) (Record, bool, error) {
 	ks := k.String()
 	if e, ok := s.index[ks]; ok {
-		var r Record
-		if err := s.readAt(e, &r); err != nil {
+		r, err := s.readAt(e)
+		if err != nil {
 			return Record{}, false, err
 		}
 		return r, true, nil
@@ -505,8 +539,8 @@ func (s *Store) getLocked(k Key) (Record, bool, error) {
 		if !ok {
 			continue
 		}
-		var r Record
-		if err := seg.readAt(e, &r); err != nil {
+		r, err := seg.readAt(e, s.decodeLine)
+		if err != nil {
 			return Record{}, false, err
 		}
 		return r, true, nil
@@ -516,15 +550,16 @@ func (s *Store) getLocked(k Key) (Record, bool, error) {
 
 // readAt decodes the record line at a tail index entry. Caller holds mu
 // (or is single-threaded during load).
-func (s *Store) readAt(e indexEntry, r *Record) error {
+func (s *Store) readAt(e indexEntry) (Record, error) {
 	buf := make([]byte, e.Len)
 	if _, err := s.f.ReadAt(buf, e.Off); err != nil {
-		return fmt.Errorf("store: reading record at %d: %w", e.Off, err)
+		return Record{}, fmt.Errorf("store: reading record at %d: %w", e.Off, err)
 	}
-	if err := json.Unmarshal(bytes.TrimSuffix(buf, []byte{'\n'}), r); err != nil {
-		return fmt.Errorf("store: corrupt record at %d: %w", e.Off, err)
+	r, err := s.decodeLine(bytes.TrimSuffix(buf, []byte{'\n'}))
+	if err != nil {
+		return Record{}, fmt.Errorf("store: corrupt record at %d: %w", e.Off, err)
 	}
-	return nil
+	return r, nil
 }
 
 // Put appends one record to the active tail: PutBatch with one record.
@@ -574,15 +609,17 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 	// segments before any byte is written, so a segment read error cannot
 	// leave the count and the log disagreeing. A key repeated within the
 	// batch is new at most once.
+	kss := make([]string, len(keys))
 	fresh := make([]bool, len(keys))
 	inSeg := make([]bool, len(keys))
 	seen := make(map[string]bool, len(keys))
 	for i, k := range keys {
 		ks := k.String()
+		kss[i] = ks
 		if _, inTail := s.index[ks]; !inTail && !seen[ks] {
 			fresh[i] = true
 			var err error
-			if inSeg[i], err = s.inSegmentsLocked(k); err != nil {
+			if inSeg[i], err = s.inSegmentsLocked(k, ks); err != nil {
 				return err
 			}
 		}
@@ -613,7 +650,7 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 				s.distinct++
 			}
 		}
-		s.index[k.String()] = indexEntry{Off: s.size, Len: lens[i]}
+		s.index[kss[i]] = indexEntry{Off: s.size, Len: lens[i]}
 		s.size += int64(lens[i])
 	}
 	s.met.appendDone(len(keys), len(lines), s.distinct)
@@ -643,19 +680,22 @@ func (s *Store) rollLocked() error {
 		return err
 	}
 	keys := make([]Key, 0, len(s.order))
+	kss := make([]string, 0, len(s.order))
 	lines := make([][]byte, 0, len(s.order))
 	var dataSize int64
 	for _, k := range s.order {
-		e := s.index[k.String()]
+		ks := k.String()
+		e := s.index[ks]
 		buf := make([]byte, e.Len)
 		if _, err := s.f.ReadAt(buf, e.Off); err != nil {
 			return &WriteError{Op: "roll", Err: err}
 		}
 		keys = append(keys, k)
+		kss = append(kss, ks)
 		lines = append(lines, buf)
 		dataSize += int64(e.Len)
 	}
-	ft := footerOf(keys, dataSize)
+	ft := footerOf(keys, kss, dataSize)
 	ft.Distinct = s.distinct
 	path := filepath.Join(s.dir, segmentsDir, segName(s.nextSeq))
 	if err := writeSegmentFile(path, lines, ft); err != nil {
@@ -670,8 +710,8 @@ func (s *Store) rollLocked() error {
 	seg.index = make(map[string]indexEntry, len(keys))
 	seg.order = append([]Key(nil), keys...)
 	off := int64(0)
-	for i, k := range keys {
-		seg.index[k.String()] = indexEntry{Off: off, Len: len(lines[i])}
+	for i, ks := range kss {
+		seg.index[ks] = indexEntry{Off: off, Len: len(lines[i])}
 		off += int64(len(lines[i]))
 	}
 	s.segs = append(s.segs, seg)
@@ -765,6 +805,7 @@ func (s *Store) compactLocked() error {
 			continue
 		}
 		keys := make([]Key, 0, survivors)
+		kss := make([]string, 0, survivors)
 		lines := make([][]byte, 0, survivors)
 		var dataSize int64
 		for _, k := range seg.order {
@@ -777,10 +818,11 @@ func (s *Store) compactLocked() error {
 				return err
 			}
 			keys = append(keys, k)
+			kss = append(kss, ks)
 			lines = append(lines, raw)
 			dataSize += int64(len(raw))
 		}
-		ft := footerOf(keys, dataSize)
+		ft := footerOf(keys, kss, dataSize)
 		if err := writeSegmentFile(seg.path, lines, ft); err != nil {
 			return &WriteError{Op: "compact", Err: err}
 		}
@@ -791,10 +833,10 @@ func (s *Store) compactLocked() error {
 		seg.index = make(map[string]indexEntry, len(keys))
 		seg.order = append([]Key(nil), keys...)
 		off := int64(0)
-		for j, k := range keys {
-			seg.index[k.String()] = indexEntry{Off: off, Len: len(lines[j])}
+		for j, ks := range kss {
+			seg.index[ks] = indexEntry{Off: off, Len: len(lines[j])}
 			off += int64(len(lines[j]))
-			seen[k.String()] = struct{}{}
+			seen[ks] = struct{}{}
 		}
 		dropped += original - survivors
 	}
@@ -832,14 +874,14 @@ func (s *Store) Records() ([]Record, error) {
 	for _, k := range order {
 		ks := k.String()
 		var r Record
+		var err error
 		if seg := src[ks]; seg != nil {
-			if err := seg.readAt(seg.index[ks], &r); err != nil {
-				return nil, err
-			}
+			r, err = seg.readAt(seg.index[ks], s.decodeLine)
 		} else {
-			if err := s.readAt(s.index[ks], &r); err != nil {
-				return nil, err
-			}
+			r, err = s.readAt(s.index[ks])
+		}
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, r)
 	}
