@@ -48,7 +48,7 @@ vet:
 # testdata/fuzz/) already runs as deterministic subtests in plain
 # `go test`; this target explores BEYOND the corpus for a bounded
 # budget per fuzzer (go's fuzz engine allows one -fuzz target per
-# invocation, hence six runs):
+# invocation, hence seven runs):
 #   FuzzSpecLoad            — adversarial JSON never panics the loader
 #   FuzzGeneratorValidity   — every generated spec loads and regenerates
 #                             byte-identically
@@ -66,6 +66,9 @@ vet:
 #                             bits included, and every line PutBatch
 #                             writes without JSON escapes takes its
 #                             direct parse
+#   FuzzKeyRoundTrip        — any valid store key parses back from its
+#                             rendering, which stays byte for byte the
+#                             form the segment bloom filters hash
 #   FuzzEngineOrder         — any mix of ordinary and first-class
 #                             schedules, cancels, runs, stops and resets
 #                             executes events in the (time, class,
@@ -79,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./caem/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreReopen$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # Fast-fail lint pass: formatting, vet, and staticcheck when available

@@ -19,8 +19,9 @@ import (
 // incremental aggregation over completed cells (Aggregates), and the
 // caem-serve campaign service. The service persists its campaign specs
 // here (SaveCampaignSpec) to survive restarts. It serves results from
-// its own in-memory view, filled from each PutCells batch (CellPut.Stored),
-// and reads a stored cell back only for cells restored from an earlier run.
+// its own in-memory view of metric rows, filled from each PutCells batch
+// (CellPut.Summary) and rehydrated with SummaryCell, and reads a stored
+// row back (LookupSummary) only for cells restored from an earlier run.
 //
 // A CampaignStore is safe for concurrent use within one process; keep a
 // single writer per directory across processes.
@@ -137,17 +138,21 @@ func (cs *CampaignStore) PutCells(puts []CellPut) error {
 			Scenario: p.Cell.Scenario,
 			Protocol: p.Cell.Protocol.String(),
 			Seed:     p.Cell.Seed,
-			Summary:  summaryOf(p.Cell.Result),
+			Summary:  p.Summary(),
 		}
 	}
 	return cs.s.PutBatch(recs)
 }
 
+// Summary returns the metric row PutCells stores for the cell: the row
+// LookupSummary returns for it once written.
+func (p CellPut) Summary() store.Summary { return summaryOf(p.Cell.Result) }
+
 // Stored returns the cell as the store holds it once PutCells has
 // written it: the summary-level cell that LookupCell returns for it,
 // built without a store read.
 func (p CellPut) Stored() CampaignCell {
-	return summaryCell(p.Cell.Scenario, p.Cell.Protocol, p.Cell.Seed, summaryOf(p.Cell.Result))
+	return SummaryCell(p.Cell.Scenario, p.Cell.Protocol, p.Cell.Seed, p.Summary())
 }
 
 // HasCell reports whether the cell is stored.
@@ -161,11 +166,21 @@ func (cs *CampaignStore) HasCell(hash, scenario string, p Protocol, seed uint64)
 // Restored set, but not the bulky per-run detail (time series, per-node
 // outcomes, round reports, energy breakdown).
 func (cs *CampaignStore) LookupCell(hash, scenario string, p Protocol, seed uint64) (CampaignCell, bool, error) {
-	rec, ok, err := cs.s.Get(store.Key{Hash: hash, Scenario: scenario, Protocol: p.String(), Seed: seed})
+	s, ok, err := cs.LookupSummary(hash, scenario, p, seed)
 	if err != nil || !ok {
 		return CampaignCell{}, false, err
 	}
-	return cellOf(rec)
+	return SummaryCell(scenario, p, seed, s), true, nil
+}
+
+// LookupSummary returns the stored metric row of a cell, if present:
+// the row that LookupCell projects through SummaryCell.
+func (cs *CampaignStore) LookupSummary(hash, scenario string, p Protocol, seed uint64) (store.Summary, bool, error) {
+	rec, ok, err := cs.s.Get(store.Key{Hash: hash, Scenario: scenario, Protocol: p.String(), Seed: seed})
+	if err != nil || !ok {
+		return store.Summary{}, false, err
+	}
+	return rec.Summary, true, nil
 }
 
 // Cells returns every stored cell in first-stored order, summary-level
@@ -266,11 +281,14 @@ func cellOf(rec store.Record) (CampaignCell, bool, error) {
 	if err != nil {
 		return CampaignCell{}, false, fmt.Errorf("caem: stored cell: %w", err)
 	}
-	return summaryCell(rec.Scenario, p, rec.Seed, rec.Summary), true, nil
+	return SummaryCell(rec.Scenario, p, rec.Seed, rec.Summary), true, nil
 }
 
-// summaryCell builds the summary-level CampaignCell of a stored cell.
-func summaryCell(scenario string, p Protocol, seed uint64, s store.Summary) CampaignCell {
+// SummaryCell builds the summary-level CampaignCell of a stored metric
+// row: the projection behind LookupCell, Cells and CellPut.Stored, and
+// the one a caller holding rows of its own (such as the campaign
+// service's results view) rehydrates them with.
+func SummaryCell(scenario string, p Protocol, seed uint64, s store.Summary) CampaignCell {
 	return CampaignCell{
 		Scenario: scenario,
 		Protocol: p,

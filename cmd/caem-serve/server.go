@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/journal"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // campaignRequest is the POST /campaigns body: which scenarios to run
@@ -49,7 +50,8 @@ type campaignRequest struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// cellRef identifies one campaign cell and its live status.
+// cellRef identifies one campaign cell and its live status: the wire
+// form of a grid cell, rendered from its index (campaign.refLocked).
 type cellRef struct {
 	Scenario string `json:"scenario"`
 	Protocol string `json:"protocol"`
@@ -58,8 +60,29 @@ type cellRef struct {
 	Error    string `json:"error,omitempty"`
 }
 
+// cellStatus is a grid cell's live status, one byte per cell.
+type cellStatus uint8
+
+const (
+	cellPending cellStatus = iota
+	cellRunning
+	cellDone
+	cellRestored
+	cellFailed
+)
+
+// statusNames are the cell statuses' wire spellings.
+var statusNames = [...]string{"pending", "running", "done", "restored", "failed"}
+
+func (st cellStatus) String() string { return statusNames[st] }
+
+// terminal reports a settled status, which nothing downgrades.
+func (st cellStatus) terminal() bool { return st >= cellDone }
+
 // campaign is one scheduled grid. Static fields are set at launch; the
-// mutable state is guarded by mu.
+// mutable state is guarded by mu. A cell is its index in the grid,
+// which plan expands scenario-major, then protocol, then seed, so
+// everything else about it is derived from the index (axes).
 type campaign struct {
 	id        string
 	req       campaignRequest
@@ -69,20 +92,42 @@ type campaign struct {
 	protocols []caem.Protocol
 	seeds     []uint64
 
-	mu        sync.Mutex
-	cells     []cellRef
+	mu sync.Mutex
+	// status holds each grid cell's status; its length is the grid size.
+	status []cellStatus
+	// errs holds the poison error of each failed cell, by grid index
+	// (nil until a cell fails).
+	errs      map[int]string
 	completed int // done + restored
 	failed    int
 	state     string // running | done | failed
 	subs      []chan []byte
-	// results is the campaign's results view: slot i holds grid cell i
-	// as the store holds it, once the cell is done, or restored and
-	// loaded. It stays nil until a cell settles or the results are read,
-	// so recovering a campaign reads no stored cell.
-	results []caem.CampaignCell
+	// results is the campaign's results view: slot i holds grid cell i's
+	// metric row as the store holds it, once the cell is done, or restored
+	// and loaded. view rehydrates the rows through the store's own summary
+	// projection (caem.SummaryCell). It stays nil until a cell settles or
+	// the results are read, so recovering a campaign reads no stored cell.
+	results []store.Summary
 	// loaded reports that the restored cells' slots are filled; the
 	// first results read fills them (loadRestored).
 	loaded bool
+}
+
+// axes returns grid cell i's scenario index, protocol and seed. They
+// are immutable after launch, so no lock is needed.
+func (c *campaign) axes(i int) (si int, p caem.Protocol, seed uint64) {
+	np, ns := len(c.protocols), len(c.seeds)
+	return i / (np * ns), c.protocols[i/ns%np], c.seeds[i%ns]
+}
+
+// refLocked renders grid cell i with its live status. Caller holds
+// c.mu.
+func (c *campaign) refLocked(i int) cellRef {
+	si, p, seed := c.axes(i)
+	return cellRef{
+		Scenario: c.scenarios[si].Name, Protocol: p.String(), Seed: seed,
+		Status: c.status[i].String(), Error: c.errs[i],
+	}
 }
 
 // progressEvent is one NDJSON line of GET /campaigns/{id}/progress.
@@ -99,11 +144,13 @@ type progressEvent struct {
 func (c *campaign) snapshot() campaignStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cells := make([]cellRef, len(c.cells))
-	copy(cells, c.cells)
+	cells := make([]cellRef, len(c.status))
+	for i := range cells {
+		cells[i] = c.refLocked(i)
+	}
 	return campaignStatus{
 		ID: c.id, State: c.state,
-		Total: len(c.cells), Completed: c.completed, Failed: c.failed,
+		Total: len(c.status), Completed: c.completed, Failed: c.failed,
 		Cells: cells,
 	}
 }
@@ -327,8 +374,8 @@ func (s *server) CellStarted(cell cluster.Cell) {
 		return
 	}
 	c.mu.Lock()
-	if st := c.cells[cell.Index].Status; st == "pending" || st == "running" {
-		c.cells[cell.Index].Status = "running"
+	if c.status[cell.Index] == cellPending {
+		c.status[cell.Index] = cellRunning
 	}
 	c.mu.Unlock()
 }
@@ -369,7 +416,7 @@ func (s *server) CellsDone(cells []cluster.Cell, results []*caem.Result) []error
 	next := 0 // puts skips the cells the chaos hook rejected
 	for i, cell := range cells {
 		if errs[i] == nil {
-			s.cellDone(cell, puts[next].Stored())
+			s.cellDone(cell, puts[next].Summary())
 			next++
 		}
 	}
@@ -377,30 +424,30 @@ func (s *server) CellsDone(cells []cluster.Cell, results []*caem.Result) []error
 }
 
 // cellDone folds one persisted cell into its campaign's progress and
-// results view; stored is the cell as the store now holds it.
-func (s *server) cellDone(cell cluster.Cell, stored caem.CampaignCell) {
+// results view; row is its metric row as the store now holds it.
+func (s *server) cellDone(cell cluster.Cell, row store.Summary) {
 	c := s.campaignByID(cell.Campaign)
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if st := c.cells[cell.Index].Status; st == "done" || st == "restored" || st == "failed" {
+	if c.status[cell.Index].terminal() {
 		c.mu.Unlock()
 		return
 	}
-	c.cells[cell.Index].Status = "done"
+	c.status[cell.Index] = cellDone
 	c.completed++
-	c.fillLocked(cell.Index, stored)
+	c.fillLocked(cell.Index, row)
 	s.finishLocked(c, cell.Index)
 }
 
-// fillLocked puts a settled cell into its results-view slot, allocating
-// the view on first use. Caller holds c.mu.
-func (c *campaign) fillLocked(idx int, cell caem.CampaignCell) {
+// fillLocked puts a settled cell's row into its results-view slot,
+// allocating the view on first use. Caller holds c.mu.
+func (c *campaign) fillLocked(idx int, row store.Summary) {
 	if c.results == nil {
-		c.results = make([]caem.CampaignCell, len(c.cells))
+		c.results = make([]store.Summary, len(c.status))
 	}
-	c.results[idx] = cell
+	c.results[idx] = row
 }
 
 // CellFailed marks a poisoned cell terminally failed: its retry budget
@@ -411,12 +458,15 @@ func (s *server) CellFailed(cell cluster.Cell, attempts int, err error) {
 		return
 	}
 	c.mu.Lock()
-	if st := c.cells[cell.Index].Status; st == "done" || st == "restored" || st == "failed" {
+	if c.status[cell.Index].terminal() {
 		c.mu.Unlock()
 		return
 	}
-	c.cells[cell.Index].Status = "failed"
-	c.cells[cell.Index].Error = fmt.Sprintf("poisoned after %d attempts: %v", attempts, err)
+	c.status[cell.Index] = cellFailed
+	if c.errs == nil {
+		c.errs = make(map[int]string)
+	}
+	c.errs[cell.Index] = fmt.Sprintf("poisoned after %d attempts: %v", attempts, err)
 	c.failed++
 	s.finishLocked(c, cell.Index)
 }
@@ -424,8 +474,8 @@ func (s *server) CellFailed(cell cluster.Cell, attempts int, err error) {
 // finishLocked updates campaign state after a cell settles and emits
 // the progress event. Caller holds c.mu; it is released here.
 func (s *server) finishLocked(c *campaign, idx int) {
-	cell := c.cells[idx]
-	final := c.completed+c.failed == len(c.cells)
+	cell := c.refLocked(idx)
+	final := c.completed+c.failed == len(c.status)
 	if final {
 		if c.failed > 0 {
 			c.state = "failed"
@@ -435,7 +485,7 @@ func (s *server) finishLocked(c *campaign, idx int) {
 	}
 	ev := progressEvent{
 		Campaign: c.id, State: c.state,
-		Total: len(c.cells), Completed: c.completed, Failed: c.failed,
+		Total: len(c.status), Completed: c.completed, Failed: c.failed,
 		Cell: &cell,
 	}
 	line, _ := json.Marshal(ev)
@@ -506,16 +556,16 @@ func (s *server) plan(id string, req campaignRequest) (*campaign, []cluster.Cell
 		c.hashes = append(c.hashes, hash)
 	}
 
-	// Expand the grid in campaign submission order and split it into
-	// restored and pending cells.
+	// Expand the grid in campaign submission order (the order axes
+	// inverts) and split it into restored and pending cells.
+	c.status = make([]cellStatus, len(scs)*len(protocols)*len(seeds))
 	var pending []cluster.Cell
+	idx := 0
 	for si, sc := range scs {
 		for _, p := range protocols {
 			for _, seed := range seeds {
-				ref := cellRef{Scenario: sc.Name, Protocol: p.String(), Seed: seed, Status: "pending"}
-				idx := len(c.cells)
 				if s.store.HasCell(c.hashes[si], sc.Name, p, seed) {
-					ref.Status = "restored"
+					c.status[idx] = cellRestored
 					c.completed++
 				} else {
 					cfg := c.configs[si]
@@ -525,7 +575,7 @@ func (s *server) plan(id string, req campaignRequest) (*campaign, []cluster.Cell
 						Scenario: sc, Config: cfg,
 					})
 				}
-				c.cells = append(c.cells, ref)
+				idx++
 			}
 		}
 	}
@@ -775,7 +825,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	accepted := c.snapshot()
 	s.schedule(pending)
 	s.log.Info("campaign accepted",
-		"campaign", id, "cells", len(c.cells), "pending", len(pending))
+		"campaign", id, "cells", len(c.status), "pending", len(pending))
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
@@ -905,26 +955,10 @@ type resultAggregate struct {
 	AliveAtEnd            caem.Aggregate `json:"aliveAtEnd"`
 }
 
-// cellRefs expands the campaign grid into store refs in submission
-// order. Everything read here is immutable after launch, so no lock is
-// needed.
-func (c *campaign) cellRefs() []caem.CellRef {
-	refs := make([]caem.CellRef, 0, len(c.cells))
-	for si, sc := range c.scenarios {
-		for _, p := range c.protocols {
-			for _, seed := range c.seeds {
-				refs = append(refs, caem.CellRef{
-					Hash: c.hashes[si], Scenario: sc.Name, Protocol: p, Seed: seed,
-				})
-			}
-		}
-	}
-	return refs
-}
-
 // view returns the campaign's settled cells in grid order, with its
-// state, copied under the campaign lock. The first call loads the cells
-// restored from the store; after that a read touches memory only.
+// state, rehydrated from the results view under the campaign lock. The
+// first call loads the rows of the cells restored from the store; after
+// that a read touches memory only.
 func (s *server) view(c *campaign) ([]caem.CampaignCell, string, error) {
 	c.mu.Lock()
 	loaded := c.loaded
@@ -937,44 +971,51 @@ func (s *server) view(c *campaign) ([]caem.CampaignCell, string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cells := make([]caem.CampaignCell, 0, c.completed)
-	for i, ref := range c.cells {
-		if ref.Status == "done" || ref.Status == "restored" {
-			cells = append(cells, c.results[i])
+	for i, st := range c.status {
+		if st == cellDone || st == cellRestored {
+			si, p, seed := c.axes(i)
+			cells = append(cells, caem.SummaryCell(c.scenarios[si].Name, p, seed, c.results[i]))
 		}
 	}
 	return cells, c.state, nil
 }
 
-// loadRestored reads the cells plan restored from the store into the
-// results view. The reads run outside c.mu, so settlement never waits
-// on them; a cell is restored only at plan time, so the set is fixed.
-// Two first reads may race here: both read, and the first to finish
-// fills the slots.
+// loadRestored reads the rows of the cells plan restored from the store
+// into the results view. The reads run outside c.mu, so settlement
+// never waits on them; a cell is restored only at plan time, so the set
+// is fixed. Two first reads may race here: both read, and the first to
+// finish fills the slots.
 func (s *server) loadRestored(c *campaign) error {
-	grid := c.cellRefs()
 	var idx []int
-	var refs []caem.CellRef
 	c.mu.Lock()
-	for i, ref := range c.cells {
-		if ref.Status == "restored" {
+	for i, st := range c.status {
+		if st == cellRestored {
 			idx = append(idx, i)
-			refs = append(refs, grid[i])
 		}
 	}
 	c.mu.Unlock()
-	cells, err := s.store.QueryCells(refs, caem.CellQuery{})
-	if err != nil {
-		return err
+	rows := make([]store.Summary, len(idx))
+	missing := 0
+	for k, i := range idx {
+		si, p, seed := c.axes(i)
+		row, ok, err := s.store.LookupSummary(c.hashes[si], c.scenarios[si].Name, p, seed)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			missing++
+		}
+		rows[k] = row
 	}
-	if len(cells) != len(refs) {
+	if missing > 0 {
 		return fmt.Errorf("campaign %s: %d of its %d restored cells are missing from the store",
-			c.id, len(refs)-len(cells), len(refs))
+			c.id, missing, len(idx))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.loaded {
 		for k, i := range idx {
-			c.fillLocked(i, cells[k])
+			c.fillLocked(i, rows[k])
 		}
 		c.loaded = true
 	}
@@ -1109,7 +1150,7 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out := resultsResponse{
-		ID: c.id, State: state, Total: len(c.cells), Completed: len(all),
+		ID: c.id, State: state, Total: len(c.status), Completed: len(all),
 		Aggregates: wireAggregates(caem.AggregateCampaign(cells)),
 	}
 	if len(ps) > 0 {
@@ -1142,11 +1183,11 @@ func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	snap := progressEvent{
 		Campaign: c.id, State: c.state,
-		Total: len(c.cells), Completed: c.completed, Failed: c.failed,
+		Total: len(c.status), Completed: c.completed, Failed: c.failed,
 	}
 	var ch chan []byte
 	if c.state == "running" {
-		ch = make(chan []byte, len(c.cells)+1)
+		ch = make(chan []byte, len(c.status)+1)
 		c.subs = append(c.subs, ch)
 	}
 	c.mu.Unlock()

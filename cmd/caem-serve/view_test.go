@@ -60,6 +60,16 @@ func settleByHand(t *testing.T, srv *server, limit int, check func()) {
 	}
 }
 
+// gridRefs expands the campaign grid into store refs in grid order.
+func gridRefs(c *campaign) []caem.CellRef {
+	refs := make([]caem.CellRef, len(c.status))
+	for i := range refs {
+		si, p, seed := c.axes(i)
+		refs[i] = caem.CellRef{Hash: c.hashes[si], Scenario: c.scenarios[si].Name, Protocol: p, Seed: seed}
+	}
+	return refs
+}
+
 // storeResultsDoc builds the results document the way the service did
 // before it kept a results view: every read resolves the campaign grid
 // against the store (QueryCells) and aggregates what it finds. It is
@@ -76,7 +86,7 @@ func storeResultsDoc(t *testing.T, st *caem.CampaignStore, c *campaign, rawQuery
 	if !ok {
 		t.Fatalf("query %q: %s", rawQuery, rec.Body)
 	}
-	refs := c.cellRefs()
+	refs := gridRefs(c)
 	all, err := st.QueryCells(refs, caem.CellQuery{})
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,20 @@ type Cell struct {
 	Config   caem.Config   `json:"config"`
 }
 
-// Key returns the cell's unique queue identity.
+// Key renders the cell's identity as the journal records it
+// ("campaign/index").
 func (c Cell) Key() string { return fmt.Sprintf("%s/%d", c.Campaign, c.Index) }
+
+// cellID is a cell's identity inside the coordinator: the pair that Key
+// renders, kept as a comparable value so bookkeeping maps allocate no
+// key string per cell.
+type cellID struct {
+	campaign string
+	index    int
+}
+
+// id returns the cell's coordinator identity.
+func (c Cell) id() cellID { return cellID{c.Campaign, c.Index} }
 
 // CellResult is a worker's verdict on one leased cell: either a full
 // Result or an error string describing a (presumed transient) failure.

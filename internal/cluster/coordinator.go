@@ -141,13 +141,16 @@ type Coordinator struct {
 	met  *coordMetrics
 	log  *slog.Logger
 
+	// A cell has at most one home among queue, delayed, the leases,
+	// settling and settled. Submit checks them all; every other path
+	// moves a cell from one home to the next without looking elsewhere.
 	mu       sync.Mutex
 	queue    []Cell                 // ready to lease, FIFO
 	delayed  []delayedCell          // backing off after a failure
 	leases   map[string]*lease      // outstanding batches
-	attempts map[string]int         // reported failures per cell key
-	settled  map[string]bool        // terminally settled (done or poisoned)
-	settling map[string]bool        // reserved by a settle whose store write is in flight
+	attempts map[string]int         // reported failures per cell key (Cell.Key)
+	settled  map[cellID]bool        // terminally settled (done or poisoned)
+	settling map[cellID]bool        // reserved by a settle whose store write is in flight
 	workers  map[string]*workerInfo // per-worker stats
 	poisoned []PoisonReport
 	leaseSeq int
@@ -167,8 +170,8 @@ func NewCoordinator(sink Sink, opts Options) *Coordinator {
 		now:      time.Now,
 		leases:   make(map[string]*lease),
 		attempts: make(map[string]int),
-		settled:  make(map[string]bool),
-		settling: make(map[string]bool),
+		settled:  make(map[cellID]bool),
+		settling: make(map[cellID]bool),
 		workers:  make(map[string]*workerInfo),
 		stop:     make(chan struct{}),
 	}
@@ -323,40 +326,40 @@ func (c *Coordinator) Submit(cells []Cell) {
 		c.log.Warn("submit dropped: coordinator is fenced", "cells", len(cells))
 		return
 	}
-	known := make(map[string]bool, len(c.queue)+len(c.delayed)+len(c.leases)+len(c.settling))
-	for key := range c.settling {
-		known[key] = true
+	known := make(map[cellID]bool, len(c.queue)+len(c.delayed)+len(c.leases)+len(c.settling))
+	for id := range c.settling {
+		known[id] = true
 	}
 	for _, cell := range c.queue {
-		known[cell.Key()] = true
+		known[cell.id()] = true
 	}
 	for _, d := range c.delayed {
-		known[d.cell.Key()] = true
+		known[d.cell.id()] = true
 	}
 	for _, l := range c.leases {
 		for _, cell := range l.cells {
-			known[cell.Key()] = true
+			known[cell.id()] = true
 		}
 	}
 	queued := 0
 	var repoison []Cell
 	for _, cell := range cells {
-		key := cell.Key()
+		id := cell.id()
 		switch {
-		case known[key]:
-		case c.settled[key]:
-			if c.poisonReportLocked(key) != nil {
+		case known[id]:
+		case c.settled[id]:
+			if c.poisonReportLocked(id) != nil {
 				repoison = append(repoison, cell)
 			}
 		default:
-			known[key] = true
+			known[id] = true
 			c.queue = append(c.queue, cell)
 			queued++
 		}
 	}
 	// Re-deliver poisons under mu, like CellFailed on the retry path.
 	for _, cell := range repoison {
-		rep := c.poisonReportLocked(cell.Key())
+		rep := c.poisonReportLocked(cell.id())
 		c.sink.CellFailed(cell, rep.Attempts, errors.New(rep.Error))
 	}
 	c.syncGaugesLocked()
@@ -365,12 +368,12 @@ func (c *Coordinator) Submit(cells []Cell) {
 		"cells", len(cells), "queued", queued, "repoisoned", len(repoison))
 }
 
-// poisonReportLocked finds the poison report for a key. Caller holds
+// poisonReportLocked finds the poison report for a cell. Caller holds
 // mu; poisons are rare, so the scan is fine.
-func (c *Coordinator) poisonReportLocked(key string) *PoisonReport {
+func (c *Coordinator) poisonReportLocked(id cellID) *PoisonReport {
 	for i := range c.poisoned {
-		if fmt.Sprintf("%s/%d", c.poisoned[i].Campaign, c.poisoned[i].Index) == key {
-			return &c.poisoned[i]
+		if rep := &c.poisoned[i]; rep.Campaign == id.campaign && rep.Index == id.index {
+			return rep
 		}
 	}
 	return nil
@@ -397,7 +400,7 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 			c.log.Warn("undecodable poison report in journal", "cell", key, "error", err.Error())
 			continue
 		}
-		c.settled[key] = true
+		c.settled[cellID{rep.Campaign, rep.Index}] = true
 		c.poisoned = append(c.poisoned, rep)
 	}
 	sort.Slice(c.poisoned, func(i, j int) bool {
@@ -411,6 +414,11 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 	return nil
 }
 
+// testHookMutated, when set by this package's tests, runs under mu
+// after every mutation (from syncGaugesLocked) to check the coordinator's
+// bookkeeping.
+var testHookMutated func(c *Coordinator)
+
 // syncGaugesLocked republishes the structural depth gauges from the
 // authoritative in-memory state. Called after every mutation under mu,
 // so a /metrics scrape and a /cluster/status snapshot always agree.
@@ -418,6 +426,9 @@ func (c *Coordinator) syncGaugesLocked() {
 	c.met.queueDepth.Set(float64(len(c.queue)))
 	c.met.delayed.Set(float64(len(c.delayed)))
 	c.met.inflight.Set(float64(len(c.leases)))
+	if testHookMutated != nil {
+		testHookMutated(c)
+	}
 }
 
 // Claim hands the worker a lease of at most max cells, sized by guided
@@ -442,19 +453,6 @@ func (c *Coordinator) Claim(worker string, max int) (*Lease, error) {
 	}
 	w.lastSeen = now
 	c.promoteRipeLocked(now)
-	// Drop queue copies of cells that settled, or are settling, while
-	// re-queued: an expiry re-queue can race a late completion of the
-	// same cell, and handing the stale copy out again would only waste a
-	// worker.
-	if len(c.settled) > 0 || len(c.settling) > 0 {
-		q := c.queue[:0]
-		for _, cell := range c.queue {
-			if key := cell.Key(); !c.settled[key] && !c.settling[key] {
-				q = append(q, cell)
-			}
-		}
-		c.queue = q
-	}
 	if len(c.queue) == 0 {
 		c.syncGaugesLocked()
 		return nil, nil
@@ -477,7 +475,14 @@ func (c *Coordinator) Claim(worker string, max int) (*Lease, error) {
 	}
 	cells := make([]Cell, n)
 	copy(cells, c.queue[:n])
+	// Clear the granted prefix, and drop the array once the queue is
+	// empty, so the backing array of a drained campaign is not kept
+	// reachable until the next Submit.
+	clear(c.queue[:n])
 	c.queue = c.queue[n:]
+	if len(c.queue) == 0 {
+		c.queue = nil
+	}
 
 	c.leaseSeq++
 	l := &lease{
@@ -562,8 +567,8 @@ func (c *Coordinator) Release(leaseID string, results []CellResult) error {
 //   - publish, under mu again: the persisted cells settle, and a cell
 //     whose write failed takes the retry path.
 //
-// While a cell is settling, Submit and Claim treat it as known and a
-// duplicate completion skips it, as if it had settled.
+// While a cell is settling, Submit treats it as known, as if it had
+// settled.
 func (c *Coordinator) settle(leaseID string, results []CellResult, partial bool) error {
 	c.mu.Lock()
 	s, err := c.reserveLocked(leaseID, results, partial)
@@ -618,16 +623,13 @@ func (c *Coordinator) reserveLocked(leaseID string, results []CellResult, partia
 			"lease_id", leaseID, "worker_id", l.worker, "results", len(results))
 	}
 
-	byIndex := make(map[string]CellResult, len(results))
+	byID := make(map[cellID]CellResult, len(results))
 	for _, r := range results {
-		byIndex[fmt.Sprintf("%s/%d", r.Campaign, r.Index)] = r
+		byID[cellID{r.Campaign, r.Index}] = r
 	}
 	for _, cell := range l.cells {
-		key := cell.Key()
-		if c.settled[key] || c.settling[key] {
-			continue // duplicate execution after an expiry re-queue
-		}
-		r, have := byIndex[key]
+		id := cell.id()
+		r, have := byID[id]
 		switch {
 		case !have:
 			// A Release returns its unfinished cells; a Complete that omits
@@ -635,7 +637,7 @@ func (c *Coordinator) reserveLocked(leaseID string, results []CellResult, partia
 			// its campaign forever. Either way: re-queue, no penalty.
 			c.queue = append(c.queue, cell)
 		case r.Result != nil:
-			c.settling[key] = true
+			c.settling[id] = true
 			s.cells = append(s.cells, cell)
 			s.results = append(s.results, r.Result)
 		default:
@@ -670,19 +672,18 @@ func (c *Coordinator) persist(s settlement) []error {
 func (c *Coordinator) publishLocked(s settlement, errs []error) error {
 	if c.fenced {
 		for _, cell := range s.cells {
-			delete(c.settling, cell.Key())
+			delete(c.settling, cell.id())
 		}
 		return c.fenceCheckLocked("")
 	}
 	now := c.now()
 	for i, cell := range s.cells {
-		key := cell.Key()
-		delete(c.settling, key)
+		delete(c.settling, cell.id())
 		if errs[i] != nil {
 			c.retryLocked(cell, now, errs[i])
 			continue
 		}
-		c.settled[key] = true
+		c.settled[cell.id()] = true
 		c.met.cellsSettled.Inc()
 		if s.worker != nil {
 			s.worker.settledC.Inc()
@@ -700,7 +701,7 @@ func (c *Coordinator) retryLocked(cell Cell, now time.Time, cause error) {
 	c.attempts[key]++
 	n := c.attempts[key]
 	if n >= c.opts.MaxAttempts {
-		c.settled[key] = true
+		c.settled[cell.id()] = true
 		rep := PoisonReport{
 			Campaign: cell.Campaign,
 			Index:    cell.Index,
@@ -762,13 +763,8 @@ func (c *Coordinator) Sweep() {
 		}
 		delete(c.leases, id)
 		c.met.expired.Inc()
-		requeued := 0
-		for _, cell := range l.cells {
-			if key := cell.Key(); !c.settled[key] && !c.settling[key] {
-				c.queue = append(c.queue, cell)
-				requeued++
-			}
-		}
+		c.queue = append(c.queue, l.cells...)
+		requeued := len(l.cells)
 		c.log.Warn("lease expired",
 			"lease_id", id, "worker_id", l.worker, "requeued", requeued)
 	}

@@ -202,14 +202,17 @@ func FuzzRecordDecode(f *testing.F) {
 	})
 }
 
+// referenceKey is the fmt.Sprintf form of a key's rendering that every
+// existing segment's bloom filter was built from.
+func referenceKey(k Key) string {
+	return fmt.Sprintf("%s/%s/%s/%d",
+		url.PathEscape(k.Hash), url.PathEscape(k.Scenario), url.PathEscape(k.Protocol), k.Seed)
+}
+
 // TestKeyStringBytes: Key.String renders exactly the bytes of the
 // fmt.Sprintf form every existing segment's bloom filter was built
 // from, on names that need escaping.
 func TestKeyStringBytes(t *testing.T) {
-	reference := func(k Key) string {
-		return fmt.Sprintf("%s/%s/%s/%d",
-			url.PathEscape(k.Hash), url.PathEscape(k.Scenario), url.PathEscape(k.Protocol), k.Seed)
-	}
 	names := []string{
 		"", "plain", "a/b", "x y", "<&>", "é", "100%", "a?b#c", "a;b,c", "~-_.", "$&+:=@",
 		"tab\t", "nul\x00", "\xff", "日本", `q"uote`, `back\slash`, "%2F", strings.Repeat("é/", 40),
@@ -217,7 +220,7 @@ func TestKeyStringBytes(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
 		for i, n := range names {
 			k := Key{Hash: n, Scenario: names[(i+1)%len(names)], Protocol: names[(i+2)%len(names)], Seed: seed}
-			if got, want := k.String(), reference(k); got != want {
+			if got, want := k.String(), referenceKey(k); got != want {
 				t.Errorf("%#v.String() = %q, want %q", k, got, want)
 			}
 		}

@@ -1,11 +1,40 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// FuzzKeyRoundTrip: for any key that validates, parsing its rendering
+// gives the key back, and the rendering is byte for byte the form every
+// segment's bloom filter hashes (referenceKey). The full-scan paths
+// (Records, Keys, compaction) rebuild each segment key this way.
+func FuzzKeyRoundTrip(f *testing.F) {
+	for _, name := range []string{"/", "%", "+", " ", "a b", "<&>", "é", "\xff", "\xc3(", "%2F", "a/b%c+d e", "//"} {
+		f.Add("0123456789abcdef", name, "CAEM-scheme1", uint64(7))
+		f.Add(name, "storm", name, uint64(math.MaxUint64))
+	}
+	f.Fuzz(func(t *testing.T, hash, scenario, protocol string, seed uint64) {
+		k := Key{Hash: hash, Scenario: scenario, Protocol: protocol, Seed: seed}
+		if k.validate() != nil {
+			return
+		}
+		ks := k.String()
+		if want := referenceKey(k); ks != want {
+			t.Fatalf("%#v renders %q, want %q", k, ks, want)
+		}
+		back, err := parseKey(ks)
+		if err != nil {
+			t.Fatalf("parseKey(%q): %v", ks, err)
+		}
+		if back != k {
+			t.Fatalf("parseKey(%q) = %#v, want %#v", ks, back, k)
+		}
+	})
+}
 
 // FuzzStoreReopen drives a store through a decoded sequence of puts,
 // re-puts, compactions and reopens, and after every reopen checks it

@@ -48,17 +48,19 @@ type segFooter struct {
 }
 
 // segment is one immutable segment file: record lines in first-put
-// order (deduplicated — a roll keeps only the latest version of each
+// order, one per key (a roll keeps only the latest version of each
 // key), then a footer line, then the fixed-width trailer. The footer is
 // resident from Open; the per-key index is loaded lazily on the first
-// lookup that the bloom filter cannot rule out, and cached.
+// lookup that the bloom filter cannot rule out, and cached. The index is
+// all a loaded segment keeps per record: the rare paths that need the
+// records in order (Records, Keys, compaction) sort its entries by
+// offset, and parse each Key back from its rendered form.
 type segment struct {
 	path   string
 	seq    int
 	footer segFooter
 	f      *os.File              // lazily opened read handle
-	index  map[string]indexEntry // lazily built key index
-	order  []Key                 // keys in record order
+	index  map[string]indexEntry // lazily built key index, by rendered key
 }
 
 // segName renders the canonical file name for a sequence number.
@@ -134,7 +136,6 @@ func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 		return fmt.Errorf("store: reading segment %s records: %w", filepath.Base(g.path), err)
 	}
 	index := make(map[string]indexEntry, g.footer.Records)
-	order := make([]Key, 0, g.footer.Records)
 	off := int64(0)
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
@@ -145,17 +146,23 @@ func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 		if err != nil {
 			return fmt.Errorf("store: segment %s holds a corrupt record at %d: %w", filepath.Base(g.path), off, err)
 		}
-		k := r.Key()
-		ks := k.String()
-		if _, dup := index[ks]; !dup {
-			order = append(order, k)
-		}
-		index[ks] = indexEntry{Off: off, Len: nl + 1}
+		index[r.Key().String()] = indexEntry{Off: off, Len: nl + 1}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 	}
-	g.index, g.order = index, order
+	g.index = index
 	return nil
+}
+
+// orderedKeys returns the loaded segment's rendered keys in record
+// order: its index entries sorted by offset.
+func (g *segment) orderedKeys() []string {
+	kss := make([]string, 0, len(g.index))
+	for ks := range g.index {
+		kss = append(kss, ks)
+	}
+	sort.Slice(kss, func(i, j int) bool { return g.index[kss[i]].Off < g.index[kss[j]].Off })
+	return kss
 }
 
 // readAt decodes the record at a segment entry. The caller holds the

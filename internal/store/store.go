@@ -97,6 +97,27 @@ func (k Key) String() string {
 	return string(b)
 }
 
+// parseKey parses a key back from its rendering: String escapes every
+// '/' inside a field, so the rendering splits into exactly its four
+// fields.
+func parseKey(ks string) (Key, error) {
+	f := strings.Split(ks, "/")
+	if len(f) != 4 {
+		return Key{}, fmt.Errorf("store: malformed key %q", ks)
+	}
+	var k Key
+	var err error
+	for i, dst := range []*string{&k.Hash, &k.Scenario, &k.Protocol} {
+		if *dst, err = url.PathUnescape(f[i]); err != nil {
+			return Key{}, fmt.Errorf("store: malformed key %q: %w", ks, err)
+		}
+	}
+	if k.Seed, err = strconv.ParseUint(f[3], 10, 64); err != nil {
+		return Key{}, fmt.Errorf("store: malformed key %q: %w", ks, err)
+	}
+	return k, nil
+}
+
 // validate reports the first structural problem with the key.
 func (k Key) validate() error {
 	switch {
@@ -401,17 +422,17 @@ func (s *Store) scan(to int64, counted bool) error {
 func (s *Store) recountDistinctLocked() error {
 	s.fullScans++
 	s.met.fullScan()
-	set := make(map[string]struct{}, len(s.order))
+	set := make(map[string]struct{}, len(s.index))
 	for _, seg := range s.segs {
 		if err := s.ensureSegIndex(seg); err != nil {
 			return err
 		}
-		for _, k := range seg.order {
-			set[k.String()] = struct{}{}
+		for ks := range seg.index {
+			set[ks] = struct{}{}
 		}
 	}
-	for _, k := range s.order {
-		set[k.String()] = struct{}{}
+	for ks := range s.index {
+		set[ks] = struct{}{}
 	}
 	s.distinct = len(set)
 	return nil
@@ -708,7 +729,6 @@ func (s *Store) rollLocked() error {
 	}
 	seg := &segment{path: path, seq: s.nextSeq, footer: ft}
 	seg.index = make(map[string]indexEntry, len(keys))
-	seg.order = append([]Key(nil), keys...)
 	off := int64(0)
 	for i, ks := range kss {
 		seg.index[ks] = indexEntry{Off: off, Len: len(lines[i])}
@@ -780,15 +800,15 @@ func (s *Store) compactLocked() error {
 			return err
 		}
 		survivors := 0
-		for _, k := range seg.order {
-			if _, dup := seen[k.String()]; !dup {
+		for ks := range seg.index {
+			if _, dup := seen[ks]; !dup {
 				survivors++
 			}
 		}
-		original := len(seg.order)
+		original := len(seg.index)
 		if survivors == original {
-			for _, k := range seg.order {
-				seen[k.String()] = struct{}{}
+			for ks := range seg.index {
+				seen[ks] = struct{}{}
 			}
 			continue
 		}
@@ -800,7 +820,7 @@ func (s *Store) compactLocked() error {
 				return &WriteError{Op: "compact", Err: err}
 			}
 			seg.closeHandle()
-			dropped += len(seg.order)
+			dropped += original
 			s.segs = append(s.segs[:i], s.segs[i+1:]...)
 			continue
 		}
@@ -808,10 +828,13 @@ func (s *Store) compactLocked() error {
 		kss := make([]string, 0, survivors)
 		lines := make([][]byte, 0, survivors)
 		var dataSize int64
-		for _, k := range seg.order {
-			ks := k.String()
+		for _, ks := range seg.orderedKeys() {
 			if _, dup := seen[ks]; dup {
 				continue
+			}
+			k, err := parseKey(ks)
+			if err != nil {
+				return err
 			}
 			raw, err := seg.rawAt(seg.index[ks])
 			if err != nil {
@@ -831,7 +854,6 @@ func (s *Store) compactLocked() error {
 		seg.closeHandle()
 		seg.footer = ft
 		seg.index = make(map[string]indexEntry, len(keys))
-		seg.order = append([]Key(nil), keys...)
 		off := int64(0)
 		for j, ks := range kss {
 			seg.index[ks] = indexEntry{Off: off, Len: len(lines[j])}
@@ -890,6 +912,8 @@ func (s *Store) Records() ([]Record, error) {
 
 // globalOrderLocked materializes the store-wide first-Put key order and
 // the latest source (segment, or nil for the active tail) of each key.
+// A segment keeps no key order of its own: its keys come back in record
+// order from its index offsets, each parsed from its rendered form.
 func (s *Store) globalOrderLocked() ([]Key, map[string]*segment, error) {
 	s.fullScans++
 	s.met.fullScan()
@@ -899,9 +923,12 @@ func (s *Store) globalOrderLocked() ([]Key, map[string]*segment, error) {
 		if err := s.ensureSegIndex(seg); err != nil {
 			return nil, nil, err
 		}
-		for _, k := range seg.order {
-			ks := k.String()
+		for _, ks := range seg.orderedKeys() {
 			if _, dup := src[ks]; !dup {
+				k, err := parseKey(ks)
+				if err != nil {
+					return nil, nil, err
+				}
 				order = append(order, k)
 			}
 			src[ks] = seg
