@@ -22,10 +22,15 @@ race:
 # Cluster fault-tolerance gate: a campaign distributed to real worker
 # processes, one of which is SIGKILLed mid-lease, must produce a
 # byte-identical results document to the same campaign run
-# single-process with no faults. Race-enabled: the lease protocol and
-# the settlement sink are exactly where concurrency bugs would hide.
+# single-process with no faults. The group-commit tests hold a
+# settlement's store write in flight: Complete must return while it is
+# held, settlements must reach the sink once each and in the order they
+# were accepted, a completer past the pending bound must write the queue
+# itself, and Stop must return only once the queue is written.
+# Race-enabled: the lease protocol, the group commit and the settlement
+# sink are exactly where concurrency bugs would hide.
 chaos:
-	$(GO) test -race -count=1 -v -timeout 300s -run 'TestClusterChaos|TestTransientStoreFaultHealsInvisibly|TestChaos|TestDroppedHeartbeats' ./cmd/caem-serve/ ./internal/cluster/
+	$(GO) test -race -count=1 -v -timeout 300s -run 'TestClusterChaos|TestTransientStoreFaultHealsInvisibly|TestChaos|TestDroppedHeartbeats|TestGroupCommit' ./cmd/caem-serve/ ./internal/cluster/
 
 # Coordinator fault-tolerance gate: the leader is SIGKILLed mid-campaign
 # with two live worker processes; the hot standby must take over within
@@ -35,11 +40,14 @@ chaos:
 # caem_cluster_fenced_total), and finish the campaign with a results
 # document byte-identical to a fault-free run. A campaign in flight
 # across a model upgrade must be re-planned under the current model, so
-# its cells are stored under their current hashes. Race-enabled for the
-# same reason as chaos: election, journal replay, and the handler swap
-# are exactly where concurrency bugs would hide.
+# its cells are stored under their current hashes. A leader that dies
+# holding settlements it acknowledged but never wrote (its store write
+# held by a chaos hook) loses nothing: its successor recomputes them and
+# answers the fault-free results document byte for byte. Race-enabled
+# for the same reason as chaos: election, journal replay, and the
+# handler swap are exactly where concurrency bugs would hide.
 failover:
-	$(GO) test -race -count=1 -v -timeout 300s -run 'TestCoordinatorFailover|TestLeaderLock|TestCoordinatorFencing|TestJournalFailoverRoundTrip|TestRecoveryReplansUnderCurrentModel' ./cmd/caem-serve/ ./internal/cluster/
+	$(GO) test -race -count=1 -v -timeout 300s -run 'TestCoordinatorFailover|TestLeaderLock|TestCoordinatorFencing|TestJournalFailoverRoundTrip|TestRecoveryReplansUnderCurrentModel|TestLeaderKilledHoldingAcceptedSettlements' ./cmd/caem-serve/ ./internal/cluster/
 
 vet:
 	$(GO) vet ./...

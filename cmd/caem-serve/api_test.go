@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -319,6 +320,46 @@ func TestListPagination(t *testing.T) {
 
 	for _, id := range ids {
 		waitDone(t, ts.URL, id)
+	}
+}
+
+// TestListAllocsFlat pins the listing's cost: one GET /v1/campaigns
+// allocates the same bytes whether its campaign has 4 cells or 1,050,
+// because a listing row is built from the campaign's counters, never
+// from its cells.
+func TestListAllocsFlat(t *testing.T) {
+	bytesPerList := func(body string) float64 {
+		t.Helper()
+		srv, ts, st := startServerNoWorkers(t, t.TempDir())
+		defer st.Close()
+		postCampaign(t, ts.URL, body)
+		// Closed first, so no coordinator goroutine allocates during the
+		// measurement.
+		ts.Close()
+		srv.Close()
+		req := httptest.NewRequest("GET", "/v1/campaigns", nil)
+		list := func() {
+			rec := httptest.NewRecorder()
+			srv.handleList(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET /v1/campaigns: %d %s", rec.Code, rec.Body)
+			}
+		}
+		list()
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			list()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small := bytesPerList(`{"scenarios": ["node-churn"], "protocols": ["leach", "scheme1"], "seeds": [1, 2], "config": {"durationSeconds": 12}}`)
+	large := bytesPerList(residencyCampaign(1, 350))
+	t.Logf("one listing allocates %.0f B with a 4-cell campaign, %.0f B with a 1,050-cell one", small, large)
+	if large > small+512 {
+		t.Fatalf("a listing allocates %.0f B more for 1,046 more cells, want it flat", large-small)
 	}
 }
 

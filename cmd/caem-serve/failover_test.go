@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,6 +337,158 @@ func TestCoordinatorFailover(t *testing.T) {
 	if !bytes.Equal(failedOver, reference) {
 		t.Fatalf("failed-over run is not byte-identical to the fault-free run:\n--- failover (%d bytes)\n%s\n--- fault-free (%d bytes)\n%s",
 			len(failedOver), failedOver, len(reference), reference)
+	}
+}
+
+// heldWriteRequest is a grid of quick cells, one per lease (the test
+// runs with MaxBatch 1), so a held write soon has several acknowledged
+// completions queued behind it.
+const heldWriteRequest = `{
+  "scenarios": ["node-churn"],
+  "protocols": ["leach", "scheme1"],
+  "seeds": [1, 2, 3, 4, 5, 6],
+  "config": {"durationSeconds": 20}
+}`
+
+// TestLeaderKilledHoldingAcceptedSettlements: Complete acknowledges a
+// settlement before it is durable, so a leader may die holding
+// settlements it accepted but never wrote. A chaos hook lets the
+// leader's first two cells reach the store and holds its write at the
+// third until at least three more completions are acknowledged; then
+// the leader dies: it is fenced and torn down, so only a cell the held
+// write had already passed may still land, and everything queued behind
+// it is dropped. A successor takes the expired lock at the next epoch,
+// re-plans the stored spec, recomputes exactly the cells the store lacks
+// — the acknowledged ones included — and answers a results document
+// byte-identical to a fault-free run's.
+func TestLeaderKilledHoldingAcceptedSettlements(t *testing.T) {
+	dir := t.TempDir()
+	clusterDir := filepath.Join(dir, "cluster")
+	lockPath := filepath.Join(clusterDir, "leader.lock")
+	const lockTTL = 300 * time.Millisecond
+
+	// start leads the store at the next epoch, as serveMode does: lock,
+	// store, journal replay, the server re-planning the stored specs.
+	start := func(holder string, chaos *cluster.Chaos) (*server, *httptest.Server, func()) {
+		t.Helper()
+		lock := &cluster.LeaderLock{Path: lockPath, TTL: lockTTL, Holder: holder}
+		var epoch int64
+		var err error
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if epoch, err = lock.TryAcquire(); err == nil {
+				break
+			}
+			if !errors.Is(err, cluster.ErrLockHeld) || time.Now().After(deadline) {
+				t.Fatalf("%s: acquiring the leader lock: %v", holder, err)
+			}
+		}
+		st, err := caem.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl, jstate, err := journal.Open(clusterDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Begin(epoch, jstate); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := newServerWith(st, serverConfig{
+			workers: 2,
+			lease: cluster.Options{
+				Epoch: epoch, Journal: jnl, MaxBatch: 1,
+				Guard: func() error { return lock.Verify(epoch) },
+			},
+			chaos:  chaos,
+			jstate: &jstate,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		return srv, ts, func() {
+			ts.Close()
+			srv.Close()
+			jnl.Close()
+			st.Close()
+		}
+	}
+	metric := func(base, name string) float64 {
+		t.Helper()
+		v, _ := scrapeMetrics(t, base+"/v1").Value(name)
+		return v
+	}
+
+	var puts atomic.Int64
+	holding := make(chan struct{})
+	var holdOnce sync.Once
+	held := make(chan struct{})
+	leader, lts, kill := start("leader", &cluster.Chaos{FailStorePut: func(cluster.Cell) error {
+		if puts.Add(1) <= 2 {
+			return nil
+		}
+		holdOnce.Do(func() { close(holding) })
+		<-held
+		return errors.New("the leader died during this write")
+	}})
+	camp := postCampaign(t, lts.URL, heldWriteRequest)
+	select {
+	case <-holding:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the leader never reached its third cell write")
+	}
+	var acked float64
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if acked = metric(lts.URL, "caem_lease_completed_total"); acked >= 2+3 || acked == float64(camp.Total) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader acknowledged only %v completions", acked)
+		}
+	}
+	// The leader dies here: fenced, so nothing it still holds is
+	// published, journaled or written past the hook, then torn down.
+	leader.coord.Fence()
+	close(held)
+	kill()
+	stored := float64(leader.store.Len())
+	t.Logf("the leader died with %v completions acknowledged and %v cells stored", acked, stored)
+	if acked < stored+3 {
+		t.Fatalf("only %v of %v acknowledged completions went unwritten, want at least 3", acked-stored, acked)
+	}
+
+	successor, sts, stop := start("successor", nil)
+	defer stop()
+	final := waitDone(t, sts.URL, camp.ID)
+	if final.State != "done" || final.Completed != final.Total || final.Failed != 0 {
+		t.Fatalf("campaign after the failover = %+v", final)
+	}
+	if got, want := metric(sts.URL, "caem_cells_settled_total"), float64(final.Total)-stored; got != want {
+		t.Fatalf("the successor settled %v cells, want the %v the store lacked", got, want)
+	}
+	if n := successor.store.Len(); n != final.Total {
+		t.Fatalf("store holds %d cells, want %d", n, final.Total)
+	}
+	failedOver := getBytes(t, sts.URL+"/v1/campaigns/"+camp.ID+"/results")
+
+	refStore, err := caem.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refStore.Close()
+	refSrv, err := newServer(refStore, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refSrv.Close()
+	refTS := httptest.NewServer(refSrv)
+	defer refTS.Close()
+	refCamp := postCampaign(t, refTS.URL, heldWriteRequest)
+	if got := waitDone(t, refTS.URL, refCamp.ID); got.State != "done" {
+		t.Fatalf("reference run failed: %+v", got)
+	}
+	if reference := getBytes(t, refTS.URL+"/v1/campaigns/"+refCamp.ID+"/results"); !bytes.Equal(failedOver, reference) {
+		t.Fatalf("the failed-over results differ from a fault-free run's:\n--- failover\n%s\n--- fault-free\n%s", failedOver, reference)
 	}
 }
 

@@ -97,10 +97,12 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 }
 
 // TestStoreFsyncPerLease pins group commit at the HTTP surface: over
-// one campaign the store fsyncs once per completed lease, not once per
-// cell, and that fsync is the settlement's only durable write. The
-// server runs with a journal attached, and a fault-free campaign
-// appends nothing to it.
+// one campaign the store fsyncs exactly once per commit round (one
+// durable write of every lease accepted since the previous write),
+// never more often than leases complete and never once per cell, and
+// that fsync is the settlement's only durable write. The server runs
+// with a journal attached, and a fault-free campaign appends nothing
+// to it.
 func TestStoreFsyncPerLease(t *testing.T) {
 	srv, ts, st := startJournaledServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()
@@ -114,10 +116,12 @@ func TestStoreFsyncPerLease(t *testing.T) {
   "config": {"durationSeconds": 12}
 }`
 	// The counters move before the write's last cell marks the campaign
-	// done: a lease counts as completed when it is reserved, and the
-	// fsync is observed before the sink reports progress.
-	counts := func(exp *obs.Exposition) (fsyncs, leases, appends float64) {
+	// done: a lease counts as completed when it is accepted, a commit
+	// round is counted before its write, and the fsync is observed before
+	// the sink reports progress.
+	counts := func(exp *obs.Exposition) (fsyncs, rounds, leases, appends float64) {
 		fsyncs, _ = exp.Value("caem_store_fsync_seconds_count")
+		rounds, _ = exp.Value("caem_settle_commit_cells_count")
 		leases, _ = exp.Value("caem_lease_completed_total")
 		var ok bool
 		if appends, ok = exp.Value("caem_journal_appends_total"); !ok {
@@ -125,20 +129,23 @@ func TestStoreFsyncPerLease(t *testing.T) {
 		}
 		return
 	}
-	f0, l0, a0 := counts(scrapeMetrics(t, ts.URL+"/v1"))
+	f0, r0, l0, a0 := counts(scrapeMetrics(t, ts.URL+"/v1"))
 	camp := postCampaign(t, ts.URL, request)
 	final := waitDone(t, ts.URL, camp.ID)
 	if final.State != "done" || final.Completed != 12 {
 		t.Fatalf("campaign did not finish cleanly: %+v", final)
 	}
-	f1, l1, a1 := counts(scrapeMetrics(t, ts.URL+"/v1"))
-	fsyncs, leases := f1-f0, l1-l0
+	f1, r1, l1, a1 := counts(scrapeMetrics(t, ts.URL+"/v1"))
+	fsyncs, rounds, leases := f1-f0, r1-r0, l1-l0
 	if leases == 0 || leases >= float64(final.Completed) {
 		t.Fatalf("%v leases settled %d cells; want fewer leases than cells", leases, final.Completed)
 	}
-	if fsyncs != leases {
-		t.Fatalf("store fsyncs = %v over %v completed leases (%d cells), want one per lease",
-			fsyncs, leases, final.Completed)
+	if rounds == 0 || rounds > leases {
+		t.Fatalf("%v commit rounds for %v completed leases, want between 1 and one per lease", rounds, leases)
+	}
+	if fsyncs != rounds {
+		t.Fatalf("store fsyncs = %v over %v commit rounds (%v leases, %d cells), want one per round",
+			fsyncs, rounds, leases, final.Completed)
 	}
 	if a1 != a0 {
 		t.Fatalf("the fault-free campaign appended %v journal records, want none", a1-a0)

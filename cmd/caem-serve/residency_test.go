@@ -30,18 +30,18 @@ func liveHeap() float64 {
 
 // TestResidentBytesPerSettledCell bounds the heap a settled cell pins
 // for the life of the process: its status byte and results row in the
-// campaign, its entry in the coordinator's settled set, and its key in
+// campaign, its bit in the coordinator's settled set, and its key in
 // the store's index. After a warm-up campaign, each of four campaigns
 // of 1,050 cells runs to done and its results are read; the
 // least-squares slope of the live heap over the settled cells must stay
-// at or under 480 bytes per cell. The campaigns stay inside the store's
+// at or under 420 bytes per cell. The campaigns stay inside the store's
 // active tail, which costs more per cell than a rolled segment, so the
 // bound holds for a long-lived service too.
 func TestResidentBytesPerSettledCell(t *testing.T) {
 	const (
 		seeds     = 350 // × 3 protocols = 1,050 cells per campaign
 		campaigns = 4
-		bound     = 480.0
+		bound     = 420.0
 	)
 	srv, ts, st := startServer(t, t.TempDir())
 	defer func() { ts.Close(); srv.Close(); st.Close() }()

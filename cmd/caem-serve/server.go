@@ -140,18 +140,32 @@ type progressEvent struct {
 	Cell      *cellRef `json:"cell,omitempty"`
 }
 
-// snapshot returns the campaign's current status under its lock.
+// snapshot returns the campaign's current status, every cell included,
+// under its lock.
 func (c *campaign) snapshot() campaignStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cells := make([]cellRef, len(c.status))
-	for i := range cells {
-		cells[i] = c.refLocked(i)
+	st := c.countsLocked()
+	st.Cells = make([]cellRef, len(c.status))
+	for i := range st.Cells {
+		st.Cells[i] = c.refLocked(i)
 	}
+	return st
+}
+
+// counts returns the campaign's status without its cells: a listing
+// row, built from the counters alone.
+func (c *campaign) counts() campaignStatus {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.countsLocked()
+}
+
+// countsLocked is counts. Caller holds c.mu.
+func (c *campaign) countsLocked() campaignStatus {
 	return campaignStatus{
 		ID: c.id, State: c.state,
 		Total: len(c.status), Completed: c.completed, Failed: c.failed,
-		Cells: cells,
 	}
 }
 
@@ -897,9 +911,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	start, end := pageBounds(len(all), size, cur)
 	out := listResponse{Campaigns: make([]campaignStatus, 0, end-start)}
 	for _, c := range all[start:end] {
-		st := c.snapshot()
-		st.Cells = nil // list view stays small
-		out.Campaigns = append(out.Campaigns, st)
+		out.Campaigns = append(out.Campaigns, c.counts())
 	}
 	if end < len(all) {
 		out.NextPageToken = api.EncodeCursor(end, "")

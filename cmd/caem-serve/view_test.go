@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/caem"
 	"repro/internal/api"
@@ -35,8 +36,9 @@ func handResult(cell cluster.Cell) *caem.Result {
 // settleByHand claims leases of at most three cells from the
 // coordinator and completes each with handResult until the queue is
 // empty or at least limit cells settled (limit <= 0: no limit), calling
-// check after every Complete. Complete returns only after the sink has
-// written and published the lease, so check always runs between two
+// check after every settlement. Complete returns once the lease is
+// accepted, so settleByHand waits until the sink has written every cell
+// of the lease into its campaign: check always runs between two
 // settlements.
 func settleByHand(t *testing.T, srv *server, limit int, check func()) {
 	t.Helper()
@@ -55,8 +57,29 @@ func settleByHand(t *testing.T, srv *server, limit int, check func()) {
 		if err := srv.coord.Complete(l.ID, results); err != nil {
 			t.Fatal(err)
 		}
+		for _, cell := range l.Cells {
+			waitSettledCell(t, srv, cell)
+		}
 		settled += len(l.Cells)
 		check()
+	}
+}
+
+// waitSettledCell waits until the cell's campaign holds it as settled.
+func waitSettledCell(t *testing.T, srv *server, cell cluster.Cell) {
+	t.Helper()
+	c := srv.campaignByID(cell.Campaign)
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		c.mu.Lock()
+		done := c.status[cell.Index].terminal()
+		c.mu.Unlock()
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cell %s never settled", cell.Key())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -159,7 +159,10 @@ type Queue interface {
 	Claim(worker string, max int) (*Lease, error)
 	// Renew extends the lease deadline; ErrLeaseGone after expiry.
 	Renew(leaseID string) error
-	// Complete settles the lease with one result per leased cell.
+	// Complete settles the lease with one result per leased cell. A nil
+	// return acknowledges acceptance, not durability: the coordinator
+	// writes the results afterwards, and if it dies first its successor
+	// recomputes them.
 	Complete(leaseID string, results []CellResult) error
 	// Release returns a lease early (graceful worker shutdown): the
 	// completed results settle, every other cell re-queues immediately
@@ -169,12 +172,16 @@ type Queue interface {
 
 // Sink receives cell lifecycle callbacks from the coordinator.
 // CellStarted and CellFailed run under the coordinator lock. CellDone
-// persists the result and runs outside it, between the reserve and
-// publish steps of a settlement, so it may run concurrently with other
-// callbacks, other CellDone calls included. A non-nil return (for
-// example a transient store write error) re-queues the cell through the
-// same retry/backoff path as a worker-reported failure. CellFailed is
-// terminal: the cell is poisoned and will not run again.
+// persists the result and runs outside it, on the write path of the
+// coordinator's group commit: one write at a time, so CellDone and
+// CellsDone calls never overlap each other, though they may run
+// concurrently with CellStarted and CellFailed. Settlements arrive in
+// the order they were accepted, each one's failed cells retried or
+// poisoned (CellFailed) before its done cells reach CellDone. A
+// non-nil return (for example a transient store write error) re-queues
+// the cell through the same retry/backoff path as a worker-reported
+// failure. CellFailed is terminal: the cell is poisoned and will not
+// run again.
 type Sink interface {
 	CellStarted(c Cell)
 	CellDone(c Cell, res *caem.Result) error
@@ -182,12 +189,13 @@ type Sink interface {
 }
 
 // BatchSink is an optional Sink extension that the coordinator detects.
-// A BatchSink receives each settled lease's results in one CellsDone
+// A BatchSink receives each group commit — every lease settled since the
+// previous write, in the order they were accepted — in one CellsDone
 // call, so it can make them durable with one write instead of one
-// CellDone per cell. CellsDone runs outside the coordinator lock, like
-// CellDone. It returns one error per cell, in order: nil where the
-// result is durable, otherwise the cause, which sends that cell through
-// the retry/backoff path.
+// CellDone per cell. CellsDone runs outside the coordinator lock and one
+// call at a time, like CellDone. It returns one error per cell, in
+// order: nil where the result is durable, otherwise the cause, which
+// sends that cell through the retry/backoff path.
 type BatchSink interface {
 	Sink
 	CellsDone(cells []Cell, results []*caem.Result) []error

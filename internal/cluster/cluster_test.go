@@ -157,6 +157,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err := c.Complete(lease.ID, results); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
+	committed(c)
 	done, failed := sink.counts()
 	if done != len(lease.Cells) || failed != 0 {
 		t.Fatalf("settled %d/%d, want %d/0", done, failed, len(lease.Cells))
@@ -226,6 +227,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	committed(c)
 	done, _ := sink.counts()
 	if done != len(cells) {
 		t.Fatalf("settled %d cells, want %d", done, len(cells))
@@ -295,6 +297,7 @@ func TestRetryBackoffAndPoison(t *testing.T) {
 		if err := c.Complete(lease.ID, results); err != nil {
 			t.Fatal(err)
 		}
+		committed(c)
 	}
 
 	sink.mu.Lock()
@@ -381,6 +384,7 @@ func TestTransientStorePutRetries(t *testing.T) {
 				if err := c.Complete(lease.ID, results); err != nil {
 					t.Fatal(err)
 				}
+				committed(c)
 				if d, _ := sink.counts(); d == 1 {
 					break
 				}
@@ -589,6 +593,7 @@ func TestDroppedHeartbeatsExpireLiveWorker(t *testing.T) {
 		}
 	}
 
+	committed(c)
 	done, failed := sink.counts()
 	if done != len(cells) || failed != 0 {
 		t.Fatalf("settled %d/%d, want %d/0", done, failed, len(cells))
@@ -637,6 +642,7 @@ func TestGracefulReleaseReturnsCells(t *testing.T) {
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("worker run: %v", err)
 	}
+	committed(c)
 
 	st := c.Status()
 	if len(st.Leases) != 0 {
@@ -650,6 +656,57 @@ func TestGracefulReleaseReturnsCells(t *testing.T) {
 	if st.Queue+st.Delayed != len(cells)-done {
 		t.Fatalf("unfinished cells not re-queued: %+v with %d done", st, done)
 	}
+}
+
+// TestIdleWorkerWakesOnSubmitAndRequeue: an idle in-process worker
+// waits on the coordinator, not out its poll interval (an hour here). A
+// requeue wakes it — another worker's Release of cells it never ran —
+// and so does a Submit.
+func TestIdleWorkerWakesOnSubmitAndRequeue(t *testing.T) {
+	sink := newTestSink()
+	c := NewCoordinator(sink, Options{LeaseTTL: time.Hour, MaxBatch: 2})
+	defer c.Stop()
+	cells := testCells(t, 3)
+	c.Submit(cells[:1])
+	held, err := c.Claim("other", 1)
+	if err != nil || held == nil {
+		t.Fatalf("claim by another worker: %v, %v", held != nil, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		(&Worker{Queue: c, Name: "idle", Poll: time.Hour}).Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	// waitIdle waits until the worker has claimed, found nothing and
+	// waits on the coordinator.
+	waitIdle := func() {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.mu.Lock()
+			idle := c.ready != nil
+			c.mu.Unlock()
+			if idle {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the worker never went idle")
+			}
+		}
+	}
+	waitIdle()
+	if err := c.Release(held.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, sink, 1)
+	waitIdle()
+	c.Submit(cells[1:])
+	waitSettled(t, sink, 3)
 }
 
 // TestHTTPQueueRoundTrip: the full lease protocol over real HTTP —
@@ -710,6 +767,7 @@ func TestHTTPQueueRoundTrip(t *testing.T) {
 	if _, err := remote.WaitIdle(5*time.Second, 10*time.Millisecond); err != nil {
 		t.Fatalf("WaitIdle: %v", err)
 	}
+	committed(c)
 	st := c.Status()
 	if st.Settled != len(cells) || len(st.Workers) < 2 {
 		t.Fatalf("status after HTTP run = %+v", st)

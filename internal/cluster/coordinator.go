@@ -33,7 +33,9 @@ type Options struct {
 	// BackoffBase is the first retry delay; attempt n waits
 	// BackoffBase·2^(n-1) plus deterministic jitter. Default 250ms.
 	BackoffBase time.Duration
-	// MaxBatch caps the cells in one lease. Default 8.
+	// MaxBatch caps the cells in one lease. Default 8. It also sizes the
+	// pending settlements past which a completer writes them itself
+	// (helpBoundLocked).
 	MaxBatch int
 	// Epoch is the leadership epoch this coordinator was elected at.
 	// Every lease ID embeds it, so a successor coordinator can fence
@@ -48,8 +50,9 @@ type Options struct {
 	// epoch.
 	Journal *journal.Journal
 	// Guard, when non-nil, is the resource-level fence check consulted
-	// before the coordinator grants a lease or settles one — the paths
-	// that lead to durable writes on shared state. It returns nil while
+	// before the coordinator grants a lease, accepts a settlement, and
+	// writes a group of settlements — the paths that lead to durable
+	// writes on shared state. It returns nil while
 	// this process's leadership lease is verifiably live; ErrLockLost
 	// fences the coordinator permanently. cmd/caem-serve wires it to
 	// LeaderLock.Verify, so a leader that stalled past its lock TTL and
@@ -131,9 +134,10 @@ type PoisonReport struct {
 // Coordinator owns the cluster's work queue and lease table. All
 // methods are safe for concurrent use. The Sink's CellStarted and
 // CellFailed run under the coordinator lock, serialized with expiry
-// sweeps and settlement bookkeeping. The durable write of a settlement
-// (CellsDone, or CellDone per cell) runs outside it, so a store fsync
-// never holds up another worker's Claim or Renew; see settle.
+// sweeps and settlement bookkeeping. A settlement's durable write
+// (CellsDone, or CellDone per cell) runs outside it, off the completing
+// worker's path, as a group commit of every settlement accepted since
+// the last write; see settle.
 type Coordinator struct {
 	opts Options
 	sink Sink
@@ -149,16 +153,46 @@ type Coordinator struct {
 	delayed  []delayedCell          // backing off after a failure
 	leases   map[string]*lease      // outstanding batches
 	attempts map[string]int         // reported failures per cell key (Cell.Key)
-	settled  map[cellID]bool        // terminally settled (done or poisoned)
-	settling map[cellID]bool        // reserved by a settle whose store write is in flight
+	settled  map[string]bitset      // per campaign, the terminally settled (done or poisoned) indices
+	settling map[cellID]bool        // reserved by a settlement that is not yet published
 	workers  map[string]*workerInfo // per-worker stats
 	poisoned []PoisonReport
 	leaseSeq int
 	draining bool // shutting down: Claim answers ErrDraining
 	fenced   bool // deposed: every operation answers ErrFenced
 
+	// The group commit: settlements accepted but not yet taken by a
+	// write, in reservation order, and the writers' state.
+	pending      []settlement
+	pendingCells int
+	writing      bool      // a sink write is in flight
+	committer    bool      // a committer goroutine is running
+	stopped      bool      // Stop was called: completers write their own settlements
+	written      sync.Cond // on mu; broadcast when a write publishes or the committer exits
+	// ready, when non-nil, is closed as soon as the queue holds a cell:
+	// idle in-process workers wait on it (wakeup).
+	ready chan struct{}
+
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// bitset is one campaign's set of grid indices, one bit per index.
+type bitset []uint64
+
+func (b bitset) has(i int) bool {
+	w := uint(i) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(i&63)) != 0
+}
+
+// with adds index i ≥ 0, growing the set as needed.
+func (b bitset) with(i int) bitset {
+	w := i >> 6
+	if w >= len(b) {
+		b = append(b, make([]uint64, w+1-len(b))...)
+	}
+	b[w] |= 1 << (i & 63)
+	return b
 }
 
 // NewCoordinator starts a coordinator (including its expiry sweeper)
@@ -170,11 +204,12 @@ func NewCoordinator(sink Sink, opts Options) *Coordinator {
 		now:      time.Now,
 		leases:   make(map[string]*lease),
 		attempts: make(map[string]int),
-		settled:  make(map[cellID]bool),
+		settled:  make(map[string]bitset),
 		settling: make(map[cellID]bool),
 		workers:  make(map[string]*workerInfo),
 		stop:     make(chan struct{}),
 	}
+	c.written.L = &c.mu
 	c.met = newCoordMetrics(c.opts.Metrics)
 	c.met.epoch.Set(float64(c.opts.Epoch))
 	c.log = c.opts.Logger
@@ -282,19 +317,31 @@ func (c *Coordinator) Fence() {
 // Epoch returns the leadership epoch this coordinator was created at.
 func (c *Coordinator) Epoch() int64 { return c.opts.Epoch }
 
-// Stop halts the expiry sweeper. Outstanding leases stay claimable to
-// completion by in-flight workers; no new expiry reclaims happen.
+// Stop halts the expiry sweeper and returns once every settlement
+// accepted so far has been written and published (or dropped, on a
+// fenced coordinator), so a caller may close the store next.
+// Outstanding leases stay claimable to completion by in-flight
+// workers; no new expiry reclaims happen, and a settlement accepted
+// after Stop is written by its completer before Complete returns.
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
-	select {
-	case <-c.stop:
+	if c.stopped {
 		c.mu.Unlock()
 		return
-	default:
 	}
+	c.stopped = true
 	close(c.stop)
 	c.mu.Unlock()
 	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.pending) > 0 || c.writing || c.committer {
+		if c.writing || c.committer {
+			c.written.Wait()
+		} else {
+			c.writeLocked()
+		}
+	}
 }
 
 func (c *Coordinator) sweeper() {
@@ -347,7 +394,7 @@ func (c *Coordinator) Submit(cells []Cell) {
 		id := cell.id()
 		switch {
 		case known[id]:
-		case c.settled[id]:
+		case c.settled[id.campaign].has(id.index):
 			if c.poisonReportLocked(id) != nil {
 				repoison = append(repoison, cell)
 			}
@@ -396,11 +443,15 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 	}
 	for key, blob := range st.Poisoned {
 		var rep PoisonReport
-		if err := json.Unmarshal(blob, &rep); err != nil {
+		err := json.Unmarshal(blob, &rep)
+		if err == nil && rep.Index < 0 {
+			err = fmt.Errorf("negative cell index %d", rep.Index)
+		}
+		if err != nil {
 			c.log.Warn("undecodable poison report in journal", "cell", key, "error", err.Error())
 			continue
 		}
-		c.settled[cellID{rep.Campaign, rep.Index}] = true
+		c.markSettledLocked(cellID{rep.Campaign, rep.Index})
 		c.poisoned = append(c.poisoned, rep)
 	}
 	sort.Slice(c.poisoned, func(i, j int) bool {
@@ -420,15 +471,43 @@ func (c *Coordinator) Restore(st journal.State, adopt func(Cell) bool) error {
 var testHookMutated func(c *Coordinator)
 
 // syncGaugesLocked republishes the structural depth gauges from the
-// authoritative in-memory state. Called after every mutation under mu,
-// so a /metrics scrape and a /cluster/status snapshot always agree.
+// authoritative in-memory state, and wakes the idle workers once the
+// queue holds a cell. Called after every mutation under mu, so a
+// /metrics scrape and a /cluster/status snapshot always agree, and a
+// submit or any requeue reaches a waiting worker at once.
 func (c *Coordinator) syncGaugesLocked() {
 	c.met.queueDepth.Set(float64(len(c.queue)))
 	c.met.delayed.Set(float64(len(c.delayed)))
 	c.met.inflight.Set(float64(len(c.leases)))
+	if c.ready != nil && len(c.queue) > 0 {
+		close(c.ready)
+		c.ready = nil
+	}
 	if testHookMutated != nil {
 		testHookMutated(c)
 	}
+}
+
+// closedReady is the wakeup channel of a queue that already holds work.
+var closedReady = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// wakeup returns a channel that is closed once the ready queue holds a
+// cell: an in-process worker whose Claim found nothing waits on it
+// (besides its poll interval, which still paces backoff retries).
+func (c *Coordinator) wakeup() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.queue) > 0 {
+		return closedReady
+	}
+	if c.ready == nil {
+		c.ready = make(chan struct{})
+	}
+	return c.ready
 }
 
 // Claim hands the worker a lease of at most max cells, sized by guided
@@ -541,7 +620,9 @@ func (c *Coordinator) Renew(leaseID string) error {
 	return nil
 }
 
-// Complete settles a lease with the worker's results. Against an
+// Complete settles a lease with the worker's results. It returns once
+// the settlement is accepted, before its results are durable: the
+// write follows as a group commit (see settle). Against an
 // already-expired lease it returns ErrLeaseGone and discards the
 // results — the cells re-queued at expiry and will be recomputed
 // bit-identically, so dropping a late completion is always safe.
@@ -556,38 +637,89 @@ func (c *Coordinator) Release(leaseID string, results []CellResult) error {
 	return c.settle(leaseID, results, true)
 }
 
-// settle runs in three steps so that the durable store write happens
-// outside c.mu:
+// helpFactor scales the pending-settlement bound past which a completer
+// writes the queue itself (helpBoundLocked).
+const helpFactor = 2
+
+// settle accepts a lease's results and returns; the durable write runs
+// later, as a group commit:
 //
-//   - reserve, under mu: the fence and Guard checks, the lease removed,
-//     its results sorted into done, missing and failed, and the done
-//     cells marked settling;
-//   - write, outside mu: the sink persists every done cell, with one
-//     CellsDone call when it is a BatchSink, else one CellDone each;
-//   - publish, under mu again: the persisted cells settle, and a cell
-//     whose write failed takes the retry path.
+//   - reserve, under mu, on the completer's goroutine: the fence and
+//     Guard checks, the lease removed, its results sorted into done,
+//     missing and failed, and every done and failed cell marked
+//     settling. The settlement joins the pending queue.
+//   - write, outside mu: whichever writer finds no write in flight takes
+//     the pending settlements in reservation order and persists their
+//     done cells with one sink call (writeLocked). The writer is a
+//     committer goroutine, started when the queue goes non-empty and
+//     gone once it is empty again, or — when the queue has outgrown
+//     helpBoundLocked and no write is in flight — the completer itself.
+//     A completer that finds a write in flight never waits for it.
+//   - publish, under mu again: each settlement in turn, its failed cells
+//     first and then its persisted cells; a cell whose write failed
+//     takes the retry path.
 //
 // While a cell is settling, Submit treats it as known, as if it had
-// settled.
+// settled. A coordinator that dies before publishing loses the pending
+// settlements; its successor's re-plan finds their cells missing from
+// the store and recomputes them bit-identically.
 func (c *Coordinator) settle(leaseID string, results []CellResult, partial bool) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s, err := c.reserveLocked(leaseID, results, partial)
-	c.mu.Unlock()
-	if err != nil || len(s.cells) == 0 {
+	if err != nil || len(s.cells)+len(s.failed) == 0 {
 		return err
 	}
-	errs := c.persist(s)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.publishLocked(s, errs)
+	c.pending = append(c.pending, s)
+	c.pendingCells += len(s.cells) + len(s.failed)
+	for len(c.pending) > 0 && !c.writing && (c.stopped || c.pendingCells > c.helpBoundLocked()) {
+		c.writeLocked()
+	}
+	if len(c.pending) > 0 && !c.writing && !c.committer {
+		c.committer = true
+		go c.commit()
+	}
+	return nil
 }
 
-// settlement is a lease's done cells between settle's reserve and
-// publish steps, with their results and the worker that computed them.
+// helpBoundLocked is the number of pending cells past which a completer
+// that finds no write in flight writes the queue itself: helpFactor
+// leases of MaxBatch cells per known worker. While every worker
+// simulates, the committer goroutine gets a core only once per
+// scheduler slice, so without this the queue would grow for as long.
+// Caller holds mu.
+func (c *Coordinator) helpBoundLocked() int {
+	return helpFactor * c.opts.MaxBatch * max(len(c.workers), 1)
+}
+
+// commit is the committer goroutine: it writes pending settlements until
+// the queue is empty or another writer holds the write.
+func (c *Coordinator) commit() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.pending) > 0 && !c.writing {
+		c.writeLocked()
+	}
+	c.committer = false
+	c.written.Broadcast()
+}
+
+// settlement is a lease's reserved cells between settle's reserve and
+// publish steps: its done cells with their results, its failed cells
+// with their causes, the worker that computed them and when the
+// settlement was accepted.
 type settlement struct {
-	worker  *workerInfo
-	cells   []Cell
-	results []*caem.Result
+	worker   *workerInfo
+	accepted time.Time
+	cells    []Cell
+	results  []*caem.Result
+	failed   []failedCell
+}
+
+// failedCell is a cell its worker reported failed, with the cause.
+type failedCell struct {
+	cell  Cell
+	cause error
 }
 
 // reserveLocked is settle's first step. Caller holds mu.
@@ -609,7 +741,7 @@ func (c *Coordinator) reserveLocked(leaseID string, results []CellResult, partia
 		return settlement{}, err
 	}
 	delete(c.leases, leaseID)
-	s := settlement{worker: c.workers[l.worker]}
+	s := settlement{worker: c.workers[l.worker], accepted: time.Now()}
 	if s.worker != nil {
 		s.worker.lastSeen = now
 	}
@@ -641,56 +773,157 @@ func (c *Coordinator) reserveLocked(leaseID string, results []CellResult, partia
 			s.cells = append(s.cells, cell)
 			s.results = append(s.results, r.Result)
 		default:
-			c.retryLocked(cell, now, fmt.Errorf("%s", r.Error))
+			c.settling[id] = true
+			s.failed = append(s.failed, failedCell{cell, fmt.Errorf("%s", r.Error)})
 		}
 	}
 	c.syncGaugesLocked()
 	return s, nil
 }
 
-// persist is settle's write step, run outside mu. It returns one error
-// per reserved cell, nil where the result is now durable.
-func (c *Coordinator) persist(s settlement) []error {
-	if b, ok := c.sink.(BatchSink); ok {
-		return b.CellsDone(s.cells, s.results)
+// writeLocked takes one group of pending settlements, writes it and
+// publishes it. A group is the head settlement and every following one
+// without failed cells, so that the sink sees each settlement's failed
+// cells (published before the write) ahead of its done cells (persisted
+// by it), in reservation order. The leadership check runs once, right
+// before the write: a fenced coordinator drops every pending settlement
+// and writes and publishes nothing, and an inconclusive check re-queues
+// the group's cells with no penalty. Caller holds mu; it is released
+// during the sink call.
+func (c *Coordinator) writeLocked() {
+	n := 1
+	for n < len(c.pending) && len(c.pending[n].failed) == 0 {
+		n++
 	}
-	errs := make([]error, len(s.cells))
-	for i, cell := range s.cells {
-		errs[i] = c.sink.CellDone(cell, s.results[i])
+	group := c.pending[:n:n]
+	defer clear(group) // the rest of the array may stay pending
+	c.pending = c.pending[n:]
+	if len(c.pending) == 0 {
+		c.pending = nil
+	}
+	var cells []Cell
+	var results []*caem.Result
+	if n == 1 {
+		cells, results = group[0].cells, group[0].results
+	} else {
+		for _, s := range group {
+			cells = append(cells, s.cells...)
+			results = append(results, s.results...)
+		}
+	}
+	c.pendingCells -= len(cells) + len(group[0].failed)
+
+	var err error
+	if !c.fenced {
+		err = c.verifyLeadershipLocked()
+	}
+	if c.fenced {
+		c.dropPendingLocked(group)
+		return
+	}
+	if err != nil {
+		for _, s := range group {
+			for _, f := range s.failed {
+				delete(c.settling, f.cell.id())
+				c.queue = append(c.queue, f.cell)
+			}
+			for _, cell := range s.cells {
+				delete(c.settling, cell.id())
+				c.queue = append(c.queue, cell)
+			}
+		}
+		c.log.Warn("settlement write skipped; its cells re-queue",
+			"cells", len(cells)+len(group[0].failed), "error", err.Error())
+		c.syncGaugesLocked()
+		c.written.Broadcast()
+		return
+	}
+
+	now := c.now()
+	for _, f := range group[0].failed {
+		delete(c.settling, f.cell.id())
+		c.retryLocked(f.cell, now, f.cause)
+	}
+	c.syncGaugesLocked()
+	var errs []error
+	if len(cells) > 0 {
+		c.met.commitCells.Observe(float64(len(cells)))
+		c.writing = true
+		c.mu.Unlock()
+		errs = c.persist(cells, results)
+		c.mu.Lock()
+		c.writing = false
+	}
+	if c.fenced {
+		c.dropPendingLocked(group)
+		return
+	}
+	c.publishLocked(group, errs)
+	c.written.Broadcast()
+}
+
+// dropPendingLocked forgets the group and every pending settlement: a
+// fenced coordinator publishes nothing, since its successor may already
+// be replaying the journal, and the successor's re-plan restores
+// whatever reached the store and re-queues the rest. Caller holds mu.
+func (c *Coordinator) dropPendingLocked(group []settlement) {
+	for _, s := range append(group, c.pending...) {
+		for _, f := range s.failed {
+			delete(c.settling, f.cell.id())
+		}
+		for _, cell := range s.cells {
+			delete(c.settling, cell.id())
+		}
+	}
+	c.pending, c.pendingCells = nil, 0
+	c.syncGaugesLocked()
+	c.written.Broadcast()
+}
+
+// persist is the write step, run outside mu. It returns one error per
+// cell, nil where the result is now durable.
+func (c *Coordinator) persist(cells []Cell, results []*caem.Result) []error {
+	if b, ok := c.sink.(BatchSink); ok {
+		return b.CellsDone(cells, results)
+	}
+	errs := make([]error, len(cells))
+	for i, cell := range cells {
+		errs[i] = c.sink.CellDone(cell, results[i])
 	}
 	return errs
 }
 
-// publishLocked is settle's last step. A cell whose write failed (a
-// transient store fault) goes through the retry path rather than being
-// lost. A settled cell needs no journal record: the store write that
-// just returned is the record, and a successor's re-plan finds it there.
-// A coordinator fenced while the write ran publishes nothing (no retry
-// or poison record, no CellFailed), since its successor may already be
-// replaying the journal; the successor's re-plan restores the stored
-// cells and re-queues the rest. Caller holds mu.
-func (c *Coordinator) publishLocked(s settlement, errs []error) error {
-	if c.fenced {
+// publishLocked is the last step of a write. A cell whose write failed
+// (a transient store fault) goes through the retry path rather than
+// being lost. A settled cell needs no journal record: the store write
+// that just returned is the record, and a successor's re-plan finds it
+// there. Caller holds mu.
+func (c *Coordinator) publishLocked(group []settlement, errs []error) {
+	now, at := c.now(), time.Now()
+	k := 0
+	for _, s := range group {
 		for _, cell := range s.cells {
 			delete(c.settling, cell.id())
+			if errs[k] != nil {
+				c.retryLocked(cell, now, errs[k])
+			} else {
+				c.markSettledLocked(cell.id())
+				c.met.cellsSettled.Inc()
+				if s.worker != nil {
+					s.worker.settledC.Inc()
+				}
+			}
+			k++
 		}
-		return c.fenceCheckLocked("")
-	}
-	now := c.now()
-	for i, cell := range s.cells {
-		delete(c.settling, cell.id())
-		if errs[i] != nil {
-			c.retryLocked(cell, now, errs[i])
-			continue
-		}
-		c.settled[cell.id()] = true
-		c.met.cellsSettled.Inc()
-		if s.worker != nil {
-			s.worker.settledC.Inc()
-		}
+		c.met.settleSeconds.Observe(at.Sub(s.accepted).Seconds())
 	}
 	c.syncGaugesLocked()
-	return nil
+}
+
+// markSettledLocked records a cell as terminally settled. Caller holds
+// mu.
+func (c *Coordinator) markSettledLocked(id cellID) {
+	c.settled[id.campaign] = c.settled[id.campaign].with(id.index)
 }
 
 // retryLocked schedules a failed cell's next attempt — exponential
@@ -701,7 +934,7 @@ func (c *Coordinator) retryLocked(cell Cell, now time.Time, cause error) {
 	c.attempts[key]++
 	n := c.attempts[key]
 	if n >= c.opts.MaxAttempts {
-		c.settled[cell.id()] = true
+		c.markSettledLocked(cell.id())
 		rep := PoisonReport{
 			Campaign: cell.Campaign,
 			Index:    cell.Index,

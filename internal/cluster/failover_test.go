@@ -182,6 +182,7 @@ func testJournalFailoverRoundTrip(t *testing.T, wrap func(*testSink) Sink) {
 		if err := c.Complete(lease.ID, rs); err != nil {
 			t.Fatal(err)
 		}
+		committed(c)
 	}
 	opts := func(epoch int64, j *journal.Journal) Options {
 		return Options{Epoch: epoch, Journal: j, LeaseTTL: time.Minute, MaxAttempts: 2}
@@ -336,6 +337,7 @@ func TestSubmitReconciliation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	committed(c)
 	if n := sink.failedN.Load(); n != 1 {
 		t.Fatalf("CellFailed deliveries = %d, want 1", n)
 	}
@@ -495,6 +497,7 @@ func TestGuardFencesZombieSettle(t *testing.T) {
 	if err := c.Complete(lease1.ID, rs); err != nil {
 		t.Fatalf("complete while leading: %v", err)
 	}
+	committed(c)
 	lease2, err := c.Claim("w1", 2)
 	if err != nil || lease2 == nil {
 		t.Fatalf("second claim: %+v, %v", lease2, err)

@@ -47,8 +47,14 @@ func oneHomeViolation(c *Coordinator) error {
 	for id := range c.settling {
 		place(id, "settling")
 	}
-	for id := range c.settled {
-		place(id, "settled")
+	for campaign, set := range c.settled {
+		for w, word := range set {
+			for b := 0; b < 64; b++ {
+				if word&(1<<b) != 0 {
+					place(cellID{campaign, w*64 + b}, "settled")
+				}
+			}
+		}
 	}
 	return err
 }
@@ -64,9 +70,9 @@ func TestOneHomeViolationDetected(t *testing.T) {
 	if err := oneHomeViolation(c); err != nil {
 		t.Fatalf("fresh submit: %v", err)
 	}
-	c.settled[cells[1].id()] = true
+	c.markSettledLocked(cells[1].id())
 	err := oneHomeViolation(c)
-	delete(c.settled, cells[1].id())
+	delete(c.settled, cells[1].Campaign)
 	if err == nil {
 		t.Fatal("a queued cell also marked settled went unnoticed")
 	}

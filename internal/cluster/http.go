@@ -67,7 +67,7 @@ func readSettle(w http.ResponseWriter, r *http.Request, route string) ([]CellRes
 //
 //	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch
 //	POST /v1/leases/{id}/renew    → 204 | 410 lease gone
-//	POST /v1/leases/{id}/complete {"results":[...]} → 204 | 410 | 413 past maxSettleBody
+//	POST /v1/leases/{id}/complete {"results":[...]} → 204 accepted (written after) | 410 | 413 past maxSettleBody
 //	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410 | 413 past maxSettleBody
 //	GET  /v1/cluster/status       → Status
 //

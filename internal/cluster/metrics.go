@@ -22,6 +22,8 @@ const (
 	metricInflight       = "caem_coordinator_inflight_leases"
 	metricBatchCells     = "caem_lease_batch_cells"
 	metricWorkerSettled  = "caem_worker_settled_total"
+	metricCommitCells    = "caem_settle_commit_cells"
+	metricSettleSeconds  = "caem_settle_seconds"
 
 	metricClusterEpoch = "caem_cluster_epoch"
 	metricFenced       = "caem_cluster_fenced_total"
@@ -34,6 +36,10 @@ const (
 	metricWorkerHeartbeat    = "caem_worker_heartbeat_rtt_seconds"
 	metricWorkerClaimRetries = "caem_worker_claim_retries_total"
 )
+
+// commitBuckets spans a group commit's size, from one single-cell lease
+// to the hundreds of cells that pile up behind a slow fsync.
+var commitBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // coordMetrics holds the coordinator's instrument handles. Every
 // numeric field of a /cluster/status snapshot is read back out of
@@ -52,6 +58,8 @@ type coordMetrics struct {
 	delayed       *obs.Gauge
 	inflight      *obs.Gauge
 	batchCells    *obs.Histogram
+	commitCells   *obs.Histogram
+	settleSeconds *obs.Histogram
 	workerSettled *obs.CounterVec
 	epoch         *obs.Gauge
 	fenced        *obs.Counter
@@ -84,6 +92,12 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		batchCells: reg.Histogram(metricBatchCells,
 			"Cells per granted lease — the guided self-scheduling batch size.",
 			obs.SizeBuckets),
+		commitCells: reg.Histogram(metricCommitCells,
+			"Cells per durable settlement write — the group commit's batch size.",
+			commitBuckets),
+		settleSeconds: reg.Histogram(metricSettleSeconds,
+			"Seconds from a settlement's acceptance to its publication, durable write included.",
+			obs.LatencyBuckets),
 		workerSettled: reg.CounterVec(metricWorkerSettled,
 			"Cells settled per worker — the per-worker throughput series.",
 			"worker"),

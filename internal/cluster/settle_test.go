@@ -49,21 +49,33 @@ var sinkKinds = []struct {
 	{"batch", func(s *testSink) Sink { return &batchSink{testSink: s} }},
 }
 
+// committed waits until every settlement c has accepted is written and
+// published: the barrier between a Complete, which returns once its
+// settlement is accepted, and assertions about the sink or the settled
+// counts.
+func committed(c *Coordinator) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.pending) > 0 || c.writing {
+		c.written.Wait()
+	}
+}
+
 // blockedSettle is a lease completion whose store write is in flight:
 // the sink's CellsDone has been entered and waits for unblock.
 type blockedSettle struct {
 	c       *Coordinator
 	sink    *batchSink
 	lease   *Lease
-	done    chan error // Complete's return value, once unblocked
-	journal string     // the journal's epoch file
+	journal string // the journal's epoch file
 	unblock func()
 }
 
 // startBlockedSettle submits n ≥ 4 cells to a journaled coordinator, has
-// worker w1 claim a lease of two and complete it in the background, and
-// returns once that completion's store write has started. putErr, when
-// non-nil, is the sink's injected per-cell write fault.
+// worker w1 claim a lease of two and complete it, and returns once that
+// completion's store write has started. Complete itself must return
+// without waiting for the write. putErr, when non-nil, is the sink's
+// injected per-cell write fault.
 func startBlockedSettle(t *testing.T, n int, putErr func(Cell) error) *blockedSettle {
 	t.Helper()
 	dir := t.TempDir()
@@ -72,7 +84,7 @@ func startBlockedSettle(t *testing.T, n int, putErr func(Cell) error) *blockedSe
 	if err := j.Begin(1, st); err != nil {
 		t.Fatal(err)
 	}
-	sink := &batchSink{testSink: newTestSink(), entered: make(chan struct{}), release: make(chan struct{})}
+	sink := &batchSink{testSink: newTestSink(), entered: make(chan struct{}, 1), release: make(chan struct{})}
 	sink.putErr = putErr
 	c := NewCoordinator(sink, Options{Journal: j, LeaseTTL: time.Hour, MaxBatch: 2, MaxAttempts: 1})
 	t.Cleanup(c.Stop)
@@ -82,21 +94,18 @@ func startBlockedSettle(t *testing.T, n int, putErr func(Cell) error) *blockedSe
 	if err != nil || l == nil || len(l.Cells) != 2 {
 		t.Fatalf("claim: %v, %v; want a lease of two cells", l != nil, err)
 	}
-	want := referenceResults(t, l.Cells)
-	var rs []CellResult
-	for _, cell := range l.Cells {
-		res := want[cell.Key()]
-		rs = append(rs, CellResult{Campaign: cell.Campaign, Index: cell.Index, Result: &res})
-	}
 	var once sync.Once
 	b := &blockedSettle{
 		c: c, sink: sink, lease: l,
-		done:    make(chan error, 1),
 		journal: filepath.Join(dir, "epoch-1.jsonl"),
 		unblock: func() { once.Do(func() { close(sink.release) }) },
 	}
 	t.Cleanup(b.unblock)
-	go func() { b.done <- c.Complete(l.ID, rs) }()
+	returnsPromptly(t, "Complete", func() {
+		if err := c.Complete(l.ID, handResults(t, l)); err != nil {
+			t.Errorf("complete: %v", err)
+		}
+	})
 	select {
 	case <-sink.entered:
 	case <-time.After(30 * time.Second):
@@ -105,17 +114,23 @@ func startBlockedSettle(t *testing.T, n int, putErr func(Cell) error) *blockedSe
 	return b
 }
 
-// finish unblocks the store write and returns Complete's result.
-func (b *blockedSettle) finish(t *testing.T) error {
+// handResults completes every cell of a lease with its reference result.
+func handResults(t *testing.T, l *Lease) []CellResult {
+	t.Helper()
+	want := referenceResults(t, l.Cells)
+	rs := make([]CellResult, 0, len(l.Cells))
+	for _, cell := range l.Cells {
+		res := want[cell.Key()]
+		rs = append(rs, CellResult{Campaign: cell.Campaign, Index: cell.Index, Result: &res})
+	}
+	return rs
+}
+
+// finish unblocks the store write and waits until it is published.
+func (b *blockedSettle) finish(t *testing.T) {
 	t.Helper()
 	b.unblock()
-	select {
-	case err := <-b.done:
-		return err
-	case <-time.After(30 * time.Second):
-		t.Fatal("Complete did not return after its store write finished")
-		return nil
-	}
+	returnsPromptly(t, "the settlement's publication", func() { committed(b.c) })
 }
 
 // journalAppends counts the records appended to the journal after its
@@ -150,16 +165,17 @@ func returnsPromptly(t *testing.T, what string, f func()) {
 	select {
 	case <-ret:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s waited for another lease's store write", what)
+		t.Fatalf("%s waited for a store write", what)
 	}
 }
 
 // TestSettleWriteRunsOutsideLock: a settlement's store write runs
-// outside the coordinator lock. While one lease's CellsDone blocks,
-// another worker's Claim and Renew and a Status call return, and a
-// Submit of a settling key does not queue it again. The store write is
-// the settlement's only durable record: neither the grants nor the
-// fault-free settle append anything to the journal.
+// outside the coordinator lock and off the completer's path. Complete
+// returns while the write blocks; meanwhile another worker's Claim and
+// Renew and a Status call return, and a Submit of a settling key does
+// not queue it again. The store write is the settlement's only durable
+// record: neither the grants nor the fault-free settle append anything
+// to the journal.
 func TestSettleWriteRunsOutsideLock(t *testing.T) {
 	b := startBlockedSettle(t, 6, nil)
 	c := b.c
@@ -195,9 +211,7 @@ func TestSettleWriteRunsOutsideLock(t *testing.T) {
 		t.Fatalf("journal records %v before the store write returned, want none", ops)
 	}
 
-	if err := b.finish(t); err != nil {
-		t.Fatalf("complete: %v", err)
-	}
+	b.finish(t)
 	if ops := b.journalAppends(t); len(ops) != 0 {
 		t.Fatalf("a fault-free settle appended journal records %v, want none", ops)
 	}
@@ -216,7 +230,9 @@ func TestSettleWriteRunsOutsideLock(t *testing.T) {
 // store write runs publishes nothing once the write returns. Its
 // successor may already be replaying the journal, so the deposed leader
 // appends no retry or poison record and reports no poison to the sink;
-// the successor's re-plan restores whatever reached the store.
+// the successor's re-plan restores whatever reached the store. The
+// settlement was acknowledged when it was accepted, so the worker hears
+// of the fence from its next call.
 func TestFenceDuringSettleWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -228,9 +244,14 @@ func TestFenceDuringSettleWrite(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := startBlockedSettle(t, 4, tc.putErr)
+			next, err := b.c.Claim("w2", 2)
+			if err != nil || next == nil {
+				t.Fatalf("second claim: %+v, %v", next, err)
+			}
 			b.c.Fence()
-			if err := b.finish(t); !errors.Is(err, ErrFenced) {
-				t.Fatalf("complete across a fence = %v, want ErrFenced", err)
+			b.finish(t)
+			if err := b.c.Complete(next.ID, handResults(t, next)); !errors.Is(err, ErrFenced) {
+				t.Fatalf("complete after the fenced write = %v, want ErrFenced", err)
 			}
 			for _, op := range []string{"retry", "poison"} {
 				if n := b.journalAppends(t)[op]; n != 0 {
@@ -239,6 +260,9 @@ func TestFenceDuringSettleWrite(t *testing.T) {
 			}
 			if _, failed := b.sink.counts(); failed != 0 {
 				t.Fatalf("deposed coordinator reported %d poisoned cells", failed)
+			}
+			if n := b.c.met.cellsSettled.Value(); n != 0 {
+				t.Fatalf("deposed coordinator published %v settled cells", n)
 			}
 			b.c.mu.Lock()
 			defer b.c.mu.Unlock()

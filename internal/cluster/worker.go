@@ -29,7 +29,8 @@ type Worker struct {
 	// Name identifies the worker in leases and /cluster/status.
 	Name string
 	// Poll is the idle re-claim interval when no work is available
-	// (default 200ms).
+	// (default 200ms). A worker whose Queue is the Coordinator itself
+	// also wakes as soon as cells are queued.
 	Poll time.Duration
 	// Chaos, when non-nil, injects deterministic faults.
 	Chaos *Chaos
@@ -110,9 +111,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		claimFails = 0
 		if lease == nil {
+			// An in-process worker is woken by the next Submit or requeue;
+			// the poll still paces retries of cells backing off.
+			var wake <-chan struct{}
+			if c, ok := w.Queue.(*Coordinator); ok {
+				wake = c.wakeup()
+			}
 			select {
 			case <-ctx.Done():
 				return nil
+			case <-wake:
 			case <-time.After(poll):
 			}
 			continue

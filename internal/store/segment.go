@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,8 +61,48 @@ type segment struct {
 	path   string
 	seq    int
 	footer segFooter
-	f      *os.File              // lazily opened read handle
-	index  map[string]indexEntry // lazily built key index, by rendered key
+	f      *os.File // lazily opened read handle
+	index  segIndex // lazily built key index, by rendered key
+}
+
+// segEntry is one key of a loaded segment's index.
+type segEntry struct {
+	ks string
+	e  indexEntry
+}
+
+// segIndex is a loaded segment's key index, sorted by rendered key. A
+// segment's keys never change once it is written, so a sorted slice
+// serves its lookups by binary search in 32 bytes a key besides the key
+// string, where a map entry takes about 57. Nil means not loaded.
+type segIndex []segEntry
+
+// sortSegIndex sorts a segment's index entries, given in record order,
+// by key; of two records of one key only the later is kept.
+func sortSegIndex(x segIndex) segIndex {
+	slices.SortFunc(x, func(a, b segEntry) int {
+		if c := strings.Compare(a.ks, b.ks); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.Off, b.e.Off)
+	})
+	kept := x[:0]
+	for i, se := range x {
+		if i+1 < len(x) && x[i+1].ks == se.ks {
+			continue // superseded by the record after it
+		}
+		kept = append(kept, se)
+	}
+	return kept
+}
+
+// lookup returns the index entry of the record keyed ks.
+func (x segIndex) lookup(ks string) (indexEntry, bool) {
+	i, ok := slices.BinarySearchFunc(x, ks, func(se segEntry, ks string) int { return strings.Compare(se.ks, ks) })
+	if !ok {
+		return indexEntry{}, false
+	}
+	return x[i].e, true
 }
 
 // segName renders the canonical file name for a sequence number.
@@ -135,7 +177,7 @@ func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		return fmt.Errorf("store: reading segment %s records: %w", filepath.Base(g.path), err)
 	}
-	index := make(map[string]indexEntry, g.footer.Records)
+	index := make(segIndex, 0, g.footer.Records)
 	off := int64(0)
 	for len(buf) > 0 {
 		nl := bytes.IndexByte(buf, '\n')
@@ -146,22 +188,23 @@ func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 		if err != nil {
 			return fmt.Errorf("store: segment %s holds a corrupt record at %d: %w", filepath.Base(g.path), off, err)
 		}
-		index[r.Key().String()] = indexEntry{Off: off, Len: nl + 1}
+		index = append(index, segEntry{r.Key().String(), indexEntry{Off: off, Len: nl + 1}})
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 	}
-	g.index = index
+	g.index = sortSegIndex(index)
 	return nil
 }
 
 // orderedKeys returns the loaded segment's rendered keys in record
 // order: its index entries sorted by offset.
 func (g *segment) orderedKeys() []string {
-	kss := make([]string, 0, len(g.index))
-	for ks := range g.index {
-		kss = append(kss, ks)
+	byOff := slices.Clone(g.index)
+	slices.SortFunc(byOff, func(a, b segEntry) int { return cmp.Compare(a.e.Off, b.e.Off) })
+	kss := make([]string, len(byOff))
+	for i, se := range byOff {
+		kss[i] = se.ks
 	}
-	sort.Slice(kss, func(i, j int) bool { return g.index[kss[i]].Off < g.index[kss[j]].Off })
 	return kss
 }
 

@@ -427,8 +427,8 @@ func (s *Store) recountDistinctLocked() error {
 		if err := s.ensureSegIndex(seg); err != nil {
 			return err
 		}
-		for ks := range seg.index {
-			set[ks] = struct{}{}
+		for _, se := range seg.index {
+			set[se.ks] = struct{}{}
 		}
 	}
 	for ks := range s.index {
@@ -475,7 +475,7 @@ func (s *Store) inSegmentsLocked(k Key, ks string) (bool, error) {
 		if err := s.ensureSegIndex(seg); err != nil {
 			return false, err
 		}
-		if _, ok := seg.index[ks]; ok {
+		if _, ok := seg.index.lookup(ks); ok {
 			return true, nil
 		}
 	}
@@ -556,7 +556,7 @@ func (s *Store) getLocked(k Key) (Record, bool, error) {
 		if err := s.ensureSegIndex(seg); err != nil {
 			return Record{}, false, err
 		}
-		e, ok := seg.index[ks]
+		e, ok := seg.index.lookup(ks)
 		if !ok {
 			continue
 		}
@@ -728,12 +728,13 @@ func (s *Store) rollLocked() error {
 		return &WriteError{Op: "roll", Err: err}
 	}
 	seg := &segment{path: path, seq: s.nextSeq, footer: ft}
-	seg.index = make(map[string]indexEntry, len(keys))
+	seg.index = make(segIndex, len(kss))
 	off := int64(0)
 	for i, ks := range kss {
-		seg.index[ks] = indexEntry{Off: off, Len: len(lines[i])}
+		seg.index[i] = segEntry{ks, indexEntry{Off: off, Len: len(lines[i])}}
 		off += int64(len(lines[i]))
 	}
+	seg.index = sortSegIndex(seg.index)
 	s.segs = append(s.segs, seg)
 	s.nextSeq++
 	if err := s.f.Truncate(0); err != nil {
@@ -800,15 +801,15 @@ func (s *Store) compactLocked() error {
 			return err
 		}
 		survivors := 0
-		for ks := range seg.index {
-			if _, dup := seen[ks]; !dup {
+		for _, se := range seg.index {
+			if _, dup := seen[se.ks]; !dup {
 				survivors++
 			}
 		}
 		original := len(seg.index)
 		if survivors == original {
-			for ks := range seg.index {
-				seen[ks] = struct{}{}
+			for _, se := range seg.index {
+				seen[se.ks] = struct{}{}
 			}
 			continue
 		}
@@ -836,7 +837,8 @@ func (s *Store) compactLocked() error {
 			if err != nil {
 				return err
 			}
-			raw, err := seg.rawAt(seg.index[ks])
+			e, _ := seg.index.lookup(ks)
+			raw, err := seg.rawAt(e)
 			if err != nil {
 				return err
 			}
@@ -853,13 +855,14 @@ func (s *Store) compactLocked() error {
 		// the in-memory view to match the new contents.
 		seg.closeHandle()
 		seg.footer = ft
-		seg.index = make(map[string]indexEntry, len(keys))
+		index := make(segIndex, len(kss))
 		off := int64(0)
 		for j, ks := range kss {
-			seg.index[ks] = indexEntry{Off: off, Len: len(lines[j])}
+			index[j] = segEntry{ks, indexEntry{Off: off, Len: len(lines[j])}}
 			off += int64(len(lines[j]))
 			seen[ks] = struct{}{}
 		}
+		seg.index = sortSegIndex(index)
 		dropped += original - survivors
 	}
 	s.compactions++
@@ -898,7 +901,8 @@ func (s *Store) Records() ([]Record, error) {
 		var r Record
 		var err error
 		if seg := src[ks]; seg != nil {
-			r, err = seg.readAt(seg.index[ks], s.decodeLine)
+			e, _ := seg.index.lookup(ks)
+			r, err = seg.readAt(e, s.decodeLine)
 		} else {
 			r, err = s.readAt(s.index[ks])
 		}
