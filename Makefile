@@ -6,7 +6,7 @@ GO ?= go
 #   make build VERSION=v1.2.3
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 
-.PHONY: all build test race vet lint chaos failover fuzz bench bench-smoke bench-gate bench-compare profile determinism resume-check docs-check obs-check api-check figures scenarios examples clean
+.PHONY: all build test race vet lint deadcheck chaos failover fuzz bench bench-smoke bench-gate bench-compare profile determinism resume-check docs-check obs-check api-check figures scenarios examples clean
 
 all: build test vet
 
@@ -93,12 +93,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
-# Fast-fail lint pass: formatting, vet, and staticcheck when available
-# (CI installs it; locally it is optional).
-lint:
+# Fast-fail lint pass: formatting, vet, the dead-code gate, and
+# staticcheck when available (CI installs it; locally it is optional).
+lint: deadcheck
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l flagged:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipped"; fi
+
+# Dead-code gate (stdlib only, offline): type-checks the module, bench/
+# and their standard-library dependencies from source and fails on any
+# name declared under internal/ — package-level names and methods,
+# exported or not, and exported struct fields — that no non-test file
+# of the module or of bench/ uses. A use is resolved to the object it
+# names; a method also counts as used when its type implements an
+# interface that has it, and an embedded field when a member promoted
+# through it is used. Names only tests use are allowed solely through
+# scripts/deadcheck/allowlist.txt, one per line with its reason (test
+# hooks, analytic oracles, test introspection); a stale entry fails too.
+deadcheck:
+	$(GO) run ./scripts/deadcheck -allow scripts/deadcheck/allowlist.txt . bench
 
 # Full benchmark sweep (one iteration each; the experiment benchmarks are
 # whole-figure regenerations, so more iterations take minutes).

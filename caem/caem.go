@@ -9,7 +9,6 @@ import (
 	"repro/internal/queueing"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Protocol selects the energy-management variant under test.
@@ -291,7 +290,7 @@ func runSim(p *runner.Pool, c Config, sc core.Config) (Result, error) {
 	}
 	var traceErr func() error
 	if c.TraceCSV != nil {
-		sc.Trace, traceErr = trace.StreamCSV(c.TraceCSV)
+		sc.Trace, traceErr = streamCSV(c.TraceCSV)
 	}
 	var res core.Result
 	if p != nil {
@@ -306,6 +305,27 @@ func runSim(p *runner.Pool, c Config, sc core.Config) (Result, error) {
 		}
 	}
 	return pub, nil
+}
+
+// streamCSV returns a trace callback that encodes events to w as CSV
+// rows (header written immediately), without retaining them — suitable
+// for tracing arbitrarily long runs. Write errors disable the stream and
+// are reported by the returned error function.
+func streamCSV(w io.Writer) (fn func(core.TraceEvent), errf func() error) {
+	var err error
+	if _, werr := fmt.Fprintln(w, "time_s,kind,node,value,detail"); werr != nil {
+		err = werr
+	}
+	fn = func(e core.TraceEvent) {
+		if err != nil {
+			return
+		}
+		if _, werr := fmt.Fprintf(w, "%.6f,%s,%d,%d,%s\n",
+			e.T.Seconds(), e.Kind, e.Node, e.Value, e.Detail); werr != nil {
+			err = werr
+		}
+	}
+	return fn, func() error { return err }
 }
 
 // RunComparison runs the same configuration under each protocol (same

@@ -1,9 +1,13 @@
 package caem
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // quickConfig is a small, fast public-API configuration.
@@ -275,5 +279,42 @@ func TestRoundOutcomesExposed(t *testing.T) {
 	}
 	if delivered != res.Delivered {
 		t.Fatalf("per-round delivered %d != total %d", delivered, res.Delivered)
+	}
+}
+
+func TestStreamCSV(t *testing.T) {
+	var b strings.Builder
+	fn, errf := streamCSV(&b)
+	fn(core.TraceEvent{T: 1 * sim.Second, Kind: core.TraceDelivered, Node: 4})
+	fn(core.TraceEvent{T: 2 * sim.Second, Kind: core.TraceDrop, Node: 5})
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("lines = %d", len(lines))
+	}
+	if !strings.HasPrefix(lines[1], "1.000000,delivered,4,") {
+		t.Fatalf("row = %q", lines[1])
+	}
+}
+
+// failingWriter errors after remaining successful writes.
+type failingWriter struct{ remaining int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.remaining <= 0 {
+		return 0, errors.New("simulated write failure")
+	}
+	w.remaining--
+	return len(p), nil
+}
+
+func TestStreamCSVWriteFailure(t *testing.T) {
+	fn, errf := streamCSV(&failingWriter{remaining: 1})
+	fn(core.TraceEvent{T: 1, Kind: core.TraceDelivered}) // fails
+	fn(core.TraceEvent{T: 2, Kind: core.TraceDelivered}) // silently skipped after failure
+	if errf() == nil {
+		t.Fatal("write failure not reported")
 	}
 }

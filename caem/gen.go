@@ -62,20 +62,30 @@ func GenerateScenarios(family string, count int, seed uint64) ([]Scenario, error
 // HTTP surfaces share (seed defaults to 1) and expands it through
 // GenerateScenarios.
 func ParseGenerate(spec string) ([]Scenario, error) {
+	family, count, seed, err := SplitGenerate(spec)
+	if err != nil {
+		return nil, err
+	}
+	return GenerateScenarios(family, count, seed)
+}
+
+// SplitGenerate parses the "family:count[:seed]" spelling without
+// generating anything, so a caller can bound count first.
+func SplitGenerate(spec string) (family string, count int, seed uint64, err error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("caem: generate spec %q: want family:count[:seed]", spec)
+		return "", 0, 0, fmt.Errorf("caem: generate spec %q: want family:count[:seed]", spec)
 	}
-	count, err := strconv.Atoi(parts[1])
+	count, err = strconv.Atoi(parts[1])
 	if err != nil {
-		return nil, fmt.Errorf("caem: generate spec %q: bad count: %w", spec, err)
+		return "", 0, 0, fmt.Errorf("caem: generate spec %q: bad count: %w", spec, err)
 	}
-	seed := uint64(1)
+	seed = 1
 	if len(parts) == 3 {
 		seed, err = strconv.ParseUint(parts[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("caem: generate spec %q: bad seed: %w", spec, err)
+			return "", 0, 0, fmt.Errorf("caem: generate spec %q: bad seed: %w", spec, err)
 		}
 	}
-	return GenerateScenarios(parts[0], count, seed)
+	return parts[0], count, seed, nil
 }

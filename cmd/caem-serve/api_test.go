@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/caem"
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -262,6 +263,95 @@ func TestCampaignBodyLimit(t *testing.T) {
 		if env := errorEnvelope(t, resp); env.Code != api.CodeInvalidRequest {
 			t.Fatalf("%d-byte body: code = %q, want %q", tc.size, env.Code, api.CodeInvalidRequest)
 		}
+	}
+}
+
+// TestCampaignGridCap: a small body naming a grid past the caps answers
+// 400 invalid_request at once, naming the requested size and the cap; it
+// generates, plans and saves nothing.
+func TestCampaignGridCap(t *testing.T) {
+	srv, ts, st := startServerNoWorkers(t, t.TempDir())
+	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	seeds := make([]uint64, maxCampaignCells/3+1) // × 3 protocols: one cell past the cap
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	overSeeds, err := json.Marshal(campaignRequest{Scenarios: []string{"node-churn"}, Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		// 100,000,000 Scenario headers alone are 10.4 GB.
+		{"generate", `{"generate":["dense:100000000"]}`,
+			fmt.Sprintf("100000000 scenarios, more than the cap of %d", maxCampaignScenarios)},
+		{"seeds", string(overSeeds),
+			fmt.Sprintf("%d cells (1 scenarios × 3 protocols × %d seeds), more than the cap of %d", 3*len(seeds), len(seeds), maxCampaignCells)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+			env := errorEnvelope(t, resp)
+			runtime.ReadMemStats(&after)
+			if env.Code != api.CodeInvalidRequest || !strings.Contains(env.Message, tc.want) {
+				t.Fatalf("error %s %q, want %s naming %q", env.Code, env.Message, api.CodeInvalidRequest, tc.want)
+			}
+			// The refusals allocate about 0.1 and 1.3 MB, mostly the
+			// request, the decoded 120 KB seeds list and its canonical
+			// encoding; planning 65,537 cells would hold about 30 MB.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Errorf("refusing the grid allocated %d bytes", alloc)
+			}
+			if ids, err := st.CampaignIDs(); err != nil || len(ids) != 0 {
+				t.Fatalf("refused request saved campaign specs: %v (%v)", ids, err)
+			}
+			srv.mu.Lock()
+			n := len(srv.campaigns)
+			srv.mu.Unlock()
+			if n != 0 {
+				t.Fatalf("refused request registered %d campaigns", n)
+			}
+		})
+	}
+}
+
+// TestRecoverySkipsOversizedSpec: a stored spec past the caps (one saved
+// before the caps existed) is skipped at recovery, not expanded.
+func TestRecoverySkipsOversizedSpec(t *testing.T) {
+	seeds := make([]uint64, maxCampaignCells/3+1)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	id, canonical, err := campaignID(campaignRequest{Scenarios: []string{"node-churn"}, Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := caem.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.SaveCampaignSpec(id, canonical); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServerWith(st, serverConfig{workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.mu.Lock()
+	n := len(srv.campaigns)
+	srv.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("recovery registered %d campaigns from an oversized spec", n)
 	}
 }
 

@@ -228,7 +228,7 @@ func TestClusterChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	refSrv, err := newServer(refStore, 2)
+	refSrv, err := newServerWith(refStore, serverConfig{workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

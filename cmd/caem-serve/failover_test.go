@@ -321,7 +321,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	refSrv, err := newServer(refStore, 2)
+	refSrv, err := newServerWith(refStore, serverConfig{workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestLeaderKilledHoldingAcceptedSettlements(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	refSrv, err := newServer(refStore, 2)
+	refSrv, err := newServerWith(refStore, serverConfig{workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

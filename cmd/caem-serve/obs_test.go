@@ -73,7 +73,7 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 		"caem_lease_batch_cells", "caem_store_fsync_seconds",
 		"caem_coordinator_queue_depth", "caem_http_request_seconds",
 	} {
-		if !exp.Has(name) {
+		if exp.Families[name] == nil {
 			t.Errorf("expected metric family %s missing from exposition", name)
 		}
 	}
@@ -219,10 +219,10 @@ func TestMetricsWorkerJoinMode(t *testing.T) {
 	if n, ok := exp.Sum("caem_worker_simulated_seconds_total"); !ok || n <= 0 {
 		t.Fatalf("worker simulated seconds = %v (ok=%v), want > 0", n, ok)
 	}
-	if !exp.Has("caem_worker_heartbeat_rtt_seconds") {
+	if exp.Families["caem_worker_heartbeat_rtt_seconds"] == nil {
 		t.Error("heartbeat RTT histogram missing from worker exposition")
 	}
-	if !exp.Has("caem_build_info") {
+	if exp.Families["caem_build_info"] == nil {
 		t.Error("build info missing from worker exposition")
 	}
 

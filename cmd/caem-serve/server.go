@@ -238,15 +238,6 @@ type server struct {
 	closed    bool
 }
 
-// newServer starts a self-contained server: workers local executor
-// loops (≤ 0 means one) and default cluster options.
-func newServer(st *caem.CampaignStore, workers int) (*server, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return newServerWith(st, serverConfig{workers: workers})
-}
-
 // newServerWith starts the coordinator, recovers campaigns persisted in
 // the store (completed ones become queryable, interrupted ones resume
 // from their stored cells), and then starts the local workers.
@@ -527,11 +518,8 @@ func (s *server) finishLocked(c *campaign, idx int) {
 // content hashes, and the cell grid split against the store (cells
 // already present are restored up front — the service always resumes).
 // plan touches no server state, so a failed request leaves no trace.
+// A grid past the caps is refused before any scenario is generated.
 func (s *server) plan(id string, req campaignRequest) (*campaign, []cluster.Cell, error) {
-	scs, err := resolveScenarios(req)
-	if err != nil {
-		return nil, nil, err
-	}
 	protocols, err := resolveProtocols(req.Protocols)
 	if err != nil {
 		return nil, nil, err
@@ -539,6 +527,13 @@ func (s *server) plan(id string, req campaignRequest) (*campaign, []cluster.Cell
 	seeds := req.Seeds
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
+	}
+	if err := checkGridSize(req, len(protocols), len(seeds)); err != nil {
+		return nil, nil, err
+	}
+	scs, err := resolveScenarios(req)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	c := &campaign{
@@ -792,6 +787,45 @@ func (s *server) handleLeader(w http.ResponseWriter, r *http.Request) {
 // campaigns, 700 seeds each); 1 MiB leaves over 100× headroom. A body
 // past it answers 413 invalid_request.
 const maxCampaignBody = 1 << 20
+
+// The largest grid one campaign may name. The largest campaigns the
+// tests and the benchmark submit are the benchmark fixture's 2,100 cells
+// and dense-world's 6 generated scenarios. Planning holds about 450 B
+// per cell and up to 85 KB per generated scenario (the dense family, 3
+// protocols), so an accepted request plans in at most about 30 MB of
+// cells plus 22 MB of scenarios.
+const (
+	maxCampaignScenarios = 256
+	maxCampaignCells     = 1 << 16
+)
+
+// checkGridSize rejects a grid past the caps. It counts the scenarios
+// as spelled, a generate entry by its count, so nothing is generated,
+// planned or allocated for a refused grid.
+func checkGridSize(req campaignRequest, protocols, seeds int) error {
+	scenarios := len(req.Scenarios) + len(req.Specs)
+	for i, g := range req.Generate {
+		_, count, _, err := caem.SplitGenerate(g)
+		if err != nil {
+			return fmt.Errorf("generate[%d]: %w", i, err)
+		}
+		if count < 1 {
+			return fmt.Errorf("generate[%d]: count %d < 1", i, count)
+		}
+		if count > maxCampaignScenarios {
+			return fmt.Errorf("generate[%d] names %d scenarios, more than the cap of %d per campaign", i, count, maxCampaignScenarios)
+		}
+		scenarios += count
+	}
+	if scenarios > maxCampaignScenarios {
+		return fmt.Errorf("campaign names %d scenarios, more than the cap of %d", scenarios, maxCampaignScenarios)
+	}
+	if cells := scenarios * protocols * seeds; cells > maxCampaignCells {
+		return fmt.Errorf("campaign expands to %d cells (%d scenarios × %d protocols × %d seeds), more than the cap of %d",
+			cells, scenarios, protocols, seeds, maxCampaignCells)
+	}
+	return nil
+}
 
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCampaignBody))

@@ -34,7 +34,7 @@ func startServer(t *testing.T, dir string) (*server, *httptest.Server, *caem.Cam
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(st, 2)
+	srv, err := newServerWith(st, serverConfig{workers: 2})
 	if err != nil {
 		st.Close()
 		t.Fatal(err)

@@ -15,7 +15,6 @@
 package analytic
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/phy"
@@ -127,12 +126,6 @@ func EnergyPerPacketTx(m phy.Mode, payloadBits int, txPowerW float64) float64 {
 	return m.Airtime(payloadBits).Seconds() * txPowerW
 }
 
-// ExpectedEnergyPerPacketTx is the pure-LEACH counterpart of
-// EnergyPerPacketTx on a Rayleigh link: the occupancy-weighted mean.
-func ExpectedEnergyPerPacketTx(meanSNRdB float64, table phy.Table, payloadBits int, txPowerW float64) float64 {
-	return ExpectedAirtime(meanSNRdB, table, payloadBits).Seconds() * txPowerW
-}
-
 // PredictedSavingVsTopClass returns the fraction of transmit energy the
 // wait-for-top-class policy saves over transmit-immediately on a Rayleigh
 // link — the analytic core of the paper's headline claim.
@@ -143,14 +136,4 @@ func PredictedSavingVsTopClass(meanSNRdB float64, table phy.Table, payloadBits i
 		return 0
 	}
 	return 1 - top/immediate
-}
-
-// String renders a mode-occupancy vector for diagnostics.
-func OccupancyString(occ []float64, below float64) string {
-	s := ""
-	for i, p := range occ {
-		s += fmt.Sprintf("class%d=%.1f%% ", i, 100*p)
-	}
-	s += fmt.Sprintf("below=%.1f%%", 100*below)
-	return s
 }

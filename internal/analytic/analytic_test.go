@@ -194,11 +194,3 @@ func TestPredictedSavingInPaperBand(t *testing.T) {
 		t.Errorf("saving on excellent link = %v", s)
 	}
 }
-
-func TestOccupancyString(t *testing.T) {
-	occ, below := ModeOccupancy(14, phy.Default4Mode())
-	s := OccupancyString(occ, below)
-	if s == "" {
-		t.Fatal("empty occupancy string")
-	}
-}

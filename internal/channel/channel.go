@@ -201,15 +201,6 @@ func (l *Link) SNRdB(t sim.Time) float64 {
 	return snr
 }
 
-// FadingPowerGain exposes |h(t)|² for diagnostics and tests; 1.0 when
-// fading is disabled.
-func (l *Link) FadingPowerGain(t sim.Time) float64 {
-	if l.fading.doppler == 0 {
-		return 1.0
-	}
-	return l.fading.powerGain(t)
-}
-
 // rayleigh is Clarke's sum-of-sinusoids flat-fading generator: the
 // scattered complex gain is the sum of M plane waves with uniform arrival
 // angles and phases. With RicianK > 0 a line-of-sight plane wave is
@@ -325,16 +316,6 @@ func (r *rayleigh) reseed(doppler float64, m int, ricianK float64, blockTicks si
 func (r *rayleigh) disable() {
 	osc := r.osc
 	*r = rayleigh{osc: osc}
-}
-
-// powerGain returns |h|² for the coherence block containing t. Repeated
-// samples within one coherence time hit the cached gain in O(1).
-func (r *rayleigh) powerGain(t sim.Time) float64 {
-	if r.started && t >= r.curStart && t < r.curEnd {
-		return r.curGain
-	}
-	r.seek(int64(t / r.blockTicks))
-	return r.curGain
 }
 
 // powerGainDB returns 10·log10(|h|²) for the coherence block containing

@@ -96,7 +96,7 @@ func TestFadingUnitMeanPower(t *testing.T) {
 	const n = 50000
 	for i := 0; i < n; i++ {
 		tm := sim.Time(i) * sim.Millisecond
-		sum += l.FadingPowerGain(tm)
+		sum += gain(l, tm)
 	}
 	mean := sum / n
 	if mean < 0.7 || mean > 1.3 {
@@ -130,7 +130,7 @@ func TestFadingDeepFadeFraction(t *testing.T) {
 	below := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if l.FadingPowerGain(sim.Time(i)*sim.Millisecond) < 0.1 {
+		if gain(l, sim.Time(i)*sim.Millisecond) < 0.1 {
 			below++
 		}
 	}
@@ -151,9 +151,9 @@ func TestFadingTemporalCorrelation(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		base := sim.Time(i) * 100 * sim.Millisecond
-		g0 := l.FadingPowerGain(base)
-		gs := l.FadingPowerGain(base + ct/10)
-		gl := l.FadingPowerGain(base + 50*ct)
+		g0 := gain(l, base)
+		gs := gain(l, base+ct/10)
+		gl := gain(l, base+50*ct)
 		shortDiff += math.Abs(gs - g0)
 		longDiff += math.Abs(gl - g0)
 	}
@@ -176,9 +176,9 @@ func TestLinkDeterminism(t *testing.T) {
 	}
 	// Re-querying the same instant returns the same value (purity).
 	tm := 123456 * sim.Microsecond
-	v1 := a.FadingPowerGain(tm)
-	a.FadingPowerGain(tm + sim.Second)
-	if v2 := a.FadingPowerGain(tm); v1 != v2 {
+	v1 := gain(a, tm)
+	gain(a, tm+sim.Second)
+	if v2 := gain(a, tm); v1 != v2 {
 		t.Fatalf("fading gain not pure in t: %v vs %v", v1, v2)
 	}
 }
@@ -256,9 +256,6 @@ func TestDisabledComponents(t *testing.T) {
 		if got := l.SNRdB(tm); got != want {
 			t.Fatalf("static channel moved: %v != %v at %v", got, want, tm)
 		}
-		if g := l.FadingPowerGain(tm); g != 1 {
-			t.Fatalf("FadingPowerGain = %v with fading disabled", g)
-		}
 	}
 }
 
@@ -289,23 +286,23 @@ func TestFadingPureUnderArbitraryQueryOrder(t *testing.T) {
 	const n = 400
 	want := make([]float64, n)
 	for i := 0; i < n; i++ {
-		want[i] = ref.FadingPowerGain(sim.Time(i) * 40 * sim.Millisecond)
+		want[i] = gain(ref, sim.Time(i)*40*sim.Millisecond)
 	}
 
 	// Adversarial order: jump far ahead, then revisit every instant in a
 	// shuffled-ish pattern that repeatedly crosses checkpoint boundaries.
 	l := fresh()
-	l.FadingPowerGain(sim.Time(n) * 40 * sim.Millisecond)
+	gain(l, sim.Time(n)*40*sim.Millisecond)
 	for pass := 0; pass < 2; pass++ {
 		for i := n - 1; i >= 0; i -= 3 {
 			tm := sim.Time(i) * 40 * sim.Millisecond
-			if got := l.FadingPowerGain(tm); got != want[i] {
+			if got := gain(l, tm); got != want[i] {
 				t.Fatalf("query order changed the gain at sample %d: %v != %v", i, got, want[i])
 			}
 		}
 		for i := 0; i < n; i++ {
 			tm := sim.Time(i) * 40 * sim.Millisecond
-			if got := l.FadingPowerGain(tm); got != want[i] {
+			if got := gain(l, tm); got != want[i] {
 				t.Fatalf("re-query changed the gain at sample %d: %v != %v", i, got, want[i])
 			}
 		}
@@ -319,13 +316,13 @@ func TestFadingConstantWithinCoherenceBlock(t *testing.T) {
 	l := NewLink(p, 10, testStream(31))
 	ct := p.CoherenceTime()
 	base := 10 * ct
-	g0 := l.FadingPowerGain(base)
+	g0 := gain(l, base)
 	for _, off := range []sim.Time{1, ct / 7, ct / 3, ct - 1} {
-		if g := l.FadingPowerGain(base + off); g != g0 {
+		if g := gain(l, base+off); g != g0 {
 			t.Fatalf("gain moved within one coherence block: %v != %v at +%v", g, g0, off)
 		}
 	}
-	if g := l.FadingPowerGain(base + ct); g == g0 {
+	if g := gain(l, base+ct); g == g0 {
 		t.Fatal("gain identical across adjacent coherence blocks (suspicious)")
 	}
 }
@@ -348,7 +345,7 @@ func TestRicianUnitMeanPower(t *testing.T) {
 	var sum float64
 	const n = 50000
 	for i := 0; i < n; i++ {
-		sum += l.FadingPowerGain(sim.Time(i) * sim.Millisecond)
+		sum += gain(l, sim.Time(i)*sim.Millisecond)
 	}
 	mean := sum / n
 	if mean < 0.7 || mean > 1.3 {
@@ -365,7 +362,7 @@ func TestRicianShallowerFadesThanRayleigh(t *testing.T) {
 		below := 0
 		const n = 50000
 		for i := 0; i < n; i++ {
-			if l.FadingPowerGain(sim.Time(i)*sim.Millisecond) < 0.1 {
+			if gain(l, sim.Time(i)*sim.Millisecond) < 0.1 {
 				below++
 			}
 		}
@@ -514,9 +511,9 @@ func TestFusedSeekMatchesStepwise(t *testing.T) {
 					for i, thirds := range sched {
 						tm := sim.Time(thirds) * bt / 3
 						if i%2 == 0 {
-							g, w := got.FadingPowerGain(tm), refQuery(ref, tm).curGain
+							g, w := gain(got, tm), refQuery(ref, tm).curGain
 							if math.Float64bits(g) != math.Float64bits(w) {
-								t.Fatalf("K=%v fd=%v m=%d %s: FadingPowerGain(%v) = %v, stepwise %v", k, fd, m, name, tm, g, w)
+								t.Fatalf("K=%v fd=%v m=%d %s: gain(%v) = %v, stepwise %v", k, fd, m, name, tm, g, w)
 							}
 						}
 						g, w := got.SNRdB(tm), refSNRdB(ref, tm)
@@ -549,8 +546,15 @@ func BenchmarkFadingSeek(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = l.FadingPowerGain(sim.Time(i) * 50 * sim.Millisecond)
+				_ = gain(l, sim.Time(i)*50*sim.Millisecond)
 			}
 		})
 	}
+}
+
+// gain returns l's fading power gain |h(t)|², from the per-block cache
+// that SNRdB reads.
+func gain(l *Link, t sim.Time) float64 {
+	l.fading.powerGainDB(t)
+	return l.fading.curGain
 }

@@ -69,6 +69,3 @@ func (f *InterferenceField) PenaltyDB(a, b int) float64 {
 	}
 	return p
 }
-
-// Active reports whether any node currently suffers a penalty.
-func (f *InterferenceField) Active() bool { return f.active > 0 }

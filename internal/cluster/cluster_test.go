@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -709,6 +710,21 @@ func TestIdleWorkerWakesOnSubmitAndRequeue(t *testing.T) {
 	waitSettled(t, sink, 3)
 }
 
+// httpStatus reads the coordinator's status over /v1/cluster/status.
+func httpStatus(t *testing.T, base string) Status {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/cluster/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestHTTPQueueRoundTrip: the full lease protocol over real HTTP —
 // Remote against RegisterHTTPObserved — including 204 no-work, 410
 // lease-gone, and /v1/cluster/status.
@@ -764,8 +780,12 @@ func TestHTTPQueueRoundTrip(t *testing.T) {
 	if err := remote.Release("lease-999", nil); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("release unknown = %v, want ErrLeaseGone", err)
 	}
-	if _, err := remote.WaitIdle(5*time.Second, 10*time.Millisecond); err != nil {
-		t.Fatalf("WaitIdle: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for st := httpStatus(t, ts.URL); st.Queue != 0 || st.Delayed != 0 || len(st.Leases) != 0; st = httpStatus(t, ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator not idle after 5s: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	committed(c)
 	st := c.Status()

@@ -40,24 +40,24 @@ type settleRequest struct {
 	Results []CellResult `json:"results"`
 }
 
-// maxSettleBody caps the body of a complete or release: one lease's
-// results. A full-scale Result marshals to 28–34 KB and a lease holds at
-// most MaxBatch (8 by default) of them, about 272 KB; the largest body
-// the tests and the benchmark send is under 36 KB. 8 MiB leaves 30×
-// headroom over a full lease of full-scale cells.
-const maxSettleBody = 8 << 20
+// maxLeaseBody caps the body of every lease request. The largest is a
+// complete or release, which carries one lease's results: a full-scale
+// Result marshals to 28–34 KB and a lease holds at most MaxBatch (8 by
+// default) of them, about 272 KB; the largest body the tests and the
+// benchmark send is under 36 KB. 8 MiB leaves 30× headroom over a full
+// lease of full-scale cells. A claim is a few dozen bytes.
+const maxLeaseBody = 8 << 20
 
-// readSettle decodes a complete or release body, read through
+// readLease decodes a lease request body into v, read through
 // http.MaxBytesReader. On failure it answers invalid_request itself
 // (413 past the limit, 400 otherwise) and returns false.
-func readSettle(w http.ResponseWriter, r *http.Request, route string) ([]CellResult, bool) {
-	var req settleRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSettleBody)).Decode(&req); err != nil {
+func readLease(w http.ResponseWriter, r *http.Request, route string, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(v); err != nil {
 		api.WriteError(w, api.BodyStatus(err), api.CodeInvalidRequest,
 			fmt.Sprintf("bad %s body: %v", route, err), nil)
-		return nil, false
+		return false
 	}
-	return req.Results, true
+	return true
 }
 
 // RegisterHTTPObserved mounts the lease protocol and cluster
@@ -65,10 +65,10 @@ func readSettle(w http.ResponseWriter, r *http.Request, route string) ([]CellRes
 // request-count and latency instrumentation on reg, labeled by the mux
 // pattern:
 //
-//	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch
+//	POST /v1/leases/claim         {"worker","max","model","goarch"} → 200 Lease | 204 no work | 409 model_mismatch | 413 past maxLeaseBody
 //	POST /v1/leases/{id}/renew    → 204 | 410 lease gone
-//	POST /v1/leases/{id}/complete {"results":[...]} → 204 accepted (written after) | 410 | 413 past maxSettleBody
-//	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410 | 413 past maxSettleBody
+//	POST /v1/leases/{id}/complete {"results":[...]} → 204 accepted (written after) | 410 | 413 past maxLeaseBody
+//	POST /v1/leases/{id}/release  {"results":[...]} → 204 | 410 | 413 past maxLeaseBody
 //	GET  /v1/cluster/status       → Status
 //
 // Errors use the uniform api envelope; 410 Gone maps to ErrLeaseGone on
@@ -82,9 +82,7 @@ func (c *Coordinator) RegisterHTTPObserved(mux *http.ServeMux, reg *obs.Registry
 	}
 	handle("POST /v1/leases/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("bad claim body: %v", err), nil)
+		if !readLease(w, r, "claim", &req) {
 			return
 		}
 		if req.Worker == "" {
@@ -130,13 +128,15 @@ func (c *Coordinator) RegisterHTTPObserved(mux *http.ServeMux, reg *obs.Registry
 		settleHTTP(w, c.Renew(r.PathValue("id")))
 	})
 	handle("POST /v1/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		if results, ok := readSettle(w, r, "complete"); ok {
-			settleHTTP(w, c.Complete(r.PathValue("id"), results))
+		var req settleRequest
+		if readLease(w, r, "complete", &req) {
+			settleHTTP(w, c.Complete(r.PathValue("id"), req.Results))
 		}
 	})
 	handle("POST /v1/leases/{id}/release", func(w http.ResponseWriter, r *http.Request) {
-		if results, ok := readSettle(w, r, "release"); ok {
-			settleHTTP(w, c.Release(r.PathValue("id"), results))
+		var req settleRequest
+		if readLease(w, r, "release", &req) {
+			settleHTTP(w, c.Release(r.PathValue("id"), req.Results))
 		}
 	})
 	handle("GET /v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {
@@ -375,26 +375,4 @@ func (r *Remote) Complete(leaseID string, results []CellResult) error {
 func (r *Remote) Release(leaseID string, results []CellResult) error {
 	_, err := r.post("/v1/leases/"+leaseID+"/release", settleRequest{Results: results}, nil)
 	return err
-}
-
-// WaitIdle polls the coordinator until it reports no queued, delayed,
-// or leased work, or the timeout elapses — a convenience for tests and
-// scripted drains.
-func (r *Remote) WaitIdle(timeout, poll time.Duration) (Status, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := r.client().Get(r.base() + "/v1/cluster/status")
-		if err == nil {
-			var st Status
-			derr := json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if derr == nil && st.Queue == 0 && st.Delayed == 0 && len(st.Leases) == 0 {
-				return st, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return Status{}, fmt.Errorf("cluster: coordinator not idle after %v", timeout)
-		}
-		time.Sleep(poll)
-	}
 }

@@ -71,10 +71,10 @@ func TestClaimModelMismatch(t *testing.T) {
 	}
 }
 
-// TestSettleBodyLimit: a complete or release body of exactly
-// maxSettleBody bytes is read and judged on its content (here an unknown
-// lease: 410), and one byte more answers 413 invalid_request without
-// being decoded.
+// TestSettleBodyLimit: a claim, complete or release body of exactly
+// maxLeaseBody bytes is read and judged on its content (a claim on an
+// empty queue: 204; an unknown lease: 410), and one byte more answers
+// 413 invalid_request without being decoded.
 func TestSettleBodyLimit(t *testing.T) {
 	c := NewCoordinator(newTestSink(), Options{LeaseTTL: time.Minute})
 	defer c.Stop()
@@ -83,26 +83,37 @@ func TestSettleBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	const body = `{"results":[]}`
-	for _, route := range []string{"complete", "release"} {
-		t.Run(route, func(t *testing.T) {
+	const settle = `{"results":[]}`
+	for _, rt := range []struct {
+		route, path, body string
+		status            int    // the answer to a body exactly at the limit
+		code              string // its error code; "" for a 204
+	}{
+		{"claim", "claim", claimBody("limit", caem.ModelVersion, runtime.GOARCH), http.StatusNoContent, ""},
+		{"complete", "no-such-lease/complete", settle, http.StatusGone, api.CodeGone},
+		{"release", "no-such-lease/release", settle, http.StatusGone, api.CodeGone},
+	} {
+		t.Run(rt.route, func(t *testing.T) {
 			for _, tc := range []struct {
 				size   int
 				status int
 				code   string
 			}{
-				{maxSettleBody, http.StatusGone, api.CodeGone},
-				{maxSettleBody + 1, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest},
+				{maxLeaseBody, rt.status, rt.code},
+				{maxLeaseBody + 1, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest},
 			} {
-				padded := strings.Repeat(" ", tc.size-len(body)) + body
-				resp, err := http.Post(ts.URL+"/v1/leases/no-such-lease/"+route, "application/json", strings.NewReader(padded))
+				padded := strings.Repeat(" ", tc.size-len(rt.body)) + rt.body
+				resp, err := http.Post(ts.URL+"/v1/leases/"+rt.path, "application/json", strings.NewReader(padded))
 				if err != nil {
 					t.Fatal(err)
 				}
 				var env struct {
 					Error api.Error `json:"error"`
 				}
-				derr := json.NewDecoder(resp.Body).Decode(&env)
+				var derr error
+				if tc.code != "" {
+					derr = json.NewDecoder(resp.Body).Decode(&env)
+				}
 				resp.Body.Close()
 				if resp.StatusCode != tc.status || derr != nil || env.Error.Code != tc.code {
 					t.Fatalf("%d-byte body: %s, code %q (%v); want %d %s", tc.size, resp.Status, env.Error.Code, derr, tc.status, tc.code)

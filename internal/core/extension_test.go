@@ -91,7 +91,7 @@ func TestHeadDeathRecovery(t *testing.T) {
 			killed = append(killed, h.idx)
 			// Drain the head's battery; the next draw kills it, and the
 			// cluster must collapse cleanly.
-			h.battery.Draw(net.eng.Now(), energy.Baseline, h.battery.Remaining()-1e-9)
+			h.battery.Draw(energy.Baseline, h.battery.Remaining()-1e-9)
 		}
 	})
 	r := net.Run()
@@ -123,7 +123,7 @@ func TestForwardingSurvivesHeadDeath(t *testing.T) {
 	net := New(cfg)
 	net.eng.Schedule(5*sim.Second, func() {
 		for _, cl := range net.clusters {
-			cl.head.battery.Draw(net.eng.Now(), energy.Baseline, cl.head.battery.Remaining()-1e-9)
+			cl.head.battery.Draw(energy.Baseline, cl.head.battery.Remaining()-1e-9)
 		}
 	})
 	r := net.Run()

@@ -427,30 +427,62 @@ func TestRoundReports(t *testing.T) {
 	}
 }
 
-func TestResultSummaryAndDebugHelpers(t *testing.T) {
-	net := New(testConfig())
-	if net.Engine() == nil {
-		t.Fatal("Engine() nil")
+// End-to-end: a real simulation with tracing enabled must emit a stream
+// whose counts agree with the run's result metrics.
+func TestTraceCountsMatchResult(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 15
+	cfg.FieldWidth, cfg.FieldHeight = 50, 50
+	cfg.Horizon = 40 * sim.Second
+	counts := map[TraceKind]uint64{}
+	var events []TraceEvent
+	cfg.Trace = func(e TraceEvent) {
+		counts[e.Kind]++
+		events = append(events, e)
 	}
-	res := net.Run()
-	s := res.Summary()
-	for _, want := range []string{"elapsed", "energy", "traffic", "mac", "mode usage"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary missing %q:\n%s", want, s)
+	res := New(cfg).Run()
+
+	if len(events) == 0 {
+		t.Fatal("no trace events from a live run")
+	}
+	// Delivered trace events cover radio deliveries (head self-deliveries
+	// and election flushes are local, not radio events).
+	var modes uint64
+	for _, m := range res.ModeCounts {
+		modes += m
+	}
+	if got := counts[TraceDelivered]; got != modes {
+		t.Fatalf("delivered trace events %d != radio deliveries %d", got, modes)
+	}
+	if got := counts[TraceChannelFail]; got != res.MAC.ChannelFails {
+		t.Fatalf("channel-fail events %d != counter %d", got, res.MAC.ChannelFails)
+	}
+	if got := counts[TraceCollision]; got != res.CollisionEvents {
+		t.Fatalf("collision events %d != counter %d", got, res.CollisionEvents)
+	}
+	if got := counts[TraceDrop]; got != res.DroppedBuffer+res.DroppedRetry {
+		t.Fatalf("drop events %d != drops %d", got, res.DroppedBuffer+res.DroppedRetry)
+	}
+	if got := counts[TraceRound]; int(got) != res.Rounds {
+		t.Fatalf("round events %d != rounds %d", got, res.Rounds)
+	}
+	if got := counts[TraceDeferral]; got != res.MAC.DeferralsCSI+res.MAC.DeferralsBusy {
+		t.Fatalf("deferral events %d != counters %d", got, res.MAC.DeferralsCSI+res.MAC.DeferralsBusy)
+	}
+	// Events arrive in non-decreasing time order.
+	for i := 1; i < len(events); i++ {
+		if events[i].T < events[i-1].T {
+			t.Fatal("trace events out of time order")
 		}
-	}
-	if d := net.debugString(); !strings.Contains(d, "alive=") {
-		t.Errorf("debugString = %q", d)
 	}
 }
 
 func TestTraceKindStrings(t *testing.T) {
-	kinds := TraceKinds()
-	if len(kinds) != 14 {
-		t.Fatalf("trace kinds = %d", len(kinds))
+	if numTraceKinds != 14 {
+		t.Fatalf("trace kinds = %d", numTraceKinds)
 	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := TraceKind(0); k < numTraceKinds; k++ {
 		name := k.String()
 		if name == "" || strings.HasPrefix(name, "TraceKind(") {
 			t.Errorf("kind %d unnamed", int(k))

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/geom"
@@ -18,11 +16,9 @@ import (
 
 // cluster is one LEACH cluster's run-time state for the current round.
 type cluster struct {
-	index     int
 	head      *node
 	members   []*node
 	state     mac.HeadState
-	gen       uint64 // round generation this cluster belongs to
 	toneEv    sim.EventID
 	activeTx  *burst
 	collapsed bool // head died mid-round; cluster inert until re-election
@@ -529,11 +525,9 @@ func (net *Network) startRound() {
 	net.clusters = net.clusters[:0]
 	for c, h := range heads {
 		cl := net.clusterPool[c]
-		cl.index = c
 		cl.head = net.nodes[h]
 		cl.members = cl.members[:0]
 		cl.state = mac.HeadIdle
-		cl.gen = net.roundGen
 		cl.toneEv = sim.EventID{}
 		cl.activeTx = nil
 		cl.collapsed = false
@@ -635,7 +629,7 @@ func (net *Network) forwardDone(fw *forwarder) {
 		net.releaseForward(fw)
 		return
 	}
-	if !cl.head.battery.DrawPower(end, energy.DataTx, net.cfg.Device.DataTxPower, fw.airtime) {
+	if !cl.head.battery.DrawPower(energy.DataTx, net.cfg.Device.DataTxPower, fw.airtime) {
 		net.nodeDied(cl.head, end)
 		net.releaseForward(fw)
 		return
@@ -725,7 +719,7 @@ func (net *Network) chargeTxAirtime(n *node, from, to sim.Time, _ phy.Mode) {
 	if to <= from || !n.alive {
 		return
 	}
-	if !n.battery.DrawPower(to, energy.DataTx, net.cfg.Device.DataTxPower, to-from) {
+	if !n.battery.DrawPower(energy.DataTx, net.cfg.Device.DataTxPower, to-from) {
 		net.nodeDied(n, to)
 	}
 }
@@ -845,7 +839,7 @@ func (net *Network) onTonePulse(cl *cluster, gen uint64, state mac.HeadState) {
 		return
 	}
 	pat := net.cfg.Tone.Pattern(tst)
-	if !cl.head.battery.Draw(now, energy.ToneTx, net.cfg.Device.ToneTxPower*pat.Duration.Seconds()) {
+	if !cl.head.battery.Draw(energy.ToneTx, net.cfg.Device.ToneTxPower*pat.Duration.Seconds()) {
 		net.nodeDied(cl.head, now)
 		return
 	}
@@ -965,7 +959,7 @@ func (net *Network) startBurst(cl *cluster, n *node, k int) {
 		return
 	}
 	// Data radio wake-up: the startup cost the min-burst rule amortizes.
-	if !n.battery.Draw(now, energy.DataStartup, net.cfg.Device.StartupEnergy()) {
+	if !n.battery.Draw(energy.DataStartup, net.cfg.Device.StartupEnergy()) {
 		net.nodeDied(n, now)
 		return
 	}
@@ -1040,7 +1034,7 @@ func (net *Network) finishPacket(cl *cluster, tx *burst, gen uint64) {
 		net.finishBurst(cl, tx, true)
 		return
 	}
-	if !n.battery.Draw(now, energy.Codec, net.cfg.Codec.EncodeEnergy(tx.pktMode, pkt.SizeBits)) {
+	if !n.battery.Draw(energy.Codec, net.cfg.Codec.EncodeEnergy(tx.pktMode, pkt.SizeBits)) {
 		net.nodeDied(n, now)
 		net.abortBurst(cl, tx, now)
 		return
@@ -1050,7 +1044,7 @@ func (net *Network) finishPacket(cl *cluster, tx *burst, gen uint64) {
 		net.abortBurst(cl, tx, now)
 		return
 	}
-	if !cl.head.battery.Draw(now, energy.Codec, net.cfg.Codec.DecodeEnergy(tx.pktMode, pkt.SizeBits)) {
+	if !cl.head.battery.Draw(energy.Codec, net.cfg.Codec.DecodeEnergy(tx.pktMode, pkt.SizeBits)) {
 		net.nodeDied(cl.head, now)
 		net.abortBurst(cl, tx, now)
 		return
@@ -1161,7 +1155,7 @@ func (net *Network) chargeCollisionTone(cl *cluster, now sim.Time) {
 		pulses = 1
 	}
 	e := net.cfg.Device.ToneTxPower * pat.Duration.Seconds() * float64(pulses)
-	if !cl.head.battery.Draw(now, energy.ToneTx, e) {
+	if !cl.head.battery.Draw(energy.ToneTx, e) {
 		net.nodeDied(cl.head, now)
 	}
 }
@@ -1178,7 +1172,7 @@ func (net *Network) joinCollision(cl *cluster, n *node, now sim.Time) {
 	if !n.alive {
 		return
 	}
-	if !n.battery.Draw(now, energy.DataStartup, net.cfg.Device.StartupEnergy()) {
+	if !n.battery.Draw(energy.DataStartup, net.cfg.Device.StartupEnergy()) {
 		net.nodeDied(n, now)
 		return
 	}
@@ -1264,7 +1258,7 @@ func (net *Network) headDwell(n *node, dur sim.Time, now sim.Time) bool {
 			cause = energy.DataRx
 		}
 	}
-	if !n.battery.DrawPower(now, cause, power, dur) {
+	if !n.battery.DrawPower(cause, power, dur) {
 		net.nodeDied(n, now)
 		return false
 	}
@@ -1358,9 +1352,3 @@ func (net *Network) sample() {
 
 // Engine exposes the event engine for white-box tests.
 func (net *Network) Engine() *sim.Engine { return net.eng }
-
-// debugString summarizes run-time state (used by tests on failure paths).
-func (net *Network) debugString() string {
-	return fmt.Sprintf("t=%v rounds=%d alive=%d clusters=%d",
-		net.eng.Now(), net.rounds, net.life.Alive(), len(net.clusters))
-}

@@ -81,7 +81,7 @@ func (n *node) accrue(net *Network, now sim.Time) bool {
 		return false
 	}
 	d := &net.cfg.Device
-	if !n.battery.DrawPower(now, energy.Baseline, d.BaselinePower, dur) {
+	if !n.battery.DrawPower(energy.Baseline, d.BaselinePower, dur) {
 		net.nodeDied(n, now)
 		return false
 	}
@@ -101,11 +101,11 @@ func (n *node) accrue(net *Network, now sim.Time) bool {
 		dataP, dataCause = 0, energy.DataSleep
 		toneP, toneCause = d.ToneRxPower, energy.ToneRx
 	}
-	if dataP > 0 && !n.battery.DrawPower(now, dataCause, dataP, dur) {
+	if dataP > 0 && !n.battery.DrawPower(dataCause, dataP, dur) {
 		net.nodeDied(n, now)
 		return false
 	}
-	if toneP > 0 && !n.battery.DrawPower(now, toneCause, toneP, dur) {
+	if toneP > 0 && !n.battery.DrawPower(toneCause, toneP, dur) {
 		net.nodeDied(n, now)
 		return false
 	}

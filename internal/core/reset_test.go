@@ -26,7 +26,8 @@ func traceBuf(cfg *Config) *bytes.Buffer {
 func assertSameRun(t *testing.T, label string, fresh, reused Result, freshTrace, reusedTrace *bytes.Buffer) {
 	t.Helper()
 	if !reflect.DeepEqual(fresh, reused) {
-		t.Fatalf("%s: fresh and reused results differ\nfresh:  %+v\nreused: %+v", label, fresh.Summary(), reused.Summary())
+		t.Fatalf("%s: fresh and reused results differ\nfresh:  %d rounds, %d delivered, %v J consumed\nreused: %d rounds, %d delivered, %v J consumed",
+			label, fresh.Rounds, fresh.Delivered, fresh.TotalConsumedJ, reused.Rounds, reused.Delivered, reused.TotalConsumedJ)
 	}
 	if freshTrace != nil {
 		if !bytes.Equal(freshTrace.Bytes(), reusedTrace.Bytes()) {

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/metrics"
@@ -38,7 +34,6 @@ type NodeReport struct {
 	DiedAt       sim.Time
 	QueueLen     int
 	ServiceShare uint64 // packets from this node that reached a sink
-	MeanSNRdB    float64
 }
 
 // Result is everything a simulation run measured.
@@ -169,51 +164,4 @@ func (net *Network) buildResult(end sim.Time) Result {
 		r.EnergyPerPktJ = r.CommEnergyJ / float64(r.Delivered)
 	}
 	return r
-}
-
-// Summary renders a human-readable digest of the run.
-func (r Result) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "elapsed            %.1f s over %d LEACH rounds\n", r.Elapsed.Seconds(), r.Rounds)
-	fmt.Fprintf(&b, "energy             avg remaining %.3f J, total consumed %.2f J\n", r.AvgRemainingJ, r.TotalConsumedJ)
-	fmt.Fprintf(&b, "alive              %d at end", r.AliveAtEnd)
-	if r.FirstDeathValid {
-		fmt.Fprintf(&b, " (first death %.1f s)", r.FirstDeath.Seconds())
-	}
-	if r.NetworkDead {
-		fmt.Fprintf(&b, ", network lifetime %.1f s", r.NetworkLifetime.Seconds())
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "traffic            generated %d, delivered %d (%.1f%%), buffer drops %d, retry drops %d\n",
-		r.Generated, r.Delivered, 100*r.DeliveryRate, r.DroppedBuffer, r.DroppedRetry)
-	fmt.Fprintf(&b, "performance        throughput %.1f kbps, mean delay %.2f ms (p95 %.2f ms), queue stddev %.2f\n",
-		r.AggregateKbps, r.MeanDelayMs, r.P95DelayMs, r.QueueStdDev)
-	fmt.Fprintf(&b, "per-packet energy  %.3f mJ over the air (comm energy %.2f J)\n",
-		1000*r.EnergyPerPktJ, r.CommEnergyJ)
-	fmt.Fprintf(&b, "mac                attempts %d, bursts %d, collisions %d (events %d), channel fails %d\n",
-		r.MAC.Attempts, r.MAC.BurstsDone, r.MAC.Collisions, r.CollisionEvents, r.MAC.ChannelFails)
-	fmt.Fprintf(&b, "deferrals          csi %d, busy %d\n", r.MAC.DeferralsCSI, r.MAC.DeferralsBusy)
-
-	type ce struct {
-		c energy.Cause
-		j float64
-	}
-	var causes []ce
-	for c, j := range r.EnergyByCause {
-		causes = append(causes, ce{c, j})
-	}
-	sort.Slice(causes, func(i, j int) bool { return causes[i].j > causes[j].j })
-	b.WriteString("energy breakdown  ")
-	for _, x := range causes {
-		fmt.Fprintf(&b, " %s=%.2fJ", x.c, x.j)
-	}
-	b.WriteByte('\n')
-	if len(r.ModeCounts) > 0 {
-		b.WriteString("mode usage        ")
-		for i, c := range r.ModeCounts {
-			fmt.Fprintf(&b, " class%d=%d", i, c)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -49,7 +49,7 @@ const (
 	numTraceKinds
 )
 
-var traceKindNames = [...]string{
+var traceKindNames = [numTraceKinds]string{
 	TraceRound:        "round",
 	TraceSensorState:  "sensor-state",
 	TraceHeadState:    "head-state",
@@ -71,15 +71,6 @@ func (k TraceKind) String() string {
 		return traceKindNames[k]
 	}
 	return fmt.Sprintf("TraceKind(%d)", int(k))
-}
-
-// TraceKinds returns all kinds in declaration order.
-func TraceKinds() []TraceKind {
-	out := make([]TraceKind, numTraceKinds)
-	for i := range out {
-		out[i] = TraceKind(i)
-	}
-	return out
 }
 
 // TraceEvent is one observable protocol event. Tracing is pull-free: when

@@ -36,21 +36,6 @@ type World struct {
 	net *Network
 }
 
-// Now returns the current simulation time.
-func (w *World) Now() sim.Time { return w.net.eng.Now() }
-
-// NodeCount returns the network size.
-func (w *World) NodeCount() int { return len(w.net.nodes) }
-
-// Alive reports whether node i is currently operational.
-func (w *World) Alive(i int) bool { return w.net.nodes[i].alive }
-
-// RemainingEnergyJ returns node i's current battery level.
-func (w *World) RemainingEnergyJ(i int) float64 { return w.net.nodes[i].battery.Remaining() }
-
-// ArrivalRate returns node i's current traffic rate in packets/second.
-func (w *World) ArrivalRate(i int) float64 { return w.net.nodes[i].source.RatePerSecond }
-
 // Kill forces node i to fail immediately (crash, tampering, environmental
 // damage — any failure other than battery exhaustion; the battery keeps
 // its charge). The usual death bookkeeping applies: if the node headed a
@@ -224,12 +209,6 @@ func (w *World) EndInterference(id uint64, penaltyDB float64) {
 	net.emit(TraceInterference, -1, len(affected), "end")
 }
 
-// InterferencePenaltyDB returns the SNR penalty currently imposed on the
-// link between nodes a and b (0 when no burst covers either endpoint).
-func (w *World) InterferencePenaltyDB(a, b int) float64 {
-	return w.net.interference.PenaltyDB(a, b)
-}
-
 // SetSinkDown fails (true) or recovers (false) the base station. While
 // the sink is down, cluster heads keep aggregating but the forwarding
 // extension transmits nothing; the backlog flushes after recovery. The
@@ -247,15 +226,6 @@ func (w *World) SetSinkDown(down bool) {
 		detail = "down"
 	}
 	net.emit(TraceSink, -1, 0, detail)
-}
-
-// SinkDown reports whether a sink outage is currently in effect.
-func (w *World) SinkDown() bool { return w.net.sinkDown }
-
-// Position returns node i's current field coordinates.
-func (w *World) Position(i int) (x, y float64) {
-	p := w.net.positions[i]
-	return p.X, p.Y
 }
 
 // UpdateChannel mutates the deployment-wide propagation parameters

@@ -147,7 +147,6 @@ type Battery struct {
 	remaining float64
 	recharged float64
 	byCause   [numCauses]float64
-	diedAt    sim.Time
 	dead      bool
 }
 
@@ -169,17 +168,11 @@ func (b *Battery) Reset(initialJoules float64) {
 	*b = Battery{initial: initialJoules, remaining: initialJoules}
 }
 
-// Initial returns the starting level in Joules.
-func (b *Battery) Initial() float64 { return b.initial }
-
 // Remaining returns the current level in Joules (never negative).
 func (b *Battery) Remaining() float64 { return b.remaining }
 
 // Consumed returns total energy drawn so far (recharges do not reduce it).
 func (b *Battery) Consumed() float64 { return b.initial + b.recharged - b.remaining }
-
-// Recharged returns total externally added energy (world top-up events).
-func (b *Battery) Recharged() float64 { return b.recharged }
 
 // Recharge adds joules to the battery — an external top-up (energy
 // harvesting, battery swap, field service) driven by a world event. A dead
@@ -205,14 +198,11 @@ func (b *Battery) ConsumedBy(c Cause) float64 { return b.byCause[c] }
 // Dead reports whether the battery is exhausted.
 func (b *Battery) Dead() bool { return b.dead }
 
-// DiedAt returns the time of exhaustion (meaningful only when Dead).
-func (b *Battery) DiedAt() sim.Time { return b.diedAt }
-
-// Draw removes joules attributed to cause at time now. If the draw
+// Draw removes joules attributed to cause. If the draw
 // exhausts the battery, the overdraft is truncated (the node dies
 // mid-activity) and Draw returns false. Draws on a dead battery are
 // no-ops returning false. Negative draws panic.
-func (b *Battery) Draw(now sim.Time, cause Cause, joules float64) bool {
+func (b *Battery) Draw(cause Cause, joules float64) bool {
 	if joules < 0 {
 		panic(fmt.Sprintf("energy: negative draw %v for %v", joules, cause))
 	}
@@ -223,7 +213,6 @@ func (b *Battery) Draw(now sim.Time, cause Cause, joules float64) bool {
 		b.byCause[cause] += b.remaining
 		b.remaining = 0
 		b.dead = true
-		b.diedAt = now
 		return false
 	}
 	b.remaining -= joules
@@ -232,9 +221,9 @@ func (b *Battery) Draw(now sim.Time, cause Cause, joules float64) bool {
 }
 
 // DrawPower removes power×duration attributed to cause.
-func (b *Battery) DrawPower(now sim.Time, cause Cause, powerW float64, dur sim.Time) bool {
+func (b *Battery) DrawPower(cause Cause, powerW float64, dur sim.Time) bool {
 	if dur < 0 {
 		panic(fmt.Sprintf("energy: negative duration %v for %v", dur, cause))
 	}
-	return b.Draw(now, cause, powerW*dur.Seconds())
+	return b.Draw(cause, powerW*dur.Seconds())
 }

@@ -50,10 +50,10 @@ func TestStartupEnergy(t *testing.T) {
 
 func TestBatteryDraw(t *testing.T) {
 	b := NewBattery(10)
-	if b.Initial() != 10 || b.Remaining() != 10 || b.Consumed() != 0 {
+	if b.initial != 10 || b.Remaining() != 10 || b.Consumed() != 0 {
 		t.Fatal("fresh battery state wrong")
 	}
-	if !b.Draw(0, DataTx, 4) {
+	if !b.Draw(DataTx, 4) {
 		t.Fatal("draw within budget returned false")
 	}
 	if b.Remaining() != 6 || b.Consumed() != 4 {
@@ -66,15 +66,11 @@ func TestBatteryDraw(t *testing.T) {
 
 func TestBatteryExhaustion(t *testing.T) {
 	b := NewBattery(1)
-	at := 5 * sim.Second
-	if b.Draw(at, DataTx, 2) {
+	if b.Draw(DataTx, 2) {
 		t.Fatal("overdraft returned true")
 	}
 	if !b.Dead() {
 		t.Fatal("battery not dead after overdraft")
-	}
-	if b.DiedAt() != at {
-		t.Fatalf("DiedAt = %v, want %v", b.DiedAt(), at)
 	}
 	if b.Remaining() != 0 {
 		t.Fatalf("remaining %v after death, want 0", b.Remaining())
@@ -84,7 +80,7 @@ func TestBatteryExhaustion(t *testing.T) {
 		t.Fatalf("ConsumedBy = %v, want 1", b.ConsumedBy(DataTx))
 	}
 	// Draws on a dead battery are no-ops.
-	if b.Draw(at+1, DataRx, 0.5) {
+	if b.Draw(DataRx, 0.5) {
 		t.Fatal("draw on dead battery returned true")
 	}
 	if b.ConsumedBy(DataRx) != 0 {
@@ -94,7 +90,7 @@ func TestBatteryExhaustion(t *testing.T) {
 
 func TestExactExhaustionIsDead(t *testing.T) {
 	b := NewBattery(1)
-	if b.Draw(0, Baseline, 1) {
+	if b.Draw(Baseline, 1) {
 		t.Fatal("draw of exactly the remaining energy should report death")
 	}
 	if !b.Dead() {
@@ -104,7 +100,7 @@ func TestExactExhaustionIsDead(t *testing.T) {
 
 func TestDrawPower(t *testing.T) {
 	b := NewBattery(10)
-	b.DrawPower(0, DataRx, 0.5, 2*sim.Second)
+	b.DrawPower(DataRx, 0.5, 2*sim.Second)
 	if math.Abs(b.ConsumedBy(DataRx)-1.0) > 1e-12 {
 		t.Fatalf("DrawPower consumed %v, want 1", b.ConsumedBy(DataRx))
 	}
@@ -117,7 +113,7 @@ func TestNegativeDrawPanics(t *testing.T) {
 			t.Error("negative draw did not panic")
 		}
 	}()
-	b.Draw(0, DataTx, -1)
+	b.Draw(DataTx, -1)
 }
 
 func TestNegativeDurationPanics(t *testing.T) {
@@ -127,7 +123,7 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Error("negative duration did not panic")
 		}
 	}()
-	b.DrawPower(0, DataTx, 1, -sim.Second)
+	b.DrawPower(DataTx, 1, -sim.Second)
 }
 
 func TestNonPositiveBatteryPanics(t *testing.T) {
@@ -143,9 +139,9 @@ func TestNonPositiveBatteryPanics(t *testing.T) {
 // untouched causes read zero, and the totals sum to the consumption.
 func TestConsumedByComplete(t *testing.T) {
 	b := NewBattery(100)
-	b.Draw(0, DataTx, 5)
-	b.Draw(0, DataRx, 10)
-	b.Draw(0, Baseline, 1)
+	b.Draw(DataTx, 5)
+	b.Draw(DataRx, 10)
+	b.Draw(Baseline, 1)
 	want := map[Cause]float64{DataTx: 5, DataRx: 10, Baseline: 1}
 	var sum float64
 	for _, c := range Causes() {
@@ -178,7 +174,7 @@ func TestConservationProperty(t *testing.T) {
 				continue
 			}
 			amt = math.Mod(amt, 50)
-			b.Draw(sim.Time(i), Cause(i%int(numCauses)), amt)
+			b.Draw(Cause(i%int(numCauses)), amt)
 		}
 		var byCause float64
 		for _, c := range Causes() {

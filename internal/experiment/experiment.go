@@ -51,11 +51,6 @@ type Options struct {
 // when Options.Replications is unset.
 const defaultReplications = 5
 
-// DefaultOptions runs at full paper scale, seed 1, five replications.
-func DefaultOptions() Options {
-	return Options{Seed: 1, Scale: 1.0}
-}
-
 // seedList resolves the replication seeds: the pinned Seeds list, or
 // Replications (default 5) consecutive seeds from Seed.
 func (o Options) seedList() []uint64 {

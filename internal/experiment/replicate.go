@@ -19,8 +19,7 @@ import (
 
 // replicates holds one grid cell's runs, in seed-list order.
 type replicates struct {
-	label string
-	runs  []core.Result
+	runs []core.Result
 }
 
 // runReplicated expands every cell across the options' seed list and
@@ -38,8 +37,8 @@ func (o Options) runReplicated(cells []job) []replicates {
 	}
 	results := o.run(jobs)
 	out := make([]replicates, len(cells))
-	for i, c := range cells {
-		out[i] = replicates{label: c.Label, runs: results[i*len(seeds) : (i+1)*len(seeds)]}
+	for i := range cells {
+		out[i] = replicates{runs: results[i*len(seeds) : (i+1)*len(seeds)]}
 	}
 	return out
 }

@@ -33,50 +33,17 @@ func (f Field) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= f.Width && p.Y >= 0 && p.Y <= f.Height
 }
 
-// Center returns the field's center point.
-func (f Field) Center() Point { return Point{X: f.Width / 2, Y: f.Height / 2} }
-
-// Diagonal returns the field's diagonal length, the maximum possible
-// node-to-node distance.
-func (f Field) Diagonal() float64 { return math.Hypot(f.Width, f.Height) }
-
-// PlaceUniform scatters n points independently and uniformly over the
-// field, the deployment model used in the paper ("sensors are deployed in
-// a forest or battlefield").
-func PlaceUniform(f Field, n int, r *rng.Stream) []Point {
-	return PlaceUniformInto(make([]Point, 0, n), f, n, r)
-}
-
-// PlaceUniformInto is PlaceUniform writing into dst (appended from
-// length zero), so a reused simulation context re-places its geometry
-// without reallocating. The draws are identical to PlaceUniform's.
+// PlaceUniformInto scatters n points independently and uniformly over
+// the field, the deployment model used in the paper ("sensors are
+// deployed in a forest or battlefield"). It writes into dst (appended
+// from length zero), so a reused simulation context re-places its
+// geometry without reallocating.
 func PlaceUniformInto(dst []Point, f Field, n int, r *rng.Stream) []Point {
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
 		dst = append(dst, Point{X: r.Float64() * f.Width, Y: r.Float64() * f.Height})
 	}
 	return dst
-}
-
-// PlaceGrid lays n points on the most-square grid that fits them, with
-// half-cell margins. Deterministic; used by examples that want
-// reproducible geometry without an RNG.
-func PlaceGrid(f Field, n int) []Point {
-	if n <= 0 {
-		return nil
-	}
-	cols := int(math.Ceil(math.Sqrt(float64(n))))
-	rows := (n + cols - 1) / cols
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		r := i / cols
-		c := i % cols
-		pts = append(pts, Point{
-			X: (float64(c) + 0.5) * f.Width / float64(cols),
-			Y: (float64(r) + 0.5) * f.Height / float64(rows),
-		})
-	}
-	return pts
 }
 
 // Nearest returns the index of the candidate nearest to p, and the

@@ -52,20 +52,10 @@ func TestFieldContains(t *testing.T) {
 	}
 }
 
-func TestFieldCenterAndDiagonal(t *testing.T) {
-	f := Field{Width: 100, Height: 100}
-	if c := f.Center(); c.X != 50 || c.Y != 50 {
-		t.Errorf("Center = %v", c)
-	}
-	if d := f.Diagonal(); math.Abs(d-100*math.Sqrt2) > 1e-9 {
-		t.Errorf("Diagonal = %v", d)
-	}
-}
-
 func TestPlaceUniformInField(t *testing.T) {
 	f := Field{Width: 100, Height: 100}
 	r := rng.NewSource(1).Stream("place", 0)
-	pts := PlaceUniform(f, 1000, r)
+	pts := PlaceUniformInto(nil, f, 1000, r)
 	if len(pts) != 1000 {
 		t.Fatalf("placed %d points, want 1000", len(pts))
 	}
@@ -84,35 +74,12 @@ func TestPlaceUniformInField(t *testing.T) {
 
 func TestPlaceUniformDeterministic(t *testing.T) {
 	f := Field{Width: 100, Height: 100}
-	a := PlaceUniform(f, 50, rng.NewSource(9).Stream("place", 0))
-	b := PlaceUniform(f, 50, rng.NewSource(9).Stream("place", 0))
+	a := PlaceUniformInto(nil, f, 50, rng.NewSource(9).Stream("place", 0))
+	b := PlaceUniformInto(nil, f, 50, rng.NewSource(9).Stream("place", 0))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("placement not deterministic at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestPlaceGrid(t *testing.T) {
-	f := Field{Width: 100, Height: 100}
-	for _, n := range []int{1, 2, 4, 9, 10, 100} {
-		pts := PlaceGrid(f, n)
-		if len(pts) != n {
-			t.Fatalf("PlaceGrid(%d) returned %d points", n, len(pts))
-		}
-		seen := map[Point]bool{}
-		for _, p := range pts {
-			if !f.Contains(p) {
-				t.Fatalf("grid point %v outside field", p)
-			}
-			if seen[p] {
-				t.Fatalf("duplicate grid point %v for n=%d", p, n)
-			}
-			seen[p] = true
-		}
-	}
-	if pts := PlaceGrid(f, 0); pts != nil {
-		t.Fatalf("PlaceGrid(0) = %v, want nil", pts)
 	}
 }
 

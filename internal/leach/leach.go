@@ -93,9 +93,6 @@ func (e *Election) Reset(cfg Config, stream *rng.Stream) {
 	e.resetEpoch()
 }
 
-// Round returns the next round number to be elected.
-func (e *Election) Round() int { return e.round }
-
 // Threshold returns T(n) for an eligible node in the given round.
 func (e *Election) Threshold(round int) float64 {
 	p := e.cfg.HeadFraction
@@ -107,18 +104,14 @@ func (e *Election) Threshold(round int) float64 {
 	return p / den
 }
 
-// Elect runs one round over the alive-node mask and returns the CH
-// indices. Dead nodes never become CH and do not consume election
-// randomness (they have left the protocol). If no alive node self-elects,
-// the fallback designates the alive eligible node with the smallest draw
-// (a deterministic stand-in for the re-election a real deployment would
-// perform), so every round has at least one CH while any node lives.
-func (e *Election) Elect(alive []bool) []int {
-	return e.ElectInto(nil, alive)
-}
-
-// ElectInto is Elect appending into dst (from length zero), so a
-// round-driving caller can reuse one heads slice across rounds.
+// ElectInto runs one round over the alive-node mask and returns the CH
+// indices, appended into dst from length zero so a round-driving caller
+// can reuse one heads slice across rounds. Dead nodes never become CH
+// and do not consume election randomness (they have left the protocol).
+// If no alive node self-elects, the fallback designates the alive
+// eligible node with the smallest draw (a deterministic stand-in for the
+// re-election a real deployment would perform), so every round has at
+// least one CH while any node lives.
 func (e *Election) ElectInto(dst []int, alive []bool) []int {
 	if len(alive) != e.cfg.Nodes {
 		panic(fmt.Sprintf("leach: alive mask has %d entries, want %d", len(alive), e.cfg.Nodes))
@@ -184,17 +177,11 @@ type Assignment struct {
 	headPts []geom.Point
 }
 
-// Assign forms clusters by nearest-CH (the LEACH join rule: strongest
-// received advertisement ≈ nearest head for a common transmit power).
-func Assign(heads []int, positions []geom.Point, alive []bool) Assignment {
-	var a Assignment
-	AssignInto(&a, heads, positions, alive)
-	return a
-}
-
-// AssignInto is Assign writing into an existing Assignment, reusing its
-// slices (including the per-cluster member lists) so the per-round
-// clustering of a long run stops allocating once the working set peaks.
+// AssignInto forms clusters by nearest-CH (the LEACH join rule:
+// strongest received advertisement ≈ nearest head for a common transmit
+// power). It writes into an existing Assignment, reusing its slices
+// (including the per-cluster member lists) so the per-round clustering of
+// a long run stops allocating once the working set peaks.
 func AssignInto(a *Assignment, heads []int, positions []geom.Point, alive []bool) {
 	a.Heads = append(a.Heads[:0], heads...)
 	if cap(a.ClusterOf) >= len(positions) {
@@ -243,6 +230,3 @@ func (a Assignment) HeadOf(i int) int {
 	}
 	return a.Heads[c]
 }
-
-// Size returns the member count of cluster c including the head.
-func (a Assignment) Size(c int) int { return len(a.Members[c]) + 1 }

@@ -74,7 +74,7 @@ func TestElectionFraction(t *testing.T) {
 	total := 0
 	const rounds = 2000
 	for r := 0; r < rounds; r++ {
-		total += len(e.Elect(alive))
+		total += len(e.ElectInto(nil, alive))
 	}
 	frac := float64(total) / float64(rounds*100)
 	if math.Abs(frac-0.05) > 0.01 {
@@ -90,7 +90,7 @@ func TestEveryNodeServesOncePerEpoch(t *testing.T) {
 	alive := allAlive(100)
 	served := make([]int, 100)
 	for r := 0; r < cfg.EpochRounds(); r++ {
-		for _, h := range e.Elect(alive) {
+		for _, h := range e.ElectInto(nil, alive) {
 			served[h]++
 		}
 	}
@@ -106,7 +106,7 @@ func TestAtLeastOneHeadWhileAlive(t *testing.T) {
 	e := NewElection(cfg, rng.NewSource(4).Stream("el", 0))
 	alive := allAlive(10)
 	for r := 0; r < 500; r++ {
-		heads := e.Elect(alive)
+		heads := e.ElectInto(nil, alive)
 		if len(heads) == 0 {
 			t.Fatalf("round %d elected no cluster head", r)
 		}
@@ -126,7 +126,7 @@ func TestDeadNodesNeverElected(t *testing.T) {
 		alive[i] = false
 	}
 	for r := 0; r < 200; r++ {
-		for _, h := range e.Elect(alive) {
+		for _, h := range e.ElectInto(nil, alive) {
 			if h < 10 {
 				t.Fatalf("dead node %d elected in round %d", h, r)
 			}
@@ -137,7 +137,7 @@ func TestDeadNodesNeverElected(t *testing.T) {
 func TestElectionAllDead(t *testing.T) {
 	cfg := Config{HeadFraction: 0.1, Nodes: 5}
 	e := NewElection(cfg, rng.NewSource(6).Stream("el", 0))
-	heads := e.Elect(make([]bool, 5))
+	heads := e.ElectInto(nil, make([]bool, 5))
 	if len(heads) != 0 {
 		t.Fatalf("elected %d heads from a dead network", len(heads))
 	}
@@ -150,7 +150,7 @@ func TestElectionWrongMaskPanics(t *testing.T) {
 			t.Error("wrong-size alive mask did not panic")
 		}
 	}()
-	e.Elect(make([]bool, 4))
+	e.ElectInto(nil, make([]bool, 4))
 }
 
 func TestElectionDeterminism(t *testing.T) {
@@ -159,7 +159,7 @@ func TestElectionDeterminism(t *testing.T) {
 		alive := allAlive(50)
 		var out [][]int
 		for r := 0; r < 40; r++ {
-			out = append(out, e.Elect(alive))
+			out = append(out, e.ElectInto(nil, alive))
 		}
 		return out
 	}
@@ -184,22 +184,24 @@ func TestAssignNearest(t *testing.T) {
 		{X: 90, Y: 0},  // member, nearer head 1
 		{X: 49, Y: 0},  // member, nearer head 0
 	}
-	a := Assign([]int{0, 1}, positions, allAlive(5))
+	var a Assignment
+	AssignInto(&a, []int{0, 1}, positions, allAlive(5))
 	if a.HeadOf(2) != 0 || a.HeadOf(3) != 1 || a.HeadOf(4) != 0 {
 		t.Fatalf("assignment wrong: %v", a.ClusterOf)
 	}
 	if a.HeadOf(0) != 0 || a.HeadOf(1) != 1 {
 		t.Fatal("heads not in their own clusters")
 	}
-	if a.Size(0) != 3 || a.Size(1) != 2 {
-		t.Fatalf("cluster sizes %d, %d", a.Size(0), a.Size(1))
+	if len(a.Members[0])+1 != 3 || len(a.Members[1])+1 != 2 {
+		t.Fatalf("cluster sizes %d, %d", len(a.Members[0])+1, len(a.Members[1])+1)
 	}
 }
 
 func TestAssignSkipsDead(t *testing.T) {
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 20, Y: 0}}
 	alive := []bool{true, false, true}
-	a := Assign([]int{0}, positions, alive)
+	var a Assignment
+	AssignInto(&a, []int{0}, positions, alive)
 	if a.ClusterOf[1] != -1 || a.HeadOf(1) != -1 {
 		t.Fatal("dead node assigned to a cluster")
 	}
@@ -223,11 +225,12 @@ func TestAssignProperty(t *testing.T) {
 		for i := range alive {
 			alive[i] = r.Float64() > 0.2
 		}
-		heads := r.Perm(n)[:h]
+		heads := perm(r, n)[:h]
 		for _, hd := range heads {
 			alive[hd] = true
 		}
-		a := Assign(heads, positions, alive)
+		var a Assignment
+		AssignInto(&a, heads, positions, alive)
 		headPts := make([]geom.Point, len(heads))
 		for c, hd := range heads {
 			headPts[c] = positions[hd]
@@ -261,4 +264,17 @@ func TestAssignProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// perm returns a Fisher-Yates permutation of [0, n) drawn from r.
+func perm(r *rng.Stream, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }

@@ -145,23 +145,17 @@ func (c Config) Validate() error {
 // count, capped at MaxRetries. The exponential term spreads repeat
 // colliders over a growing window.
 func (c Config) Backoff(retries int, stream *rng.Stream) sim.Time {
-	if retries < 0 {
-		retries = 0
-	}
-	if retries > c.MaxRetries {
-		retries = c.MaxRetries
-	}
-	window := float64(int64(1)<<uint(retries)) * float64(c.SlotTime) * float64(c.ContentionWindow)
-	d := sim.Time(stream.Float64() * window)
+	d := sim.Time(stream.Float64() * float64(c.window(retries)))
 	if d < 1 {
 		d = 1 // never a zero backoff: two contenders must be separable
 	}
 	return d
 }
 
-// MaxBackoff returns the largest possible backoff for the given retry
-// count — the bound tests and the collision-window logic rely on.
-func (c Config) MaxBackoff(retries int) sim.Time {
+// window returns the backoff window 2^n × SlotTime × CW for the given
+// retry count, clamped to [0, MaxRetries]: the bound of every Backoff
+// draw.
+func (c Config) window(retries int) sim.Time {
 	if retries < 0 {
 		retries = 0
 	}

@@ -52,7 +52,7 @@ func TestBackoffWithinWindow(t *testing.T) {
 	c := DefaultConfig()
 	r := rng.NewSource(1).Stream("backoff", 0)
 	for retries := 0; retries <= c.MaxRetries+2; retries++ {
-		maxB := c.MaxBackoff(retries)
+		maxB := c.window(retries)
 		for i := 0; i < 1000; i++ {
 			d := c.Backoff(retries, r)
 			if d < 1 || d > maxB {
@@ -65,21 +65,21 @@ func TestBackoffWithinWindow(t *testing.T) {
 // Binary exponential growth: the window doubles per retry up to the cap.
 func TestMaxBackoffDoubles(t *testing.T) {
 	c := DefaultConfig()
-	base := c.MaxBackoff(0)
+	base := c.window(0)
 	if base != sim.Time(c.ContentionWindow)*c.SlotTime {
 		t.Fatalf("base window = %v", base)
 	}
 	for n := 1; n <= c.MaxRetries; n++ {
-		if c.MaxBackoff(n) != 2*c.MaxBackoff(n-1) {
+		if c.window(n) != 2*c.window(n-1) {
 			t.Fatalf("window did not double at retry %d", n)
 		}
 	}
 	// Past the cap the window stops growing.
-	if c.MaxBackoff(c.MaxRetries+3) != c.MaxBackoff(c.MaxRetries) {
+	if c.window(c.MaxRetries+3) != c.window(c.MaxRetries) {
 		t.Fatal("window grew past the retry cap")
 	}
 	// Negative retries clamp to 0.
-	if c.MaxBackoff(-5) != c.MaxBackoff(0) {
+	if c.window(-5) != c.window(0) {
 		t.Fatal("negative retries not clamped")
 	}
 }

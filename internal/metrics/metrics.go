@@ -43,9 +43,6 @@ func (ts *TimeSeries) Record(t sim.Time, v float64) {
 	ts.points = append(ts.points, Point{T: t, V: v})
 }
 
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.points) }
-
 // Points returns the samples (callers must not mutate).
 func (ts *TimeSeries) Points() []Point { return ts.points }
 
@@ -59,34 +56,8 @@ func (ts *TimeSeries) At(t sim.Time) (float64, bool) {
 	return ts.points[i-1].V, true
 }
 
-// FirstCrossingBelow returns the earliest sample time at which the series
-// value is <= level; ok=false if it never crosses.
-func (ts *TimeSeries) FirstCrossingBelow(level float64) (sim.Time, bool) {
-	for _, p := range ts.points {
-		if p.V <= level {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
-// Downsample returns at most n approximately evenly spaced points (always
-// keeping the first and last), for plotting/printing.
-func (ts *TimeSeries) Downsample(n int) []Point {
-	if n <= 0 || len(ts.points) <= n {
-		return append([]Point(nil), ts.points...)
-	}
-	out := make([]Point, 0, n)
-	step := float64(len(ts.points)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		out = append(out, ts.points[int(float64(i)*step+0.5)])
-	}
-	out[len(out)-1] = ts.points[len(ts.points)-1]
-	return out
-}
-
 // DelayStats accumulates packet delays (creation → delivery at the CH),
-// tracking mean/max/stddev plus a constant-memory P² estimate of the
+// tracking mean and max plus a constant-memory P² estimate of the
 // 95th percentile (the tail the mean hides under bursty service).
 type DelayStats struct {
 	w   stats.Welford
@@ -102,18 +73,12 @@ func (d *DelayStats) Observe(delay sim.Time) {
 	d.p95.Add(delay.Millis())
 }
 
-// Count returns delivered-packet count.
-func (d *DelayStats) Count() uint64 { return d.w.Count() }
-
 // MeanMs returns the average delay in milliseconds (§IV.A measures delay
 // in ms).
 func (d *DelayStats) MeanMs() float64 { return d.w.Mean() }
 
 // MaxMs returns the largest observed delay in milliseconds.
 func (d *DelayStats) MaxMs() float64 { return d.w.Max() }
-
-// StdDevMs returns the delay standard deviation in milliseconds.
-func (d *DelayStats) StdDevMs() float64 { return d.w.StdDev() }
 
 // P95Ms returns the streaming 95th-percentile delay estimate in
 // milliseconds (0 when no packet has been delivered, matching the
@@ -150,9 +115,6 @@ func (f *FairnessProbe) Snapshot(queueLengths []int) {
 	}
 	f.snapshots.Add(math.Sqrt(ss / float64(n)))
 }
-
-// Snapshots returns how many snapshots were taken.
-func (f *FairnessProbe) Snapshots() uint64 { return f.snapshots.Count() }
 
 // MeanStdDev returns the average of the snapshot standard deviations —
 // the Fig. 12 y-axis.

@@ -21,7 +21,6 @@ type Sample struct {
 type ParsedFamily struct {
 	Name    string
 	Type    string
-	Help    string
 	Samples []Sample
 }
 
@@ -79,12 +78,6 @@ func (e *Exposition) Sum(name string) (float64, bool) {
 		}
 	}
 	return total, matched
-}
-
-// Has reports whether the exposition contains a family with the name.
-func (e *Exposition) Has(name string) bool {
-	_, ok := e.Families[familyName(name)]
-	return ok
 }
 
 // familyName strips the histogram sample suffixes back to the family
@@ -175,9 +168,6 @@ func parseComment(exp *Exposition, line string) error {
 		exp.Order = append(exp.Order, name)
 	}
 	if fields[1] == "HELP" {
-		if len(fields) == 4 {
-			fam.Help = fields[3]
-		}
 		return nil
 	}
 	if len(fields) < 4 {

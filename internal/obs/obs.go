@@ -79,9 +79,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v.Set(v) }
 
-// Add adjusts the gauge by v (negative deltas allowed).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Value() }
 

@@ -224,13 +224,6 @@ func (t Table) Mode(i int) Mode {
 	return t.modes[i]
 }
 
-// Modes returns a copy of the mode list, ascending by class.
-func (t Table) Modes() []Mode {
-	out := make([]Mode, len(t.modes))
-	copy(out, t.modes)
-	return out
-}
-
 // Highest returns the top class (fastest mode).
 func (t Table) Highest() Mode { return t.modes[len(t.modes)-1] }
 

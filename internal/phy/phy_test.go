@@ -14,7 +14,7 @@ func TestDefault4ModeShape(t *testing.T) {
 		t.Fatalf("mode count = %d, want 4", tab.Len())
 	}
 	wantBps := []float64{250e3, 450e3, 1e6, 2e6}
-	for i, m := range tab.Modes() {
+	for i, m := range tab.modes {
 		if m.Index != i {
 			t.Errorf("mode %d has Index %d", i, m.Index)
 		}
@@ -89,7 +89,7 @@ func TestQFunction(t *testing.T) {
 }
 
 func TestBERMonotoneInSNR(t *testing.T) {
-	for _, m := range Default4Mode().Modes() {
+	for _, m := range Default4Mode().modes {
 		prev := 1.0
 		for snr := -10.0; snr <= 40; snr += 0.5 {
 			ber := m.BitErrorRate(snr)
@@ -107,7 +107,7 @@ func TestBERMonotoneInSNR(t *testing.T) {
 // Each mode must meet a respectable BER at its own admission threshold —
 // operating a mode where the table allows it must be safe.
 func TestBERAcceptableAtThreshold(t *testing.T) {
-	for _, m := range Default4Mode().Modes() {
+	for _, m := range Default4Mode().modes {
 		ber := m.BitErrorRate(m.ThresholdSNRdB)
 		if ber > 1e-5 {
 			t.Errorf("%s: BER at threshold = %v, want <= 1e-5", m.Name, ber)
@@ -287,7 +287,7 @@ func BenchmarkPacketErrorProb(b *testing.B) {
 // bound. The bound also stays within 10% of the value at the threshold,
 // so a draw above it is the common case for an admitted packet.
 func TestPacketErrorBoundHolds(t *testing.T) {
-	for _, m := range Default4Mode().Modes() {
+	for _, m := range Default4Mode().modes {
 		for _, bits := range []int{1, 64, 2000, 16000} {
 			bound := m.PacketErrorBound(bits)
 			atThreshold := m.PacketErrorProb(m.ThresholdSNRdB, bits)

@@ -65,9 +65,6 @@ func (b *Buffer) Reset(capacity int) {
 // Len returns the current queue length.
 func (b *Buffer) Len() int { return b.count }
 
-// Capacity returns the configured capacity (0 = unbounded).
-func (b *Buffer) Capacity() int { return b.capacity }
-
 // grow doubles the ring (minimum 8 slots), unrolling the wrapped
 // contents into the front of the new array.
 func (b *Buffer) grow() {
@@ -94,23 +91,6 @@ func (b *Buffer) Enqueue(p Packet) bool {
 	b.ring[(b.head+b.count)&(len(b.ring)-1)] = p
 	b.count++
 	return true
-}
-
-// Peek returns the head packet without removing it; ok=false when empty.
-func (b *Buffer) Peek() (Packet, bool) {
-	if b.count == 0 {
-		return Packet{}, false
-	}
-	return b.ring[b.head], true
-}
-
-// PeekAt returns the i-th queued packet (0 = head) without removal, for
-// assembling a burst.
-func (b *Buffer) PeekAt(i int) (Packet, bool) {
-	if i < 0 || i >= b.count {
-		return Packet{}, false
-	}
-	return b.ring[(b.head+i)&(len(b.ring)-1)], true
 }
 
 // Dequeue removes and returns the head packet; ok=false when empty.
@@ -281,10 +261,6 @@ type ThresholdAdjuster struct {
 	lastSample   int
 	haveSample   bool
 	active       bool
-
-	// Counters for diagnostics/ablation.
-	lowered int
-	raised  int
 }
 
 // NewThresholdAdjuster starts at the highest class (the paper's initial
@@ -308,13 +284,6 @@ func (a *ThresholdAdjuster) Reset(cfg AdjusterConfig) {
 // Class returns the current threshold class index (0 = lowest/most
 // permissive, Classes-1 = highest/most selective).
 func (a *ThresholdAdjuster) Class() int { return a.class }
-
-// Active reports whether the adjustment mechanism is currently engaged
-// (queue reached Q_th since the last drain below it).
-func (a *ThresholdAdjuster) Active() bool { return a.active }
-
-// Adjustments returns how many times the threshold was lowered and raised.
-func (a *ThresholdAdjuster) Adjustments() (lowered, raised int) { return a.lowered, a.raised }
 
 // OnArrival must be called at each packet arrival epoch with the queue
 // length after the arrival. It implements the Fig. 6 pseudo-code: the
@@ -378,11 +347,6 @@ func (a *ThresholdAdjuster) setClass(c int) {
 	}
 	if c > a.cfg.Classes-1 {
 		c = a.cfg.Classes - 1
-	}
-	if c < a.class {
-		a.lowered++
-	} else if c > a.class {
-		a.raised++
 	}
 	a.class = c
 }

@@ -42,8 +42,12 @@ func TestBufferOverflowDrops(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("len = %d after overflow, want 3", b.Len())
 	}
-	if p, _ := b.PeekAt(2); p.CreatedAt != 2 {
-		t.Fatalf("tail = %v after overflow, want the packet created at 2", p.CreatedAt)
+	var tail Packet
+	for b.Len() > 0 {
+		tail, _ = b.Dequeue()
+	}
+	if tail.CreatedAt != 2 {
+		t.Fatalf("tail = %v after overflow, want the packet created at 2", tail.CreatedAt)
 	}
 }
 
@@ -61,26 +65,17 @@ func TestBufferUnbounded(t *testing.T) {
 
 func TestBufferPeekAndHead(t *testing.T) {
 	b := NewBuffer(10)
-	if _, ok := b.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
-	}
 	if b.Head() != nil {
 		t.Fatal("head on empty not nil")
 	}
 	b.Enqueue(pkt(1))
 	b.Enqueue(pkt(2))
-	if p, ok := b.Peek(); !ok || p.CreatedAt != 1 {
-		t.Fatalf("peek = (%v, %v)", p.CreatedAt, ok)
-	}
-	if p, ok := b.PeekAt(1); !ok || p.CreatedAt != 2 {
-		t.Fatalf("peekAt(1) = (%v, %v)", p.CreatedAt, ok)
-	}
-	if _, ok := b.PeekAt(2); ok {
-		t.Fatal("peekAt past end succeeded")
+	if p := b.Head(); p == nil || p.CreatedAt != 1 {
+		t.Fatalf("head = %v", p)
 	}
 	// Head gives in-place mutation for retry bookkeeping.
 	b.Head().Retries = 5
-	if p, _ := b.Peek(); p.Retries != 5 {
+	if p := b.Head(); p.Retries != 5 {
 		t.Fatal("head mutation not visible")
 	}
 	if b.Len() != 2 {
@@ -98,7 +93,7 @@ func TestDropHead(t *testing.T) {
 	if !b.DropHead() {
 		t.Fatal("DropHead failed")
 	}
-	if p, _ := b.Peek(); p.CreatedAt != 2 {
+	if p := b.Head(); p.CreatedAt != 2 {
 		t.Fatal("DropHead removed the wrong packet")
 	}
 	if b.Len() != 1 {
@@ -214,7 +209,7 @@ func TestAdjusterStartsAtHighest(t *testing.T) {
 	if a.Class() != 3 {
 		t.Fatalf("initial class = %d, want 3 (2 Mbps)", a.Class())
 	}
-	if a.Active() {
+	if a.active {
 		t.Fatal("fresh adjuster already active")
 	}
 }
@@ -225,7 +220,7 @@ func TestAdjusterInactiveBelowQth(t *testing.T) {
 	for q := 1; q <= 14; q++ {
 		a.OnArrival(q)
 	}
-	if a.Active() {
+	if a.active {
 		t.Fatal("adjuster engaged below Q_th")
 	}
 	if a.Class() != 3 {
@@ -247,10 +242,6 @@ func TestAdjusterLowersOnGrowth(t *testing.T) {
 	}
 	if a.Class() != 0 {
 		t.Fatalf("class = %d after sustained growth, want 0", a.Class())
-	}
-	lowered, _ := a.Adjustments()
-	if lowered < 3 {
-		t.Fatalf("lowered %d times, want >= 3", lowered)
 	}
 }
 
@@ -286,7 +277,7 @@ func TestAdjusterDisengagesBelowQth(t *testing.T) {
 		q++
 		a.OnArrival(q)
 	}
-	if !a.Active() {
+	if !a.active {
 		t.Fatal("setup failed: not active")
 	}
 	// Drain to below Q_th with a ΔV < 0 sample landing there.
@@ -294,7 +285,7 @@ func TestAdjusterDisengagesBelowQth(t *testing.T) {
 		q--
 		a.OnArrival(q)
 	}
-	if a.Active() {
+	if a.active {
 		t.Fatal("adjuster still active after queue fell below Q_th on a draining trend")
 	}
 	if a.Class() != cfg.Classes-1 {
@@ -311,12 +302,12 @@ func TestAdjusterOnServicedFullDrain(t *testing.T) {
 		a.OnArrival(q)
 	}
 	a.OnServiced(3) // partial drain: stays engaged
-	if !a.Active() {
+	if !a.active {
 		t.Fatal("partial drain disengaged the adjuster")
 	}
 	a.OnServiced(0) // full drain: recovered
-	if a.Active() || a.Class() != cfg.Classes-1 {
-		t.Fatalf("full drain: active=%v class=%d", a.Active(), a.Class())
+	if a.active || a.Class() != cfg.Classes-1 {
+		t.Fatalf("full drain: active=%v class=%d", a.active, a.Class())
 	}
 }
 

@@ -41,9 +41,6 @@ func NewSource(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// Seed returns the master seed the Source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
-
 // Reseed re-roots the Source at a new master seed. Streams already
 // derived keep their old state; reseed them individually with InitStream.
 func (s *Source) Reseed(seed uint64) { s.seed = seed }
@@ -188,25 +185,4 @@ func (r *Stream) Poisson(mean float64) int {
 		return 0
 	}
 	return int(v)
-}
-
-// Perm returns a uniformly random permutation of [0, n), Fisher-Yates.
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly reorders the n elements addressed by swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

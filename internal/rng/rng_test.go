@@ -180,45 +180,6 @@ func TestPoissonEdgeCases(t *testing.T) {
 	}()
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewSource(12).Stream("perm", 0)
-	check := func(n uint8) bool {
-		size := int(n%64) + 1
-		p := r.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewSource(13).Stream("sh", 0)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed the multiset: sum %d -> %d", sum, got)
-	}
-}
-
 // Property: any (kind, id) pair yields a usable, non-degenerate stream.
 func TestStreamNeverDegenerate(t *testing.T) {
 	src := NewSource(0) // adversarial master seed

@@ -51,11 +51,11 @@ func (q *engineQueue) scheduleFirst(d Time, fn Handler) int {
 func (q *engineQueue) cancel(h int) bool { return q.e.Cancel(q.ids[h]) }
 func (q *engineQueue) valid(h int) bool  { return q.ids[h].Valid() }
 func (q *engineQueue) run(horizon Time)  { q.e.Run(horizon) }
-func (q *engineQueue) runAll()           { q.e.RunAll() }
+func (q *engineQueue) runAll()           { q.e.run(math.MaxInt64) }
 func (q *engineQueue) stop()             { q.e.Stop() }
 func (q *engineQueue) reset()            { q.e.Reset() }
 func (q *engineQueue) now() Time         { return q.e.Now() }
-func (q *engineQueue) pending() int      { return q.e.Pending() }
+func (q *engineQueue) pending() int      { return q.e.live }
 func (q *engineQueue) executed() uint64  { return q.e.Executed() }
 
 // refQueue is the reference model: a flat list of every event ever

@@ -37,7 +37,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -185,9 +184,6 @@ func (e *Engine) Reset() {
 // performance accounting).
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return e.live }
-
 // Schedule runs fn after delay as an ordinary event. A negative delay
 // panics: the caller has a logic error, and silently clamping would hide
 // it.
@@ -279,10 +275,6 @@ func (e *Engine) Run(horizon Time) {
 		e.now = horizon
 	}
 }
-
-// RunAll executes every pending event regardless of horizon. Useful in
-// tests; production runs should bound time with Run.
-func (e *Engine) RunAll() { e.run(math.MaxInt64) }
 
 // run executes events due at or before horizon until the queue has
 // none left or Stop is called.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -157,8 +158,8 @@ func TestHorizonStopsAndAdvancesClock(t *testing.T) {
 	if e.Now() != Second {
 		t.Fatalf("clock = %v after Run(1s), want 1s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.live != 1 {
+		t.Fatalf("pending = %d, want 1", e.live)
 	}
 	// A second Run picks the event up.
 	e.Run(3 * Second)
@@ -235,8 +236,8 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("executed %d events after Stop, want 3", count)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d after Stop, want 7", e.Pending())
+	if e.live != 7 {
+		t.Fatalf("pending = %d after Stop, want 7", e.live)
 	}
 }
 
@@ -278,7 +279,7 @@ func TestRunAll(t *testing.T) {
 	count := 0
 	e.Schedule(5*Second, func() { count++ })
 	e.Schedule(10*Second, func() { count++ })
-	e.RunAll()
+	e.run(math.MaxInt64)
 	if count != 2 {
 		t.Fatalf("RunAll executed %d events, want 2", count)
 	}
@@ -409,7 +410,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 	e.Schedule(Microsecond, churn)
 	b.ResetTimer()
-	e.RunAll()
+	e.run(math.MaxInt64)
 }
 
 // holdDelays returns a fixed table of successor delays drawn from the
@@ -470,14 +471,14 @@ func BenchmarkHold(b *testing.B) {
 			}
 			// Warm up: let the delay mix spread the queue to steady state.
 			stopAt = uint64(20 * pending)
-			e.RunAll()
+			e.run(math.MaxInt64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			stopAt = e.Executed() + uint64(b.N)
-			e.RunAll()
+			e.run(math.MaxInt64)
 			b.StopTimer()
-			if e.Pending() != pending {
-				b.Fatalf("pending = %d, want %d", e.Pending(), pending)
+			if e.live != pending {
+				b.Fatalf("pending = %d, want %d", e.live, pending)
 			}
 		})
 	}

@@ -18,25 +18,26 @@ func ExampleStream() {
 	// n=4 mean=11.50 sd=1.291 ci95=2.054
 }
 
-// Welford tracks population mean/variance with min/max, allocation-free
-// — the base of every simulation metric.
+// Welford tracks the mean with min/max, allocation-free — the base of
+// every simulation metric.
 func ExampleWelford() {
 	var w stats.Welford
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(v)
 	}
-	fmt.Printf("mean=%.1f variance=%.1f min=%.0f max=%.0f\n", w.Mean(), w.Variance(), w.Min(), w.Max())
+	fmt.Printf("mean=%.1f min=%.0f max=%.0f\n", w.Mean(), w.Min(), w.Max())
 	// Output:
-	// mean=5.0 variance=4.0 min=2 max=9
+	// mean=5.0 min=2 max=9
 }
 
 // Quantile is the P² estimator: any single quantile in O(1) memory.
 func ExampleQuantile() {
+	const n = 100
 	q := stats.NewQuantile(0.95)
-	for v := 1; v <= 100; v++ {
+	for v := 1; v <= n; v++ {
 		q.Add(float64(v))
 	}
-	fmt.Printf("p95 of 1..100 ~ %.0f (from %d observations)\n", q.Value(), q.Count())
+	fmt.Printf("p95 of 1..100 ~ %.0f (from %d observations)\n", q.Value(), n)
 	// Output:
 	// p95 of 1..100 ~ 95 (from 100 observations)
 }

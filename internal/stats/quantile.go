@@ -104,9 +104,6 @@ func (q *Quantile) linear(i int, sign float64) float64 {
 	return q.h[i] + sign*(q.h[j]-q.h[i])/(q.pos[j]-q.pos[i])
 }
 
-// Count returns the number of observations.
-func (q *Quantile) Count() int { return q.n }
-
 // Value returns the current quantile estimate: NaN when empty, the
 // exact (interpolated) sample quantile through the first five
 // observations (at n == 5 the marker heights still are the complete

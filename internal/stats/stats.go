@@ -37,46 +37,11 @@ func (w *Welford) Count() uint64 { return w.n }
 // Mean returns the sample mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Variance returns the population variance (0 for fewer than 2
-// samples). A constant series has variance exactly 0: every update's
-// delta is 0, so no rounding residue accumulates in m2.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // Min returns the smallest observation (0 when empty).
 func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
-
-// Merge folds other into w (parallel Welford combination).
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	mean := w.mean + d*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
-}
 
 // Stream extends Welford with the inferential view a replicated
 // experiment needs: unbiased (n−1) sample variance, the standard error
@@ -121,10 +86,3 @@ func (s *Stream) CIHalfWidth(conf float64) float64 {
 
 // CI95 returns CIHalfWidth(0.95) — the experiment tables' "±" column.
 func (s *Stream) CI95() float64 { return s.CIHalfWidth(0.95) }
-
-// CI returns the two-sided confidence interval bounds at the given
-// level; both bounds are NaN for fewer than two observations.
-func (s *Stream) CI(conf float64) (lo, hi float64) {
-	h := s.CIHalfWidth(conf)
-	return s.mean - h, s.mean + h
-}

@@ -239,7 +239,7 @@ func TestReopenDecodesDirectly(t *testing.T) {
 	for i := range 23 {
 		r := rec(i)
 		r.Scenario = names[i%len(names)]
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, r.Key())

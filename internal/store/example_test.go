@@ -30,7 +30,7 @@ func Example() {
 		Seed:     3,
 		Summary:  store.Summary{TotalConsumedJ: 41.5, Delivered: 1200, DeliveryRate: 0.96},
 	}
-	if err := s.Put(rec); err != nil {
+	if err := s.PutBatch([]store.Record{rec}); err != nil {
 		fmt.Println(err)
 		return
 	}

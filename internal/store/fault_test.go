@@ -21,7 +21,7 @@ func TestAppendFaultIsTypedAndRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Put(rec(0)); err != nil {
+	if err := s.PutBatch([]Record{rec(0)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,7 +32,7 @@ func TestAppendFaultIsTypedAndRecoverable(t *testing.T) {
 		}
 		return nil
 	})
-	err = s.Put(rec(1))
+	err = s.PutBatch([]Record{rec(1)})
 	var we *WriteError
 	if !errors.As(err, &we) || we.Op != "append" || !errors.Is(err, boom) {
 		t.Fatalf("faulted Put = %v, want *WriteError{Op: append} wrapping cause", err)
@@ -42,7 +42,7 @@ func TestAppendFaultIsTypedAndRecoverable(t *testing.T) {
 	}
 
 	s.SetFault(nil)
-	if err := s.Put(rec(1)); err != nil {
+	if err := s.PutBatch([]Record{rec(1)}); err != nil {
 		t.Fatalf("Put after fault cleared: %v", err)
 	}
 	got, ok, err := s.Get(rec(1).Key())
@@ -76,7 +76,7 @@ func TestSyncFaultThenReopen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Put(rec(0)); err != nil {
+			if err := s.PutBatch([]Record{rec(0)}); err != nil {
 				t.Fatal(err)
 			}
 			s.SetFault(func(op string) error {
@@ -119,7 +119,7 @@ func TestSyncFaultThenReopen(t *testing.T) {
 					t.Fatalf("reopen lost orphan record %d", r.Seed)
 				}
 			}
-			if err := s2.Put(rec(9)); err != nil {
+			if err := s2.PutBatch([]Record{rec(9)}); err != nil {
 				t.Fatalf("Put on reopened store: %v", err)
 			}
 		})
@@ -149,7 +149,7 @@ func TestMidAppendCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if err := s.Put(rec(i)); err != nil {
+				if err := s.PutBatch([]Record{rec(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}

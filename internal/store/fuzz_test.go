@@ -109,12 +109,12 @@ func FuzzStoreReopen(f *testing.F) {
 				}
 				r.V = recordVersion
 				r.Summary.Delivered = uint64(i)
-				if err := s.Put(r); err != nil {
+				if err := s.PutBatch([]Record{r}); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				model[r.Key()] = r
 			case 2:
-				if err := s.Compact(); err != nil {
+				if err := compact(s); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			case 3, 4:

@@ -68,7 +68,7 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 		segmentLoads: reg.Counter(metricSegmentLoads,
 			"Lazy segment index loads (bloom/range pruning misses land here)."),
 		fullScans: reg.Counter(metricFullScans,
-			"Global-order materializations touching every segment (Records/Keys)."),
+			"Global-order materializations touching every segment (Records)."),
 		compactions: reg.Counter(metricCompactions,
 			"Completed compaction passes over the segment set."),
 		compacted: reg.Counter(metricCompacted,

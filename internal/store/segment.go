@@ -55,7 +55,7 @@ type segFooter struct {
 // resident from Open; the per-key index is loaded lazily on the first
 // lookup that the bloom filter cannot rule out, and cached. The index is
 // all a loaded segment keeps per record: the rare paths that need the
-// records in order (Records, Keys, compaction) sort its entries by
+// records in order (Records, compaction) sort its entries by
 // offset, and parse each Key back from its rendered form.
 type segment struct {
 	path   string

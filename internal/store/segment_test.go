@@ -36,7 +36,7 @@ func TestRollCreatesSegments(t *testing.T) {
 	want := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		r := rec(i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -99,7 +99,7 @@ func TestFlatLogMigration(t *testing.T) {
 	want := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		r := rec(i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -138,7 +138,7 @@ func TestRePutAcrossRollLastWins(t *testing.T) {
 	s := openSmall(t, dir)
 	const n = 8
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRePutAcrossRollLastWins(t *testing.T) {
 	}
 	r := rec(2)
 	r.Summary.Delivered = 777777
-	if err := s.Put(r); err != nil {
+	if err := s.PutBatch([]Record{r}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.SegGarbage == 0 {
@@ -185,7 +185,7 @@ func TestCompactionDropsSuperseded(t *testing.T) {
 	s := openSmall(t, dir)
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestCompactionDropsSuperseded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := rec(i)
 		r.Summary.Delivered = uint64(100000 + i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -203,7 +203,7 @@ func TestCompactionDropsSuperseded(t *testing.T) {
 	if before.SegGarbage == 0 {
 		t.Fatalf("no garbage accumulated: %+v", before)
 	}
-	if err := s.Compact(); err != nil {
+	if err := compact(s); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Stats()
@@ -253,7 +253,7 @@ func TestCompactionCrashMidway(t *testing.T) {
 	s := openSmall(t, dir)
 	const n = 12
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestCompactionCrashMidway(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := rec(i)
 		r.Summary.Delivered = uint64(200000 + i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -282,7 +282,7 @@ func TestCompactionCrashMidway(t *testing.T) {
 		}
 		return nil
 	})
-	err := s.Compact()
+	err := compact(s)
 	var we *WriteError
 	if !errors.As(err, &we) || we.Op != "compact" {
 		t.Fatalf("interrupted Compact = %v, want *WriteError{Op: compact}", err)
@@ -315,7 +315,7 @@ func TestCompactionCrashMidway(t *testing.T) {
 		t.Fatal("records diverged after interrupted compaction + reopen")
 	}
 	// A second, uninterrupted compaction completes the job.
-	if err := s2.Compact(); err != nil {
+	if err := compact(s2); err != nil {
 		t.Fatal(err)
 	}
 	got, err = s2.Records()
@@ -340,7 +340,7 @@ func TestRollFaultLeavesTailIntact(t *testing.T) {
 	const n = 6
 	faulted := 0
 	for ; faulted < n; faulted++ {
-		if err := s.Put(rec(faulted)); err != nil {
+		if err := s.PutBatch([]Record{rec(faulted)}); err != nil {
 			rollErr = err
 			break
 		}
@@ -361,7 +361,7 @@ func TestRollFaultLeavesTailIntact(t *testing.T) {
 	}
 	s.SetFault(nil)
 	for i := faulted + 1; i < 2*n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestCrashBetweenSegmentPublishAndTailTruncate(t *testing.T) {
 	want := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		r := rec(i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -449,7 +449,7 @@ func TestPointReadsNeverFullScan(t *testing.T) {
 	s := openSmall(t, dir)
 	const n = 30
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -495,7 +495,7 @@ func TestBloomRangePruning(t *testing.T) {
 	for _, sc := range scens {
 		r := rec(0)
 		r.Scenario = sc
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -532,14 +532,14 @@ func TestBackgroundCompaction(t *testing.T) {
 	defer s.Close()
 	const n = 6
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 4; i++ { // supersede segment-resident keys
 		r := rec(i)
 		r.Summary.Delivered = uint64(300000 + i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -576,12 +576,12 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 	s := openSmall(t, dir)
 	const n = 15
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ { // duplicates across segments and tail
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -623,7 +623,7 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 	}
 	total := n
 	for rolls := s2.Stats().Rolls; s2.Stats().Rolls == rolls; total++ {
-		if err := s2.Put(rec(total)); err != nil {
+		if err := s2.PutBatch([]Record{rec(total)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -655,7 +655,7 @@ func TestOlderWriterCompactionForcesRecount(t *testing.T) {
 	}
 	const n = 4
 	for i := 0; i < n; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -733,4 +733,12 @@ func TestBloomRoundTrip(t *testing.T) {
 	if !nilBloom.has("anything") {
 		t.Fatal("nil bloom must not exclude")
 	}
+}
+
+// compact runs one compaction synchronously, under the lock the
+// background compaction takes.
+func compact(s *Store) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
 }

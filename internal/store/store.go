@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -187,6 +189,13 @@ type indexEntry struct {
 	Len int
 }
 
+// tailEntry is one key's place in the active tail: its latest record
+// line, and the offset of its first, by which the tail is ordered.
+type tailEntry struct {
+	indexEntry
+	First int64
+}
+
 // Stats is a snapshot of the store's shape and access counters. The
 // scan counters let tests prove access-path claims: a query path that
 // never rescans keeps FullScans flat, and bloom/range pruning shows up
@@ -194,11 +203,11 @@ type indexEntry struct {
 type Stats struct {
 	Segments      int   // immutable segment files
 	Distinct      int   // distinct stored cells (segments + active tail)
-	ActiveRecords int   // record lines in the active tail
+	ActiveRecords int   // distinct keys in the active tail
 	ActiveBytes   int64 // bytes in the active tail
 	SegGarbage    int   // segment-resident cells superseded since last compaction
 
-	FullScans        uint64 // global-order materializations (Records/Keys) and Open's distinct recount
+	FullScans        uint64 // global-order materializations (Records) and Open's distinct recount
 	SegmentLoads     uint64 // lazy segment index loads
 	Rolls            uint64 // active-tail rolls into segments
 	Compactions      uint64 // completed compaction passes
@@ -215,8 +224,7 @@ type Store struct {
 	mu        sync.Mutex
 	f         *os.File              // active tail handle
 	size      int64                 // current validated tail length
-	index     map[string]indexEntry // key → latest tail record line
-	order     []Key                 // tail first-Put order, deduplicated
+	index     map[string]tailEntry  // key → its latest and first tail record lines
 	segs      []*segment            // immutable segments, oldest first
 	nextSeq   int                   // next segment sequence number
 	distinct  int                   // distinct keys across segments + tail
@@ -301,7 +309,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), f: f, index: make(map[string]indexEntry)}
+	s := &Store{dir: dir, opts: opts.withDefaults(), f: f, index: make(map[string]tailEntry)}
 	// Earlier versions checkpointed the tail index to index.json. Finding
 	// one means such a version wrote here after this one last did, and
 	// its compactions may have left the newest footer's count stale, so
@@ -388,21 +396,21 @@ func (s *Store) scan(to int64, counted bool) error {
 		}
 		k := r.Key()
 		ks := k.String()
-		if _, dup := s.index[ks]; !dup {
-			s.order = append(s.order, k)
-			if counted {
-				inSeg, err := s.inSegmentsLocked(k, ks)
-				if err != nil {
-					return err
-				}
-				if inSeg {
-					s.segGarbage++
-				} else {
-					s.distinct++
-				}
+		first := off
+		if e, dup := s.index[ks]; dup {
+			first = e.First
+		} else if counted {
+			inSeg, err := s.inSegmentsLocked(k, ks)
+			if err != nil {
+				return err
+			}
+			if inSeg {
+				s.segGarbage++
+			} else {
+				s.distinct++
 			}
 		}
-		s.index[ks] = indexEntry{Off: off, Len: nl + 1}
+		s.index[ks] = tailEntry{indexEntry{Off: off, Len: nl + 1}, first}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 		s.size = off
@@ -499,7 +507,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Segments:         len(s.segs),
 		Distinct:         s.distinct,
-		ActiveRecords:    len(s.order),
+		ActiveRecords:    len(s.index),
 		ActiveBytes:      s.size,
 		SegGarbage:       s.segGarbage,
 		FullScans:        s.fullScans,
@@ -542,7 +550,7 @@ func (s *Store) Get(k Key) (Record, bool, error) {
 func (s *Store) getLocked(k Key) (Record, bool, error) {
 	ks := k.String()
 	if e, ok := s.index[ks]; ok {
-		r, err := s.readAt(e)
+		r, err := s.readAt(e.indexEntry)
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -582,9 +590,6 @@ func (s *Store) readAt(e indexEntry) (Record, error) {
 	}
 	return r, nil
 }
-
-// Put appends one record to the active tail: PutBatch with one record.
-func (s *Store) Put(r Record) error { return s.PutBatch([]Record{r}) }
 
 // PutBatch appends records to the active tail with one write and one
 // fsync, then indexes them. The batch is acknowledged as a whole: a
@@ -662,16 +667,18 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 		return &WriteError{Op: "sync", Err: err}
 	}
 	s.met.observeFsync(time.Since(syncStart).Seconds())
-	for i, k := range keys {
+	for i := range keys {
+		first := s.size
 		if fresh[i] {
-			s.order = append(s.order, k)
 			if inSeg[i] {
 				s.segGarbage++
 			} else {
 				s.distinct++
 			}
+		} else {
+			first = s.index[kss[i]].First
 		}
-		s.index[kss[i]] = indexEntry{Off: s.size, Len: lens[i]}
+		s.index[kss[i]] = tailEntry{indexEntry{Off: s.size, Len: lens[i]}, first}
 		s.size += int64(lens[i])
 	}
 	s.met.appendDone(len(keys), len(lines), s.distinct)
@@ -694,25 +701,27 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 // whose records duplicate it — both of which reopen correctly under
 // last-write-wins.
 func (s *Store) rollLocked() error {
-	if len(s.order) == 0 {
+	if len(s.index) == 0 {
 		return nil
 	}
 	if err := s.faultAt("roll"); err != nil {
 		return err
 	}
-	keys := make([]Key, 0, len(s.order))
-	kss := make([]string, 0, len(s.order))
-	lines := make([][]byte, 0, len(s.order))
+	kss := s.tailOrderLocked()
+	keys := make([]Key, 0, len(kss))
+	lines := make([][]byte, 0, len(kss))
 	var dataSize int64
-	for _, k := range s.order {
-		ks := k.String()
+	for _, ks := range kss {
+		k, err := parseKey(ks)
+		if err != nil {
+			return err
+		}
 		e := s.index[ks]
 		buf := make([]byte, e.Len)
 		if _, err := s.f.ReadAt(buf, e.Off); err != nil {
 			return &WriteError{Op: "roll", Err: err}
 		}
 		keys = append(keys, k)
-		kss = append(kss, ks)
 		lines = append(lines, buf)
 		dataSize += int64(e.Len)
 	}
@@ -744,8 +753,7 @@ func (s *Store) rollLocked() error {
 		return &WriteError{Op: "roll", Err: err}
 	}
 	s.size = 0
-	s.index = make(map[string]indexEntry)
-	s.order = nil
+	s.index = make(map[string]tailEntry)
 	s.rolls++
 	s.met.rollDone(len(s.segs))
 	return nil
@@ -771,24 +779,15 @@ func (s *Store) maybeCompactLocked() {
 	}()
 }
 
-// Compact synchronously rewrites segments to drop superseded
-// (last-write-wins) cells. It first rolls the active tail, so every
-// superseding copy lives in a newer segment; then, newest segment to
-// oldest, each record is kept only if no newer segment holds its key.
-// Fully-superseded segments are deleted. The newest segment is never
-// rewritten and the set of segment-held keys never shrinks, so the
-// newest footer's distinct count stays exact. Each surviving segment is
-// rewritten via temp file + rename, so a crash between rewrites leaves
-// a mix of rewritten and original segments that reopens correctly.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: compact on closed store")
-	}
-	return s.compactLocked()
-}
-
+// compactLocked rewrites segments to drop superseded (last-write-wins)
+// cells. It first rolls the active tail, so every superseding copy lives
+// in a newer segment; then, newest segment to oldest, each record is
+// kept only if no newer segment holds its key. Fully-superseded segments
+// are deleted. The newest segment is never rewritten and the set of
+// segment-held keys never shrinks, so the newest footer's distinct count
+// stays exact. Each surviving segment is rewritten via temp file +
+// rename, so a crash between rewrites leaves a mix of rewritten and
+// original segments that reopens correctly.
 func (s *Store) compactLocked() error {
 	if err := s.rollLocked(); err != nil {
 		return err
@@ -872,19 +871,6 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// Keys returns every stored cell key in first-Put order (segments
-// oldest to newest, then the active tail). This materializes the global
-// order, which requires loading every segment index — a full scan.
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	order, _, err := s.globalOrderLocked()
-	if err != nil {
-		return nil
-	}
-	return order
-}
-
 // Records returns every stored record in first-Put order (for a re-put
 // key, the latest version). This is the full-scan path — intentionally
 // the only read that touches every segment's data.
@@ -904,7 +890,7 @@ func (s *Store) Records() ([]Record, error) {
 			e, _ := seg.index.lookup(ks)
 			r, err = seg.readAt(e, s.decodeLine)
 		} else {
-			r, err = s.readAt(s.index[ks])
+			r, err = s.readAt(s.index[ks].indexEntry)
 		}
 		if err != nil {
 			return nil, err
@@ -916,8 +902,9 @@ func (s *Store) Records() ([]Record, error) {
 
 // globalOrderLocked materializes the store-wide first-Put key order and
 // the latest source (segment, or nil for the active tail) of each key.
-// A segment keeps no key order of its own: its keys come back in record
-// order from its index offsets, each parsed from its rendered form.
+// Neither a segment nor the tail keeps a key order of its own: their keys
+// come back in record order from their index offsets, each parsed from
+// its rendered form.
 func (s *Store) globalOrderLocked() ([]Key, map[string]*segment, error) {
 	s.fullScans++
 	s.met.fullScan()
@@ -938,14 +925,28 @@ func (s *Store) globalOrderLocked() ([]Key, map[string]*segment, error) {
 			src[ks] = seg
 		}
 	}
-	for _, k := range s.order {
-		ks := k.String()
+	for _, ks := range s.tailOrderLocked() {
 		if _, dup := src[ks]; !dup {
+			k, err := parseKey(ks)
+			if err != nil {
+				return nil, nil, err
+			}
 			order = append(order, k)
 		}
 		src[ks] = nil
 	}
 	return order, src, nil
+}
+
+// tailOrderLocked returns the active tail's rendered keys in first-Put
+// order: by the offset of each key's first line.
+func (s *Store) tailOrderLocked() []string {
+	kss := make([]string, 0, len(s.index))
+	for ks := range s.index {
+		kss = append(kss, ks)
+	}
+	slices.SortFunc(kss, func(a, b string) int { return cmp.Compare(s.index[a].First, s.index[b].First) })
+	return kss
 }
 
 // Close waits for any background compaction and releases the file

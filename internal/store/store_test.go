@@ -48,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 	want := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		r := rec(i)
-		if err := s.Put(r); err != nil {
+		if err := s.PutBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 		r.V = recordVersion
@@ -99,12 +99,12 @@ func TestRePutLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rec(1)
-	if err := s.Put(r); err != nil {
+	if err := s.PutBatch([]Record{r}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := r
 	r2.Summary.Delivered = 4242
-	if err := s.Put(r2); err != nil {
+	if err := s.PutBatch([]Record{r2}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 1 {
@@ -138,7 +138,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("RecoveredBytes = %d, want %d", s2.RecoveredBytes(), len(torn))
 	}
 	// The log itself must be truncated so the next append is clean.
-	if err := s2.Put(rec(7)); err != nil {
+	if err := s2.PutBatch([]Record{rec(7)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
@@ -193,7 +193,7 @@ func TestCorruptTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.Put(rec(i)); err != nil {
+		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,10 +230,10 @@ func TestStaleIndexTailScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec(0)); err != nil {
+	if err := s.PutBatch([]Record{rec(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(rec(1)); err != nil {
+	if err := s.PutBatch([]Record{rec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: drop the handle without Close.
@@ -312,7 +312,7 @@ func TestPutRejectsEmptyKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Put(Record{Scenario: "x", Protocol: "y"}); err == nil {
+	if err := s.PutBatch([]Record{Record{Scenario: "x", Protocol: "y"}}); err == nil {
 		t.Fatal("Put with empty hash succeeded")
 	}
 }

@@ -56,15 +56,6 @@ func (s State) String() string {
 	}
 }
 
-// States returns all tone states in declaration order.
-func States() []State {
-	out := make([]State, numStates)
-	for i := range out {
-		out[i] = State(i)
-	}
-	return out
-}
-
 // Pattern is the pulse series for one state: pulses of Duration sent every
 // Interval, Repeat times (0 = repeat until the state changes).
 type Pattern struct {
@@ -131,22 +122,6 @@ func (s Scheme) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Decode maps a measured inter-pulse interval back to the advertised
-// state, tolerating up to tol of timing error. ok=false when no state
-// matches (e.g. the sensor missed a pulse).
-func (s Scheme) Decode(interval sim.Time, tol sim.Time) (State, bool) {
-	for st := State(0); st < numStates; st++ {
-		d := interval - s.patterns[st].Interval
-		if d < 0 {
-			d = -d
-		}
-		if d <= tol {
-			return st, true
-		}
-	}
-	return Idle, false
 }
 
 // MinDecodeTolerance returns the largest safe decoding tolerance: just

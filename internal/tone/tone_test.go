@@ -40,31 +40,8 @@ func TestStateNames(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(st), st.String(), name)
 		}
 	}
-	if len(States()) != 4 {
-		t.Fatalf("States() has %d entries", len(States()))
-	}
-}
-
-func TestDecodeRoundTrip(t *testing.T) {
-	s := DefaultScheme()
-	tol := s.MinDecodeTolerance()
-	for _, st := range States() {
-		got, ok := s.Decode(s.Pattern(st).Interval, tol)
-		if !ok || got != st {
-			t.Errorf("Decode(%v interval) = (%v, %v)", st, got, ok)
-		}
-		// With timing error within tolerance it still decodes.
-		got, ok = s.Decode(s.Pattern(st).Interval+tol/2, tol)
-		if !ok || got != st {
-			t.Errorf("Decode(%v interval + jitter) = (%v, %v)", st, got, ok)
-		}
-	}
-}
-
-func TestDecodeRejectsUnknownInterval(t *testing.T) {
-	s := DefaultScheme()
-	if _, ok := s.Decode(500*sim.Millisecond, sim.Millisecond); ok {
-		t.Fatal("decoded a nonsense interval")
+	if numStates != 4 {
+		t.Fatalf("%d tone states, want 4", numStates)
 	}
 }
 
@@ -76,7 +53,7 @@ func TestDecodeUnambiguous(t *testing.T) {
 	check := func(usRaw uint32) bool {
 		interval := sim.Time(usRaw % 100000) // 0..100 ms
 		matches := 0
-		for _, st := range States() {
+		for st := State(0); st < numStates; st++ {
 			d := interval - s.Pattern(st).Interval
 			if d < 0 {
 				d = -d
