@@ -65,9 +65,10 @@ vet:
 #                             execution, and traced (every arrival
 #                             simulated) and untraced (dropped arrivals
 #                             elided) runs give equal Results
-#   FuzzStoreReopen         — after any mix of puts, re-puts,
-#                             compactions, clean and crash reopens, the
-#                             results store matches a map model
+#   FuzzStoreReopen         — after any mix of puts, re-puts, mixed
+#                             batches, clean and crash reopens, the
+#                             results store matches a map model of
+#                             first writes
 #   FuzzRecordDecode        — the store's record-line decoder fails
 #                             exactly when json.Unmarshal does and
 #                             otherwise returns the same Record, float
@@ -102,14 +103,16 @@ lint: deadcheck
 
 # Dead-code gate (stdlib only, offline): type-checks the module, bench/
 # and their standard-library dependencies from source and fails on any
-# name declared under internal/ — package-level names and methods,
-# exported or not, and exported struct fields — that no non-test file
-# of the module or of bench/ uses. A use is resolved to the object it
-# names; a method also counts as used when its type implements an
-# interface that has it, and an embedded field when a member promoted
-# through it is used. Names only tests use are allowed solely through
-# scripts/deadcheck/allowlist.txt, one per line with its reason (test
-# hooks, analytic oracles, test introspection); a stale entry fails too.
+# name declared under internal/ or cmd/ — package-level names and
+# methods, exported or not, and exported struct fields; a command's func
+# main is exempt — that no non-test file of the module or of bench/
+# uses. caem/ is not scanned: its exported names are the public API. A
+# use is resolved to the object it names; a method also counts as used
+# when its type implements an interface that has it, and an embedded
+# field when a member promoted through it is used. Names only tests use
+# are allowed solely through scripts/deadcheck/allowlist.txt, one per
+# line with its reason (test hooks, analytic oracles, test
+# introspection, golden text); a stale entry fails too.
 deadcheck:
 	$(GO) run ./scripts/deadcheck -allow scripts/deadcheck/allowlist.txt . bench
 

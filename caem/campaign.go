@@ -19,7 +19,8 @@ var ErrCampaignHalted = errors.New("campaign halted at checkpoint; rerun with Re
 type CampaignOptions struct {
 	// Store, when non-nil, receives every freshly completed cell as an
 	// append-only record (the sink survives kills: each cell is synced
-	// as it completes).
+	// as it completes). A cell it already holds, rerun without Resume,
+	// is not written twice: its hash fixes its Result.
 	Store *CampaignStore
 	// Resume skips cells already present in Store — matched by content
 	// hash (CellHash), so only bit-identical reruns are reused — and

@@ -29,6 +29,14 @@ func GeneratorFamilies() []GenFamily {
 	return out
 }
 
+// MaxCampaignScenarios is the most scenarios one campaign may name, and
+// so the largest count GenerateScenarios expands. The largest campaigns
+// the tests and the benchmark run name 6 generated scenarios; a
+// generated dense scenario plans in up to 85 KB, so the cap bounds a
+// campaign's scenarios at about 22 MB. caem-serve refuses a campaign
+// past it before generating anything.
+const MaxCampaignScenarios = 256
+
 // GenerateScenarios expands a preset family into count scenarios at
 // indices 0..count-1. Generation is deterministic: the same (family,
 // count, seed) always returns byte-identical specs, so generated
@@ -38,10 +46,14 @@ func GeneratorFamilies() []GenFamily {
 //
 // Generated scenarios embed the family's topology (nodes, field,
 // duration) as config overrides; resolve them with ScenarioConfig like
-// any other scenario.
+// any other scenario. A count above MaxCampaignScenarios is refused
+// before anything is allocated.
 func GenerateScenarios(family string, count int, seed uint64) ([]Scenario, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("caem: generate: count %d < 1", count)
+	}
+	if count > MaxCampaignScenarios {
+		return nil, fmt.Errorf("caem: generate: count %d is more than the cap of %d", count, MaxCampaignScenarios)
 	}
 	f, err := gen.Find(family)
 	if err != nil {

@@ -10,11 +10,10 @@ import (
 )
 
 // openSegmentedStore opens a campaign store that rolls its tail every
-// 700 bytes and never compacts, so a handful of cells spans several
-// sealed segments.
+// 700 bytes, so a handful of cells spans several sealed segments.
 func openSegmentedStore(t *testing.T, dir string) *CampaignStore {
 	t.Helper()
-	s, err := store.OpenWith(dir, store.Options{SegmentBytes: 700, CompactAfter: -1})
+	s, err := store.OpenWith(dir, store.Options{SegmentBytes: 700})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,3 +199,23 @@ func TestScenarioChangesOutcome(t *testing.T) {
 		t.Fatalf("killing 20%% of sources did not reduce traffic: %d >= %d", churned.Generated, static.Generated)
 	}
 }
+
+// TestGenerateScenariosCap: a count past MaxCampaignScenarios is refused
+// before any scenario is generated or any slice for them is allocated,
+// so a mistyped count fails at once instead of exhausting memory.
+func TestGenerateScenariosCap(t *testing.T) {
+	var scs []Scenario
+	var err error
+	allocs := testing.AllocsPerRun(1, func() {
+		scs, err = GenerateScenarios("dense", MaxCampaignScenarios+1, 1)
+	})
+	if err == nil || scs != nil {
+		t.Fatalf("GenerateScenarios(cap+1) = %d scenarios, %v; want an error", len(scs), err)
+	}
+	if want := "more than the cap of 256"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the cap (%q)", err, want)
+	}
+	if allocs > 5 {
+		t.Fatalf("refusing cap+1 made %v allocations, want only the error's", allocs)
+	}
+}

@@ -56,7 +56,7 @@ func (cs *CampaignStore) RecoveredBytes() int64 { return cs.s.RecoveredBytes() }
 func (cs *CampaignStore) Observe(reg *obs.Registry) { cs.s.Observe(reg) }
 
 // Stats returns a snapshot of the underlying store's shape and access
-// counters (segments, distinct cells, scan/roll/compaction counts).
+// counters (segments, distinct cells, scan and roll counts).
 func (cs *CampaignStore) Stats() store.Stats { return cs.s.Stats() }
 
 // Flush does nothing and returns nil: every PutCell and PutCells is
@@ -64,7 +64,8 @@ func (cs *CampaignStore) Stats() store.Stats { return cs.s.Stats() }
 // the store checkpointed an index.
 func (cs *CampaignStore) Flush() error { return nil }
 
-// Close waits for any background compaction and releases the store.
+// Close releases the store. Every acknowledged PutCell and PutCells is
+// already durable, so Close has nothing to write.
 func (cs *CampaignStore) Close() error { return cs.s.Close() }
 
 // ModelVersion identifies the simulation model that produces a Result:
@@ -115,8 +116,9 @@ func (cs *CampaignStore) PutCell(campaign, hash string, cell CampaignCell) error
 }
 
 // CellPut is one cell of a PutCells batch. Campaign is informative
-// provenance — lookups go by content, so any later campaign with the
-// same Hash (from CellHash) reuses the cell.
+// provenance, kept from the first put of the cell — lookups go by
+// content, so any later campaign with the same Hash (from CellHash)
+// reuses the cell.
 type CellPut struct {
 	Campaign string
 	Hash     string
@@ -124,7 +126,9 @@ type CellPut struct {
 }
 
 // PutCells stores a batch of completed cells with one durable store
-// write: one append and one fsync for the whole batch. On error no cell
+// write: one append and one fsync for the whole batch. A cell whose key
+// the store already holds is not written again: its hash fixes its
+// Result, so the stored row already equals the new one. On error no cell
 // of the batch is acknowledged.
 func (cs *CampaignStore) PutCells(puts []CellPut) error {
 	if len(puts) == 0 {
@@ -147,13 +151,6 @@ func (cs *CampaignStore) PutCells(puts []CellPut) error {
 // Summary returns the metric row PutCells stores for the cell: the row
 // LookupSummary returns for it once written.
 func (p CellPut) Summary() store.Summary { return summaryOf(p.Cell.Result) }
-
-// Stored returns the cell as the store holds it once PutCells has
-// written it: the summary-level cell that LookupCell returns for it,
-// built without a store read.
-func (p CellPut) Stored() CampaignCell {
-	return SummaryCell(p.Cell.Scenario, p.Cell.Protocol, p.Cell.Seed, p.Summary())
-}
 
 // HasCell reports whether the cell is stored.
 func (cs *CampaignStore) HasCell(hash, scenario string, p Protocol, seed uint64) bool {
@@ -285,9 +282,9 @@ func cellOf(rec store.Record) (CampaignCell, bool, error) {
 }
 
 // SummaryCell builds the summary-level CampaignCell of a stored metric
-// row: the projection behind LookupCell, Cells and CellPut.Stored, and
-// the one a caller holding rows of its own (such as the campaign
-// service's results view) rehydrates them with.
+// row: the projection behind LookupCell and Cells, and the one a caller
+// holding rows of its own (such as the campaign service's results view)
+// rehydrates them with.
 func SummaryCell(scenario string, p Protocol, seed uint64, s store.Summary) CampaignCell {
 	return CampaignCell{
 		Scenario: scenario,

@@ -85,7 +85,7 @@ func TestAPIRouteTable(t *testing.T) {
 	}
 
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	rows := map[string]bool{}
 	for _, rt := range routeTable {
@@ -206,7 +206,7 @@ func errorEnvelope(t *testing.T, resp *http.Response) api.Error {
 // {"error":{"code","message","details"}} and a stable code.
 func TestErrorEnvelope(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	for _, tc := range []struct {
 		name, method, path, body string
@@ -243,7 +243,7 @@ func TestErrorEnvelope(t *testing.T) {
 // more answers 413 invalid_request without being decoded.
 func TestCampaignBodyLimit(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	const body = `{"scenarios":["no-such-scenario"]}`
 	for _, tc := range []struct {
 		size   int
@@ -271,7 +271,7 @@ func TestCampaignBodyLimit(t *testing.T) {
 // generates, plans and saves nothing.
 func TestCampaignGridCap(t *testing.T) {
 	srv, ts, st := startServerNoWorkers(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	seeds := make([]uint64, maxCampaignCells/3+1) // × 3 protocols: one cell past the cap
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
@@ -285,7 +285,7 @@ func TestCampaignGridCap(t *testing.T) {
 	}{
 		// 100,000,000 Scenario headers alone are 10.4 GB.
 		{"generate", `{"generate":["dense:100000000"]}`,
-			fmt.Sprintf("100000000 scenarios, more than the cap of %d", maxCampaignScenarios)},
+			fmt.Sprintf("100000000 scenarios, more than the cap of %d", caem.MaxCampaignScenarios)},
 		{"seeds", string(overSeeds),
 			fmt.Sprintf("%d cells (1 scenarios × 3 protocols × %d seeds), more than the cap of %d", 3*len(seeds), len(seeds), maxCampaignCells)},
 	} {
@@ -346,7 +346,7 @@ func TestRecoverySkipsOversizedSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(0)
 	srv.mu.Lock()
 	n := len(srv.campaigns)
 	srv.mu.Unlock()
@@ -377,7 +377,7 @@ func listPage(t *testing.T, url string) (listResponse, http.Header) {
 // Link rel="next" headers, stable across pages in submission order.
 func TestListPagination(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	var ids []string
 	for seed := 1; seed <= 3; seed++ {
@@ -426,7 +426,7 @@ func TestListAllocsFlat(t *testing.T) {
 		// Closed first, so no coordinator goroutine allocates during the
 		// measurement.
 		ts.Close()
-		srv.Close()
+		srv.Shutdown(0)
 		req := httptest.NewRequest("GET", "/v1/campaigns", nil)
 		list := func() {
 			rec := httptest.NewRecorder()
@@ -477,7 +477,7 @@ func queryDoc(t *testing.T, url string) (resultsResponse, http.Header) {
 // store rescans.
 func TestResultsQuery(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	camp := postCampaign(t, ts.URL, testRequest)
 	if got := waitDone(t, ts.URL, camp.ID); got.State != "done" {
@@ -588,7 +588,7 @@ func TestResultsQuery(t *testing.T) {
 // every observed document must be monotonic.
 func TestResultReadsDoNotBlockSettlement(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	camp := postCampaign(t, ts.URL, chaosRequest) // 8 cells
 	url := ts.URL + "/v1/campaigns/" + camp.ID + "/results"

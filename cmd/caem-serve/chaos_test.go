@@ -147,7 +147,7 @@ func TestClusterChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(0)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -232,7 +232,7 @@ func TestClusterChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer refSrv.Close()
+	defer refSrv.Shutdown(0)
 	refTS := httptest.NewServer(refSrv)
 	defer refTS.Close()
 	refCamp := postCampaign(t, refTS.URL, chaosRequest)
@@ -278,7 +278,7 @@ func TestTransientStoreFaultHealsInvisibly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(0)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -340,7 +340,7 @@ func TestShutdownMidCampaignResumes(t *testing.T) {
 	}
 
 	srv2, ts2, st2 := startServer(t, dir)
-	defer func() { ts2.Close(); srv2.Close(); st2.Close() }()
+	defer func() { ts2.Close(); srv2.Shutdown(0); st2.Close() }()
 	final := waitDone(t, ts2.URL, camp.ID)
 	if final.State != "done" || final.Completed != final.Total {
 		t.Fatalf("campaign did not resume after graceful shutdown: %+v", final)

@@ -160,7 +160,7 @@ func TestDocumentsMatchGoldens(t *testing.T) {
 	checkDocument(t, "results-top.json", getBytes(t, base+"/results?metric=meanDelayMs&top=3"))
 
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDocumentsMatchGoldens(t *testing.T) {
 	// The restarted server restores every settled cell from the store and
 	// re-reports the journaled poisons.
 	srv, ts, st = documentsServer(t, dir)
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	base = ts.URL + "/v1/campaigns/" + camp.ID
 	checkDocument(t, "status-restart.json", getBytes(t, base))
 	checkDocument(t, "progress-restart.ndjson", getBytes(t, base+"/progress"))

@@ -325,7 +325,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer refSrv.Close()
+	defer refSrv.Shutdown(0)
 	refTS := httptest.NewServer(refSrv)
 	defer refTS.Close()
 	refCamp := postCampaign(t, refTS.URL, failoverRequest)
@@ -408,7 +408,7 @@ func TestLeaderKilledHoldingAcceptedSettlements(t *testing.T) {
 		ts := httptest.NewServer(srv)
 		return srv, ts, func() {
 			ts.Close()
-			srv.Close()
+			srv.Shutdown(0)
 			jnl.Close()
 			st.Close()
 		}
@@ -480,7 +480,7 @@ func TestLeaderKilledHoldingAcceptedSettlements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer refSrv.Close()
+	defer refSrv.Shutdown(0)
 	refTS := httptest.NewServer(refSrv)
 	defer refTS.Close()
 	refCamp := postCampaign(t, refTS.URL, heldWriteRequest)
@@ -589,7 +589,7 @@ func TestRecoveryReplansUnderCurrentModel(t *testing.T) {
 	}
 
 	srv, ts, st := startJournaledServer(t, dir)
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	if final := waitDone(t, ts.URL, id); final.State != "done" || final.Completed != len(cells) {
 		t.Fatalf("recovered campaign = %+v, want done with %d cells", final, len(cells))
 	}

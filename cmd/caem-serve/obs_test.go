@@ -44,7 +44,7 @@ func scrapeMetrics(t *testing.T, base string) *obs.Exposition {
 // store contents.
 func TestMetricsCoordinatorMode(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	camp := postCampaign(t, ts.URL, testRequest)
 	final := waitDone(t, ts.URL, camp.ID)
@@ -105,7 +105,7 @@ func TestMetricsCoordinatorMode(t *testing.T) {
 // to it.
 func TestStoreFsyncPerLease(t *testing.T) {
 	srv, ts, st := startJournaledServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	// Twelve cells on two workers: guided self-scheduling hands out
 	// multi-cell leases first, so per-cell fsyncs would outnumber leases.
@@ -181,7 +181,7 @@ func TestMetricsWorkerJoinMode(t *testing.T) {
 		t.Skip("subprocess worker test skipped in -short mode")
 	}
 	srv, ts, st := startServerNoWorkers(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	obsFile := filepath.Join(t.TempDir(), "obs-addr")
 	worker := spawnWorkerObs(t, ts.URL, 2, obsFile)
@@ -241,7 +241,7 @@ func TestMetricsWorkerJoinMode(t *testing.T) {
 // coordinator mux without going through http.DefaultServeMux.
 func TestPprofMounted(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -257,7 +257,7 @@ func TestPprofMounted(t *testing.T) {
 // TestHealthzVersion asserts /healthz carries the build version.
 func TestHealthzVersion(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	var health struct {
 		OK      bool   `json:"ok"`
 		Version string `json:"version"`

@@ -44,7 +44,7 @@ func TestResidentBytesPerSettledCell(t *testing.T) {
 		bound     = 420.0
 	)
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	run := func(i int) int {
 		t.Helper()

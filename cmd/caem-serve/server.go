@@ -321,10 +321,6 @@ func registerPprof(mux *http.ServeMux) {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close shuts down with no drain deadline: local workers finish their
-// in-flight cell and release their leases.
-func (s *server) Close() { s.Shutdown(0) }
-
 // Shutdown stops accepting campaigns, cancels the local workers, and
 // waits up to drain (0 = indefinitely) for them to settle or release
 // their leases. The coordinator then stops sweeping. Every settled cell
@@ -788,16 +784,13 @@ func (s *server) handleLeader(w http.ResponseWriter, r *http.Request) {
 // past it answers 413 invalid_request.
 const maxCampaignBody = 1 << 20
 
-// The largest grid one campaign may name. The largest campaigns the
-// tests and the benchmark submit are the benchmark fixture's 2,100 cells
-// and dense-world's 6 generated scenarios. Planning holds about 450 B
-// per cell and up to 85 KB per generated scenario (the dense family, 3
-// protocols), so an accepted request plans in at most about 30 MB of
-// cells plus 22 MB of scenarios.
-const (
-	maxCampaignScenarios = 256
-	maxCampaignCells     = 1 << 16
-)
+// maxCampaignCells is the largest grid one campaign may name; its
+// scenarios are capped at caem.MaxCampaignScenarios. The largest
+// campaigns the tests and the benchmark submit are the benchmark
+// fixture's 2,100 cells and dense-world's 6 generated scenarios.
+// Planning holds about 450 B per cell, so an accepted request plans in
+// at most about 30 MB of cells plus the scenarios' 22 MB.
+const maxCampaignCells = 1 << 16
 
 // checkGridSize rejects a grid past the caps. It counts the scenarios
 // as spelled, a generate entry by its count, so nothing is generated,
@@ -812,13 +805,13 @@ func checkGridSize(req campaignRequest, protocols, seeds int) error {
 		if count < 1 {
 			return fmt.Errorf("generate[%d]: count %d < 1", i, count)
 		}
-		if count > maxCampaignScenarios {
-			return fmt.Errorf("generate[%d] names %d scenarios, more than the cap of %d per campaign", i, count, maxCampaignScenarios)
+		if count > caem.MaxCampaignScenarios {
+			return fmt.Errorf("generate[%d] names %d scenarios, more than the cap of %d per campaign", i, count, caem.MaxCampaignScenarios)
 		}
 		scenarios += count
 	}
-	if scenarios > maxCampaignScenarios {
-		return fmt.Errorf("campaign names %d scenarios, more than the cap of %d", scenarios, maxCampaignScenarios)
+	if scenarios > caem.MaxCampaignScenarios {
+		return fmt.Errorf("campaign names %d scenarios, more than the cap of %d", scenarios, caem.MaxCampaignScenarios)
 	}
 	if cells := scenarios * protocols * seeds; cells > maxCampaignCells {
 		return fmt.Errorf("campaign expands to %d cells (%d scenarios × %d protocols × %d seeds), more than the cap of %d",

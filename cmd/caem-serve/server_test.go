@@ -176,13 +176,13 @@ func TestServeEndToEnd(t *testing.T) {
 	// Restart: stop the service, reopen the same store, and verify full
 	// recovery with zero re-execution.
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	srv2, ts2, st2 := startServer(t, dir)
-	defer func() { ts2.Close(); srv2.Close(); st2.Close() }()
+	defer func() { ts2.Close(); srv2.Shutdown(0); st2.Close() }()
 
 	if st2.Len() != 4 {
 		t.Fatalf("store holds %d cells after restart, want 4", st2.Len())
@@ -214,7 +214,7 @@ func TestServeEndToEnd(t *testing.T) {
 // failures, and 404s.
 func TestServeInlineSpecAndErrors(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	// Inline spec with an all-nodes burst event.
 	inline := `{
@@ -317,13 +317,13 @@ func TestServeGeneratedCampaignRecovers(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/campaigns/"+created.ID+"/results", &results)
 
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	srv2, ts2, st2 := startServer(t, dir)
-	defer func() { ts2.Close(); srv2.Close(); st2.Close() }()
+	defer func() { ts2.Close(); srv2.Shutdown(0); st2.Close() }()
 	recovered := waitDone(t, ts2.URL, created.ID)
 	if recovered.State != "done" || recovered.Completed != 2 {
 		t.Fatalf("recovered generated campaign = %+v", recovered)
@@ -369,12 +369,12 @@ func TestServeRejectedRequestLeavesNoTrace(t *testing.T) {
 	}
 
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv2, ts2, st2 := startServer(t, dir) // must not wedge on recovery
-	defer func() { ts2.Close(); srv2.Close(); st2.Close() }()
+	defer func() { ts2.Close(); srv2.Shutdown(0); st2.Close() }()
 	var health map[string]any
 	if code := getJSON(t, ts2.URL+"/v1/healthz", &health); code != http.StatusOK || health["ok"] != true {
 		t.Fatalf("restart after rejected POST unhealthy: %d %v", code, health)
@@ -386,7 +386,7 @@ func TestServeRejectedRequestLeavesNoTrace(t *testing.T) {
 // id — and the grid must not run twice.
 func TestServeConcurrentEqualPosts(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	const n = 8
 	type outcome struct {
@@ -438,7 +438,7 @@ func TestServeConcurrentEqualPosts(t *testing.T) {
 func TestServeSpecWriteFailureRetries(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts, st := startServer(t, dir)
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	post := func() (int, campaignStatus) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
@@ -487,7 +487,7 @@ func TestServeSpecWriteFailureRetries(t *testing.T) {
 // layer adds scheduling, not physics.
 func TestServeResultsMatchLibraryRun(t *testing.T) {
 	srv, ts, st := startServer(t, t.TempDir())
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 
 	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(testRequest))
 	if err != nil {

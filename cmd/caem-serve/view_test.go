@@ -196,7 +196,7 @@ func TestResultsViewMatchesStore(t *testing.T) {
 		compare(srv, ts, st, camp.ID, fmt.Sprintf("settlement %d", step))
 	})
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestResultsViewMatchesStore(t *testing.T) {
 	// The restarted server restores the settled half from the store and
 	// loads it into the view on the first results read.
 	srv, ts, st = startServerNoWorkers(t, dir)
-	defer func() { ts.Close(); srv.Close(); st.Close() }()
+	defer func() { ts.Close(); srv.Shutdown(0); st.Close() }()
 	c := srv.campaignByID(camp.ID)
 	if got := c.snapshot(); got.Completed < 9 || got.Completed == got.Total {
 		t.Fatalf("after restart the campaign reads %d/%d completed, want a partly restored grid", got.Completed, got.Total)
@@ -260,7 +260,7 @@ func TestResultsViewAllocsFlat(t *testing.T) {
 	ids := []string{postCampaign(t, ts.URL, small).ID, postCampaign(t, ts.URL, large).ID}
 	settleByHand(t, srv, 0, func() {})
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if a, b := allocs(srv, ids[0], 4), allocs(srv, ids[1], 66); a != b {
 		t.Fatalf("settled view read: %v allocs at 4 cells, %v at 66", a, b)
 	}
@@ -271,7 +271,7 @@ func TestResultsViewAllocsFlat(t *testing.T) {
 	srv, ts, st = startServerNoWorkers(t, dir)
 	defer st.Close()
 	ts.Close()
-	srv.Close()
+	srv.Shutdown(0)
 	if a, b := allocs(srv, ids[0], 4), allocs(srv, ids[1], 66); a != b {
 		t.Fatalf("restored view read: %v allocs at 4 cells, %v at 66", a, b)
 	}

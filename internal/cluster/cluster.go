@@ -9,9 +9,10 @@
 // executing and completes it with results. A lease whose deadline
 // passes without renewal is presumed dead — its unsettled cells go
 // straight back on the queue. Because every cell is deterministic and
-// the results store is last-write-wins on content-addressed keys,
-// duplicate execution is harmless, so expiry can be eager: losing a
-// worker costs only the re-execution of its in-flight batch.
+// the results store writes each content-addressed key once, keeping the
+// first of equal results, duplicate execution is harmless, so expiry can
+// be eager: losing a worker costs only the re-execution of its in-flight
+// batch.
 //
 // Failure handling is graded rather than binary:
 //

@@ -10,9 +10,10 @@ import (
 
 // bloom is the per-segment key membership filter carried in a segment
 // footer. It answers "might this segment hold the key?" in O(1) so that
-// point lookups and compaction touch only the segments a key can live
-// in — the per-partition pruning that keeps read work proportional to
-// the touched partition rather than the whole store.
+// point lookups, PutBatch's check for a held key among them, touch only
+// the segments a key can live in — the per-partition pruning that keeps
+// read work proportional to the touched partition rather than the whole
+// store.
 //
 // Sizing is ~10 bits per key with 6 probes (double hashing over one
 // FNV-64a pass), which puts the false-positive rate near 1%: a false

@@ -44,8 +44,9 @@ func compatLines(t *testing.T, dir string) [][]byte {
 // TestOpenCompatStore: the current reader opens a store written before
 // it. Has finds every key, which pins the Key.String bytes the committed
 // bloom filters hash; Get and Records return what json.Unmarshal reads
-// from the same lines (last write wins); and exactly the lines whose
-// names the encoder escaped went through json.Unmarshal.
+// from the same lines (of two copies of a key, the later, as when the
+// store was written); and exactly the lines whose names the encoder
+// escaped went through json.Unmarshal.
 func TestOpenCompatStore(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(compatDir)); err != nil {

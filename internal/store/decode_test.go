@@ -294,7 +294,7 @@ func BenchmarkDecodeRecord(b *testing.B) {
 func BenchmarkReopenHasAll(b *testing.B) {
 	const cells = 4200
 	dir := b.TempDir()
-	opts := Options{SegmentBytes: 512 << 10, CompactAfter: -1}
+	opts := Options{SegmentBytes: 512 << 10}
 	s, err := OpenWith(dir, opts)
 	if err != nil {
 		b.Fatal(err)

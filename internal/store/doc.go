@@ -25,15 +25,25 @@
 // # Durability and determinism
 //
 // PutBatch appends its records with one write and one fsync before it
-// returns; Put is a batch of one. A roll publishes its segment (file
-// fsync, rename, directory fsync) before it truncates the tail. Records
-// round-trip exactly: encoding/json writes float64 values in a form that
-// reads back bit-for-bit, which is what lets a resumed campaign
-// reproduce byte-identical aggregate output from stored cells (see
+// returns. A key is a content address: it fixes its record's Summary, so
+// each key is written once, and PutBatch appends only the records whose
+// key the store does not hold yet. It fsyncs even when it appends
+// nothing, so a nil return always means every key of the batch is
+// durable. Nothing is ever rewritten: a roll publishes its segment (file
+// fsync, rename, directory fsync) before it truncates the tail, and
+// segments are never changed after. Records round-trip exactly:
+// encoding/json writes float64 values in a form that reads back
+// bit-for-bit, which is what lets a resumed campaign reproduce
+// byte-identical aggregate output from stored cells (see
 // caem.RunCampaignWith and TestResumeEquivalence). Every read decodes a
 // line with one decoder that parses the exact shape the encoder writes
 // and hands any other line to json.Unmarshal, so it returns exactly what
 // json.Unmarshal would (FuzzRecordDecode).
+//
+// Stores written before puts became write-once may hold several copies
+// of a key, as may a crash between publishing a segment and truncating
+// the tail. Reads take the tail first, then the segments newest first,
+// so the newest copy wins.
 //
 // Appends from concurrent campaign workers are serialized internally;
 // a Store is safe for concurrent use by one process. Multi-process

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestAppendFaultIsTypedAndRecoverable: an injected append error must
@@ -61,7 +64,9 @@ func TestAppendFaultIsTypedAndRecoverable(t *testing.T) {
 // for a batch, no record of it), yet the bytes may have reached the log
 // — like a crash where the kernel flushed anyway. Reopen must absorb
 // the orphan lines cleanly: the records are complete and valid, so the
-// scan legitimately adopts them.
+// scan legitimately adopts them. Putting the same records again then
+// appends nothing, but fsyncs once: its nil return is what makes the
+// adopted lines acknowledged.
 func TestSyncFaultThenReopen(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -118,6 +123,30 @@ func TestSyncFaultThenReopen(t *testing.T) {
 				if !s2.Has(r.Key()) {
 					t.Fatalf("reopen lost orphan record %d", r.Seed)
 				}
+			}
+			log := filepath.Join(dir, dataFile)
+			before, err := os.Stat(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncs := 0
+			s2.SetFault(func(op string) error {
+				if op == "sync" {
+					syncs++
+				}
+				return nil
+			})
+			if err := s2.PutBatch(tc.batch); err != nil {
+				t.Fatalf("re-putting the adopted records: %v", err)
+			}
+			s2.SetFault(nil)
+			after, err := os.Stat(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != before.Size() || syncs != 1 {
+				t.Fatalf("re-putting the adopted records grew the log from %d to %d bytes with %d fsyncs, want no growth and 1 fsync",
+					before.Size(), after.Size(), syncs)
 			}
 			if err := s2.PutBatch([]Record{rec(9)}); err != nil {
 				t.Fatalf("Put on reopened store: %v", err)
@@ -219,5 +248,53 @@ func TestMidAppendCrashRecovery(t *testing.T) {
 				t.Fatalf("final store holds %d cells, want %d", s.Len(), want)
 			}
 		})
+	}
+}
+
+// TestBatchAppendsOnlyNewKeys: a batch of [held key, new key, the new
+// key again] appends exactly one line, the new key's, and counts one
+// appended line in caem_store_appends_total.
+func TestBatchAppendsOnlyNewKeys(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Observe(obs.NewRegistry())
+	if err := s.PutBatch([]Record{rec(0)}); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, dataFile)
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appends := s.met.appends.Value()
+
+	held := rec(0)
+	held.Summary.Delivered = 4242
+	fresh, again := rec(1), rec(1)
+	again.Summary.Delivered = 4343
+	if err := s.PutBatch([]Record{held, fresh, again}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.V = recordVersion
+	line, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append(before, line...), '\n'); !bytes.Equal(after, want) {
+		t.Fatalf("the batch appended %q, want only the new key's line %s", after[len(before):], line)
+	}
+	if got := s.met.appends.Value() - appends; got != 1 {
+		t.Fatalf("caem_store_appends_total rose by %v, want 1", got)
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // FuzzKeyRoundTrip: for any key that validates, parsing its rendering
 // gives the key back, and the rendering is byte for byte the form every
-// segment's bloom filter hashes (referenceKey). The full-scan paths
-// (Records, Keys, compaction) rebuild each segment key this way.
+// segment's bloom filter hashes (referenceKey). Records and the roll
+// rebuild each stored key this way.
 func FuzzKeyRoundTrip(f *testing.F) {
 	for _, name := range []string{"/", "%", "+", " ", "a b", "<&>", "é", "\xff", "\xc3(", "%2F", "a/b%c+d e", "//"} {
 		f.Add("0123456789abcdef", name, "CAEM-scheme1", uint64(7))
@@ -37,19 +37,25 @@ func FuzzKeyRoundTrip(f *testing.F) {
 }
 
 // FuzzStoreReopen drives a store through a decoded sequence of puts,
-// re-puts, compactions and reopens, and after every reopen checks it
-// against a map model: Len equals the model's size, every Get returns
-// the last write, and Records lists each key once. Each input byte is
-// one step; b%5 picks the step and b/5 is its argument:
+// re-puts, mixed batches and reopens, and after every reopen checks it
+// against a map model of first writes: Len equals the model's size,
+// every Get returns the first write of its key, and Records lists each
+// key once. Each input byte is one step; b%5 picks the step and b/5 is
+// its argument:
 //
 //	0 put a new key
-//	1 re-put an existing key (the argument picks which)
-//	2 Compact
+//	1 re-put an existing key (the argument picks which) with other
+//	  numbers; the tail must not grow
+//	2 put one batch of an existing key (the argument picks which), a new
+//	  key, and the new key again with other numbers
 //	3 clean reopen: Close, then open again
 //	4 crash-reopen: abandon the handle without Close, then open again.
 //	  With an odd argument, right after a roll, the tail the roll
 //	  truncated is first restored from the new segment: the crash window
 //	  between publishing a segment and truncating the tail.
+//
+// The corpus entry compact-then-crash was recorded when step 2 ran a
+// compaction; it now crash-reopens after a mixed batch.
 func FuzzStoreReopen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		if len(steps) > 64 {
@@ -57,7 +63,7 @@ func FuzzStoreReopen(f *testing.F) {
 		}
 		dir := t.TempDir()
 		open := func() *Store {
-			s, err := OpenWith(dir, Options{SegmentBytes: smallSeg, CompactAfter: -1})
+			s, err := OpenWith(dir, Options{SegmentBytes: smallSeg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,28 +100,54 @@ func FuzzStoreReopen(f *testing.F) {
 				t.Fatalf("step %d: Records lists %d keys, want %d", step, len(recs), len(model))
 			}
 		}
+		fresh := func() Record {
+			r := rec(len(keys))
+			keys = append(keys, r.Key())
+			return r
+		}
+		// held returns a copy of an existing key's record with other
+		// numbers, or a new key's record when there is none yet.
+		held := func(i, arg int) Record {
+			if len(keys) == 0 {
+				return fresh()
+			}
+			r := model[keys[arg%len(keys)]]
+			r.Summary.Delivered = uint64(1000 + i)
+			return r
+		}
 
 		rolled := false
 		for i, b := range steps {
 			op, arg := b%5, int(b/5)
 			rolls := s.Stats().Rolls
 			switch op {
-			case 0, 1:
-				r := rec(len(keys))
-				if op == 1 && len(keys) > 0 {
-					r = model[keys[arg%len(keys)]]
-				} else {
-					keys = append(keys, r.Key())
+			case 0, 1, 2:
+				var batch []Record
+				switch op {
+				case 0:
+					batch = []Record{fresh()}
+				case 1:
+					batch = []Record{held(i, arg)}
+				case 2:
+					h := held(i, arg)
+					r := fresh()
+					again := r
+					again.Summary.Delivered = uint64(2000 + i)
+					batch = []Record{h, r, again}
 				}
-				r.V = recordVersion
-				r.Summary.Delivered = uint64(i)
-				if err := s.PutBatch([]Record{r}); err != nil {
+				reput := op == 1 && len(model) > 0
+				size := s.Stats().ActiveBytes
+				if err := s.PutBatch(batch); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
-				model[r.Key()] = r
-			case 2:
-				if err := compact(s); err != nil {
-					t.Fatalf("step %d: %v", i, err)
+				if got := s.Stats().ActiveBytes; reput && got != size {
+					t.Fatalf("step %d: re-put grew the tail from %d to %d bytes", i, size, got)
+				}
+				for _, r := range batch {
+					if _, ok := model[r.Key()]; !ok {
+						r.V = recordVersion
+						model[r.Key()] = r
+					}
 				}
 			case 3, 4:
 				if op == 3 {

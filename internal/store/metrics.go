@@ -5,9 +5,9 @@ import (
 )
 
 // Metric families owned by the results store. Instrumentation is per
-// durable batch, roll and compaction — one PutBatch is one append and
-// one fsync covering a settled lease's cell results, so this granularity
-// can never touch the simulation hot loop.
+// durable batch and roll — one PutBatch is one append and one fsync
+// covering a settled lease's cell results, so this granularity can never
+// touch the simulation hot loop.
 const (
 	metricAppends     = "caem_store_appends_total"
 	metricBytes       = "caem_store_bytes_written_total"
@@ -20,8 +20,6 @@ const (
 	metricRolls        = "caem_store_segment_rolls_total"
 	metricSegmentLoads = "caem_store_segment_loads_total"
 	metricFullScans    = "caem_store_full_scans_total"
-	metricCompactions  = "caem_store_compactions_total"
-	metricCompacted    = "caem_store_compacted_records_total"
 )
 
 // storeMetrics holds the store's instrument handles. A nil
@@ -39,8 +37,6 @@ type storeMetrics struct {
 	rolls        *obs.Counter
 	segmentLoads *obs.Counter
 	fullScans    *obs.Counter
-	compactions  *obs.Counter
-	compacted    *obs.Counter
 }
 
 // RegisterMetrics registers the store's metric families on reg and
@@ -53,7 +49,7 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 		bytes: reg.Counter(metricBytes,
 			"Bytes appended to the active results tail."),
 		faults: reg.CounterVec(metricFaults,
-			"Write failures by operation (append, sync, roll, compact), including injected faults.",
+			"Write failures by operation (append, sync, roll), including injected faults.",
 			"op"),
 		fsync: reg.Histogram(metricFsync,
 			"Latency of the log fsync, one per durable batch of appended records, in seconds.", obs.LatencyBuckets),
@@ -69,10 +65,6 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 			"Lazy segment index loads (bloom/range pruning misses land here)."),
 		fullScans: reg.Counter(metricFullScans,
 			"Global-order materializations touching every segment (Records)."),
-		compactions: reg.Counter(metricCompactions,
-			"Completed compaction passes over the segment set."),
-		compacted: reg.Counter(metricCompacted,
-			"Superseded record lines dropped by compaction."),
 	}
 }
 
@@ -133,13 +125,4 @@ func (m *storeMetrics) fullScan() {
 		return
 	}
 	m.fullScans.Inc()
-}
-
-func (m *storeMetrics) compactionDone(dropped int, segments int) {
-	if m == nil {
-		return
-	}
-	m.compactions.Inc()
-	m.compacted.Add(float64(dropped))
-	m.segments.Set(float64(segments))
 }

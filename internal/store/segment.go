@@ -45,7 +45,6 @@ type segFooter struct {
 	// Distinct is the store-wide distinct-cell count when the roll that
 	// wrote this segment finished. Open reads only the newest segment's;
 	// zero (absent) marks a footer written before the count existed.
-	// Compaction never rewrites the newest segment.
 	Distinct int `json:"distinct,omitempty"`
 }
 
@@ -54,9 +53,9 @@ type segFooter struct {
 // key), then a footer line, then the fixed-width trailer. The footer is
 // resident from Open; the per-key index is loaded lazily on the first
 // lookup that the bloom filter cannot rule out, and cached. The index is
-// all a loaded segment keeps per record: the rare paths that need the
-// records in order (Records, compaction) sort its entries by
-// offset, and parse each Key back from its rendered form.
+// all a loaded segment keeps per record: Records, the rare path that
+// needs the records in order, sorts its entries by offset and parses
+// each Key back from its rendered form.
 type segment struct {
 	path   string
 	seq    int
@@ -152,8 +151,7 @@ func (g *segment) open() (*os.File, error) {
 	return f, nil
 }
 
-// closeHandle drops the cached read handle (after a compaction swapped
-// the file underneath it, or on store close).
+// closeHandle drops the cached read handle on store close.
 func (g *segment) closeHandle() {
 	if g.f != nil {
 		g.f.Close()
@@ -211,28 +209,19 @@ func (g *segment) orderedKeys() []string {
 // readAt decodes the record at a segment entry. The caller holds the
 // store lock.
 func (g *segment) readAt(e indexEntry, decode func([]byte) (Record, error)) (Record, error) {
-	buf, err := g.rawAt(e)
+	f, err := g.open()
 	if err != nil {
 		return Record{}, err
+	}
+	buf := make([]byte, e.Len)
+	if _, err := f.ReadAt(buf, e.Off); err != nil {
+		return Record{}, fmt.Errorf("store: reading segment record at %d: %w", e.Off, err)
 	}
 	r, err := decode(bytes.TrimSuffix(buf, []byte{'\n'}))
 	if err != nil {
 		return Record{}, fmt.Errorf("store: corrupt segment record at %d: %w", e.Off, err)
 	}
 	return r, nil
-}
-
-// rawAt returns the raw line bytes (newline included) at a segment entry.
-func (g *segment) rawAt(e indexEntry) ([]byte, error) {
-	f, err := g.open()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, e.Len)
-	if _, err := f.ReadAt(buf, e.Off); err != nil {
-		return nil, fmt.Errorf("store: reading segment record at %d: %w", e.Off, err)
-	}
-	return buf, nil
 }
 
 // footerOf builds the footer for a set of record lines about to become
@@ -368,10 +357,11 @@ func openSegment(path string, seq int) (*segment, error) {
 }
 
 // loadSegments enumerates dir's segment files in sequence order,
-// loading footers only. Stray .tmp files from a crashed roll or
-// compaction are removed — their contents either never became durable
-// (roll republishes from the still-intact active log) or are an
-// abandoned rewrite of a segment that still exists in full.
+// loading footers only. Stray .tmp files from a crashed roll are
+// removed: their contents never became durable, and the roll republishes
+// them from the still-intact active log. (A crashed compaction of an
+// older version leaves one too, an abandoned rewrite of a segment that
+// still exists in full.)
 func loadSegments(dir string) ([]*segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -8,18 +8,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // smallSeg rolls the active tail every couple of records — segment
 // mechanics at test scale.
 const smallSeg = 1000
 
-// openSmall opens a store that rolls eagerly and never compacts in the
-// background, so tests control compaction explicitly.
+// openSmall opens a store that rolls eagerly.
 func openSmall(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := OpenWith(dir, Options{SegmentBytes: smallSeg, CompactAfter: -1})
+	s, err := OpenWith(dir, Options{SegmentBytes: smallSeg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +128,10 @@ func TestFlatLogMigration(t *testing.T) {
 	}
 }
 
-// TestRePutAcrossRollLastWins: re-putting a key whose older version
-// lives in a segment serves the tail version, counts segment garbage,
-// and survives reopen.
-func TestRePutAcrossRollLastWins(t *testing.T) {
+// TestRePutAcrossRollKeepsFirst: re-putting a key whose record lives in
+// a segment appends nothing to the tail and serves the segment's copy,
+// before and after reopen.
+func TestRePutAcrossRollKeepsFirst(t *testing.T) {
 	dir := t.TempDir()
 	s := openSmall(t, dir)
 	const n = 8
@@ -145,19 +143,20 @@ func TestRePutAcrossRollLastWins(t *testing.T) {
 	if s.Stats().Segments == 0 {
 		t.Fatal("precondition: no segments rolled")
 	}
+	before := s.Stats()
 	r := rec(2)
 	r.Summary.Delivered = 777777
 	if err := s.PutBatch([]Record{r}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.SegGarbage == 0 {
-		t.Fatalf("superseding a segment-resident key left SegGarbage=0: %+v", st)
+	if st := s.Stats(); st.ActiveBytes != before.ActiveBytes || st.Rolls != before.Rolls {
+		t.Fatalf("re-putting a segment-resident key wrote to the tail: %+v, before %+v", st, before)
 	}
 	if s.Len() != n {
 		t.Fatalf("Len = %d after re-put, want %d", s.Len(), n)
 	}
 	got, ok, err := s.Get(r.Key())
-	if err != nil || !ok || got.Summary.Delivered != 777777 {
+	if err != nil || !ok || got.Summary.Delivered != rec(2).Summary.Delivered {
 		t.Fatalf("Get after re-put = %+v ok=%v err=%v", got.Summary.Delivered, ok, err)
 	}
 	if err := s.Close(); err != nil {
@@ -172,155 +171,8 @@ func TestRePutAcrossRollLastWins(t *testing.T) {
 		t.Fatalf("reopened Len = %d, want %d", s2.Len(), n)
 	}
 	got, ok, err = s2.Get(r.Key())
-	if err != nil || !ok || got.Summary.Delivered != 777777 {
-		t.Fatalf("reopened Get lost the re-put: %+v ok=%v err=%v", got.Summary.Delivered, ok, err)
-	}
-}
-
-// TestCompactionDropsSuperseded: after re-putting every key, compaction
-// removes exactly the superseded segment copies; reads, order, and a
-// reopen all agree with the latest versions.
-func TestCompactionDropsSuperseded(t *testing.T) {
-	dir := t.TempDir()
-	s := openSmall(t, dir)
-	const n = 10
-	for i := 0; i < n; i++ {
-		if err := s.PutBatch([]Record{rec(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		r := rec(i)
-		r.Summary.Delivered = uint64(100000 + i)
-		if err := s.PutBatch([]Record{r}); err != nil {
-			t.Fatal(err)
-		}
-		r.V = recordVersion
-		want = append(want, r)
-	}
-	before := s.Stats()
-	if before.SegGarbage == 0 {
-		t.Fatalf("no garbage accumulated: %+v", before)
-	}
-	if err := compact(s); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats()
-	if after.Compactions != before.Compactions+1 {
-		t.Fatalf("Compactions = %d, want %d", after.Compactions, before.Compactions+1)
-	}
-	if after.CompactedRecords == 0 {
-		t.Fatalf("compaction dropped nothing: %+v", after)
-	}
-	if after.SegGarbage != 0 {
-		t.Fatalf("SegGarbage = %d after compaction", after.SegGarbage)
-	}
-	if after.Distinct != n {
-		t.Fatalf("Distinct = %d after compaction, want %d", after.Distinct, n)
-	}
-	got, err := s.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("records after compaction diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got, err = s2.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("records diverged after compaction + reopen")
-	}
-}
-
-// TestCompactionCrashMidway: a fault after the first segment rewrite
-// aborts compaction with a typed error, leaving a mix of rewritten and
-// original segments; reopen resolves every key to its latest version
-// with nothing lost.
-func TestCompactionCrashMidway(t *testing.T) {
-	dir := t.TempDir()
-	s := openSmall(t, dir)
-	const n = 12
-	for i := 0; i < n; i++ {
-		if err := s.PutBatch([]Record{rec(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		r := rec(i)
-		r.Summary.Delivered = uint64(200000 + i)
-		if err := s.PutBatch([]Record{r}); err != nil {
-			t.Fatal(err)
-		}
-		r.V = recordVersion
-		want = append(want, r)
-	}
-	if s.Stats().Segments < 3 {
-		t.Fatalf("precondition: want >= 3 segments, have %d", s.Stats().Segments)
-	}
-	// Allow one rewrite, then die: compaction is killed mid-pass.
-	calls := 0
-	s.SetFault(func(op string) error {
-		if op != "compact" {
-			return nil
-		}
-		calls++
-		if calls > 1 {
-			return errors.New("power cut mid-compaction")
-		}
-		return nil
-	})
-	err := compact(s)
-	var we *WriteError
-	if !errors.As(err, &we) || we.Op != "compact" {
-		t.Fatalf("interrupted Compact = %v, want *WriteError{Op: compact}", err)
-	}
-	s.SetFault(nil)
-	// The in-process store must still read correctly...
-	for i := range want {
-		got, ok, err := s.Get(want[i].Key())
-		if err != nil || !ok || !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("Get(%d) after interrupted compaction = %+v ok=%v err=%v", i, got, ok, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// ...and so must a fresh process.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen after interrupted compaction: %v", err)
-	}
-	defer s2.Close()
-	if s2.Len() != n {
-		t.Fatalf("reopened Len = %d, want %d", s2.Len(), n)
-	}
-	got, err := s2.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("records diverged after interrupted compaction + reopen")
-	}
-	// A second, uninterrupted compaction completes the job.
-	if err := compact(s2); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s2.Records()
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("records diverged after finishing compaction: %v", err)
+	if err != nil || !ok || got.Summary.Delivered != rec(2).Summary.Delivered {
+		t.Fatalf("reopened Get serves the re-put: %+v ok=%v err=%v", got.Summary.Delivered, ok, err)
 	}
 }
 
@@ -383,11 +235,10 @@ func TestRollFaultLeavesTailIntact(t *testing.T) {
 
 // TestCrashBetweenSegmentPublishAndTailTruncate reconstructs the
 // narrowest roll crash window: the segment file is durable but the tail
-// still holds the same records. Last-write-wins resolution must read
-// every cell exactly once.
+// still holds the same records. Reads must see every cell exactly once.
 func TestCrashBetweenSegmentPublishAndTailTruncate(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{SegmentBytes: 1 << 20, CompactAfter: -1})
+	s, err := OpenWith(dir, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +338,7 @@ func TestPointReadsNeverFullScan(t *testing.T) {
 // filters prune the rest without touching their data.
 func TestBloomRangePruning(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{SegmentBytes: 1, CompactAfter: -1}) // roll every Put
+	s, err := OpenWith(dir, Options{SegmentBytes: 1}) // roll every Put
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +353,7 @@ func TestBloomRangePruning(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenWith(dir, Options{SegmentBytes: 1 << 20, CompactAfter: -1})
+	s2, err := OpenWith(dir, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,51 +368,6 @@ func TestBloomRangePruning(t *testing.T) {
 	}
 	if st := s2.Stats(); st.SegmentLoads != 1 {
 		t.Fatalf("SegmentLoads = %d, want 1 (range pruning failed)", st.SegmentLoads)
-	}
-}
-
-// TestBackgroundCompaction: enough superseding re-puts schedule an
-// automatic compaction that drains the garbage without any explicit
-// Compact call.
-func TestBackgroundCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{SegmentBytes: 1, CompactAfter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 6
-	for i := 0; i < n; i++ {
-		if err := s.PutBatch([]Record{rec(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ { // supersede segment-resident keys
-		r := rec(i)
-		r.Summary.Delivered = uint64(300000 + i)
-		if err := s.PutBatch([]Record{r}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never ran: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st := s.Stats()
-	if st.CompactedRecords == 0 {
-		t.Fatalf("background compaction dropped nothing: %+v", st)
-	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d after background compaction, want %d", s.Len(), n)
-	}
-	for i := 0; i < 4; i++ {
-		got, ok, err := s.Get(rec(i).Key())
-		if err != nil || !ok || got.Summary.Delivered != uint64(300000+i) {
-			t.Fatalf("Get(%d) after background compaction = %+v ok=%v err=%v", i, got.Summary.Delivered, ok, err)
-		}
 	}
 }
 
@@ -580,7 +386,7 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ { // duplicates across segments and tail
+	for i := 0; i < 5; i++ { // re-puts of held keys, which append nothing
 		if err := s.PutBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +455,7 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 // recount.
 func TestOlderWriterCompactionForcesRecount(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{SegmentBytes: 1, CompactAfter: -1}) // roll every Put
+	s, err := OpenWith(dir, Options{SegmentBytes: 1}) // roll every Put
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,12 +539,4 @@ func TestBloomRoundTrip(t *testing.T) {
 	if !nilBloom.has("anything") {
 		t.Fatal("nil bloom must not exclude")
 	}
-}
-
-// compact runs one compaction synchronously, under the lock the
-// background compaction takes.
-func compact(s *Store) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
 }

@@ -23,45 +23,34 @@ const (
 	// recordVersion is the on-disk record format version.
 	recordVersion = 1
 
-	// defaultSegmentBytes is the active-tail size at which Put rolls the
-	// tail into an immutable segment.
+	// defaultSegmentBytes is the active-tail size at which PutBatch rolls
+	// the tail into an immutable segment.
 	defaultSegmentBytes = 4 << 20
-	// defaultCompactAfter is how many superseded segment-resident cells
-	// accumulate before a background compaction is scheduled.
-	defaultCompactAfter = 1024
 )
 
 // Options tunes a store's segmentation behaviour. The zero value picks
 // the defaults.
 type Options struct {
-	// SegmentBytes is the active-tail size threshold at which Put rolls
-	// the tail into an immutable segment. <= 0 selects the default
+	// SegmentBytes is the active-tail size threshold at which PutBatch
+	// rolls the tail into an immutable segment. <= 0 selects the default
 	// (4 MiB).
 	SegmentBytes int64
-	// CompactAfter schedules a background compaction once this many
-	// segment-resident cells have been superseded by re-puts. 0 selects
-	// the default (1024); negative disables background compaction
-	// (Compact can still be called explicitly).
-	CompactAfter int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	if o.CompactAfter == 0 {
-		o.CompactAfter = defaultCompactAfter
-	}
 	return o
 }
 
 // WriteError wraps a failure to make stored data durable: appending a
-// record line ("append"), fsyncing the log ("sync"), rolling the active
-// tail into a segment ("roll"), or rewriting segments during compaction
-// ("compact"). Callers that retry transient storage faults can detect it
-// with errors.As; Unwrap exposes the underlying cause.
+// record line ("append"), fsyncing the log ("sync"), or rolling the
+// active tail into a segment ("roll"). Callers that retry transient
+// storage faults can detect it with errors.As; Unwrap exposes the
+// underlying cause.
 type WriteError struct {
-	Op  string // "append" | "sync" | "roll" | "compact"
+	Op  string // "append" | "sync" | "roll"
 	Err error
 }
 
@@ -190,7 +179,8 @@ type indexEntry struct {
 }
 
 // tailEntry is one key's place in the active tail: its latest record
-// line, and the offset of its first, by which the tail is ordered.
+// line, and the offset of its first, by which the tail is ordered. The
+// two differ only in a tail written before puts became write-once.
 type tailEntry struct {
 	indexEntry
 	First int64
@@ -205,13 +195,10 @@ type Stats struct {
 	Distinct      int   // distinct stored cells (segments + active tail)
 	ActiveRecords int   // distinct keys in the active tail
 	ActiveBytes   int64 // bytes in the active tail
-	SegGarbage    int   // segment-resident cells superseded since last compaction
 
-	FullScans        uint64 // global-order materializations (Records) and Open's distinct recount
-	SegmentLoads     uint64 // lazy segment index loads
-	Rolls            uint64 // active-tail rolls into segments
-	Compactions      uint64 // completed compaction passes
-	CompactedRecords uint64 // superseded records dropped by compaction
+	FullScans    uint64 // global-order materializations (Records) and Open's distinct recount
+	SegmentLoads uint64 // lazy segment index loads
+	Rolls        uint64 // active-tail rolls into segments
 }
 
 // Store is an open results store: immutable segment files plus an
@@ -232,16 +219,9 @@ type Store struct {
 	fault     func(op string) error // injected write fault (tests)
 	met       *storeMetrics         // nil until Observe; nil is inert
 
-	segGarbage int  // segment-resident keys superseded by tail re-puts
-	compacting bool // a background compaction goroutine is scheduled
-	closed     bool
-	compactWG  sync.WaitGroup
-
-	fullScans        uint64
-	segmentLoads     uint64
-	rolls            uint64
-	compactions      uint64
-	compactedRecords uint64
+	fullScans    uint64
+	segmentLoads uint64
+	rolls        uint64
 	// jsonDecodes counts record lines that decodeRecord handed to
 	// json.Unmarshal: none that PutBatch wrote, unless a name needed JSON
 	// escaping.
@@ -249,9 +229,8 @@ type Store struct {
 }
 
 // SetFault installs a write-fault injector consulted before each log
-// append ("append"), log fsync ("sync"), tail roll ("roll"), and
-// per-segment compaction rewrite ("compact"). A non-nil return surfaces
-// from Put/PutBatch/Compact as a *WriteError with that Op.
+// append ("append"), log fsync ("sync") and tail roll ("roll"). A
+// non-nil return surfaces from PutBatch as a *WriteError with that Op.
 // Fault-injection instrumentation for tests; pass nil to clear.
 //
 // The injection points model real partial-failure windows: an "append"
@@ -261,9 +240,7 @@ type Store struct {
 // but — exactly like a crash between write and fsync that the kernel
 // nevertheless flushed — may legitimately reappear on reopen. A "roll"
 // fault fails before the segment file is published (the tail is
-// untouched, the triggering record already durable); a "compact" fault
-// fails between segment rewrites, leaving a mix of rewritten and
-// original segments that last-write-wins resolution reads correctly.
+// untouched, the triggering record already durable).
 func (s *Store) SetFault(f func(op string) error) {
 	s.mu.Lock()
 	s.fault = f
@@ -378,7 +355,7 @@ func (s *Store) load(recount bool) error {
 // and truncates the log at the first torn or undecodable line. When
 // counted, the distinct count (restored from the newest segment footer)
 // is maintained incrementally: each new tail key is counted unless a
-// segment already holds it, in which case it is superseding garbage.
+// segment already holds it.
 func (s *Store) scan(to int64, counted bool) error {
 	buf := make([]byte, to)
 	if _, err := s.f.ReadAt(buf, 0); err != nil {
@@ -404,9 +381,7 @@ func (s *Store) scan(to int64, counted bool) error {
 			if err != nil {
 				return err
 			}
-			if inSeg {
-				s.segGarbage++
-			} else {
+			if !inSeg {
 				s.distinct++
 			}
 		}
@@ -505,16 +480,13 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Segments:         len(s.segs),
-		Distinct:         s.distinct,
-		ActiveRecords:    len(s.index),
-		ActiveBytes:      s.size,
-		SegGarbage:       s.segGarbage,
-		FullScans:        s.fullScans,
-		SegmentLoads:     s.segmentLoads,
-		Rolls:            s.rolls,
-		Compactions:      s.compactions,
-		CompactedRecords: s.compactedRecords,
+		Segments:      len(s.segs),
+		Distinct:      s.distinct,
+		ActiveRecords: len(s.index),
+		ActiveBytes:   s.size,
+		FullScans:     s.fullScans,
+		SegmentLoads:  s.segmentLoads,
+		Rolls:         s.rolls,
 	}
 }
 
@@ -531,16 +503,23 @@ func (s *Store) Has(k Key) bool {
 	ks := k.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[ks]; ok {
-		return true
-	}
-	in, err := s.inSegmentsLocked(k, ks)
+	in, err := s.holdsLocked(k, ks)
 	return err == nil && in
 }
 
-// Get returns the stored record for the key: the active tail first
-// (always the latest version), then segments newest to oldest, pruned
-// by bloom filters and footer ranges — one record line read, no scans.
+// holdsLocked reports whether the tail or a segment holds the key k,
+// rendered as ks. Caller holds mu.
+func (s *Store) holdsLocked(k Key, ks string) (bool, error) {
+	if _, ok := s.index[ks]; ok {
+		return true, nil
+	}
+	return s.inSegmentsLocked(k, ks)
+}
+
+// Get returns the stored record for the key: the active tail first,
+// then segments newest to oldest, pruned by bloom filters and footer
+// ranges — one record line read, no scans. A store written before puts
+// became write-once may hold several copies of a key; the newest wins.
 func (s *Store) Get(k Key) (Record, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -591,15 +570,17 @@ func (s *Store) readAt(e indexEntry) (Record, error) {
 	return r, nil
 }
 
-// PutBatch appends records to the active tail with one write and one
-// fsync, then indexes them. The batch is acknowledged as a whole: a
-// failed append or fsync returns a *WriteError and indexes none of its
-// records. Re-putting an existing key, in this batch or an earlier
-// one, appends a fresh line and repoints the index at it (last write
-// wins), keeping the tail append-only. When the tail reaches the
-// segment threshold it is rolled into an immutable segment; re-puts of
-// segment-resident keys accumulate garbage that eventually schedules a
-// background compaction.
+// PutBatch appends the records whose key the store does not hold yet to
+// the active tail, with one write and one fsync, then indexes them. A key
+// is a content address (caem.CellHash): it fixes the record's Summary, so
+// the store keeps the first write of each key and never appends a held
+// key again, nor a key twice from one batch. The batch is acknowledged as
+// a whole: a failed append or fsync returns a *WriteError and indexes
+// none of its records. A batch of held keys appends nothing but still
+// fsyncs, so a nil return means every key of the batch is durable, lines
+// that Open adopted from a crashed writer's unsynced append included.
+// When the tail reaches the segment threshold it is rolled into an
+// immutable segment.
 func (s *Store) PutBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -628,33 +609,41 @@ func (s *Store) PutBatch(rs []Record) error {
 }
 
 // appendLocked writes the encoded lines (one per key, lens[i] bytes
-// each) at the end of the tail, fsyncs once, and only then indexes
-// them. Caller holds mu.
+// each) of the keys the store does not hold at the end of the tail,
+// fsyncs once, and only then indexes them. Caller holds mu.
 func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
-	// Each key's first appearance in the tail is resolved against the
-	// segments before any byte is written, so a segment read error cannot
-	// leave the count and the log disagreeing. A key repeated within the
-	// batch is new at most once.
-	kss := make([]string, len(keys))
-	fresh := make([]bool, len(keys))
-	inSeg := make([]bool, len(keys))
+	// Every key is resolved against the tail and the segments before any
+	// byte is written, so a segment read error cannot leave the count and
+	// the log disagreeing. The lines of held and repeated keys are dropped
+	// by moving the later lines down over them. Until one is dropped,
+	// each line is already in place, and copy skips it: a batch of new
+	// keys is written as encoded.
+	kss := make([]string, 0, len(keys))
 	seen := make(map[string]bool, len(keys))
+	n, off := 0, 0
 	for i, k := range keys {
 		ks := k.String()
-		kss[i] = ks
-		if _, inTail := s.index[ks]; !inTail && !seen[ks] {
-			fresh[i] = true
-			var err error
-			if inSeg[i], err = s.inSegmentsLocked(k, ks); err != nil {
-				return err
-			}
+		line := lines[off : off+lens[i]]
+		off += lens[i]
+		if seen[ks] {
+			continue
 		}
 		seen[ks] = true
+		held, err := s.holdsLocked(k, ks)
+		if err != nil {
+			return err
+		}
+		if held {
+			continue
+		}
+		n += copy(lines[n:], line)
+		lens[len(kss)] = lens[i]
+		kss = append(kss, ks)
 	}
 	if err := s.faultAt("append"); err != nil {
 		return err
 	}
-	if _, err := s.f.WriteAt(lines, s.size); err != nil {
+	if _, err := s.f.WriteAt(lines[:n], s.size); err != nil {
 		s.met.fault("append")
 		return &WriteError{Op: "append", Err: err}
 	}
@@ -667,27 +656,15 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 		return &WriteError{Op: "sync", Err: err}
 	}
 	s.met.observeFsync(time.Since(syncStart).Seconds())
-	for i := range keys {
-		first := s.size
-		if fresh[i] {
-			if inSeg[i] {
-				s.segGarbage++
-			} else {
-				s.distinct++
-			}
-		} else {
-			first = s.index[kss[i]].First
-		}
-		s.index[kss[i]] = tailEntry{indexEntry{Off: s.size, Len: lens[i]}, first}
+	for i, ks := range kss {
+		s.index[ks] = tailEntry{indexEntry{Off: s.size, Len: lens[i]}, s.size}
 		s.size += int64(lens[i])
 	}
-	s.met.appendDone(len(keys), len(lines), s.distinct)
+	s.distinct += len(kss)
+	s.met.appendDone(len(kss), n, s.distinct)
 	if s.size >= s.opts.SegmentBytes {
-		if err := s.rollLocked(); err != nil {
-			return err
-		}
+		return s.rollLocked()
 	}
-	s.maybeCompactLocked()
 	return nil
 }
 
@@ -698,8 +675,8 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 // truncated. The footer records the store's distinct-cell count, which
 // is how the count survives a restart. A crash anywhere leaves either
 // the intact tail (segment never published) or the segment plus a tail
-// whose records duplicate it — both of which reopen correctly under
-// last-write-wins.
+// whose records duplicate it — both of which reopen correctly, because
+// a read takes the tail's copy before any segment's.
 func (s *Store) rollLocked() error {
 	if len(s.index) == 0 {
 		return nil
@@ -759,121 +736,10 @@ func (s *Store) rollLocked() error {
 	return nil
 }
 
-// maybeCompactLocked schedules a background compaction when enough
-// superseded segment-resident cells have accumulated.
-func (s *Store) maybeCompactLocked() {
-	if s.opts.CompactAfter <= 0 || s.segGarbage < s.opts.CompactAfter || s.compacting || s.closed {
-		return
-	}
-	s.compacting = true
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		defer func() { s.compacting = false }()
-		if s.closed {
-			return
-		}
-		s.compactLocked() //nolint:errcheck // surfaced via write-fault metrics; next trigger retries
-	}()
-}
-
-// compactLocked rewrites segments to drop superseded (last-write-wins)
-// cells. It first rolls the active tail, so every superseding copy lives
-// in a newer segment; then, newest segment to oldest, each record is
-// kept only if no newer segment holds its key. Fully-superseded segments
-// are deleted. The newest segment is never rewritten and the set of
-// segment-held keys never shrinks, so the newest footer's distinct count
-// stays exact. Each surviving segment is rewritten via temp file +
-// rename, so a crash between rewrites leaves a mix of rewritten and
-// original segments that reopens correctly.
-func (s *Store) compactLocked() error {
-	if err := s.rollLocked(); err != nil {
-		return err
-	}
-	seen := make(map[string]struct{}, s.distinct)
-	dropped := 0
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		seg := s.segs[i]
-		if err := s.ensureSegIndex(seg); err != nil {
-			return err
-		}
-		survivors := 0
-		for _, se := range seg.index {
-			if _, dup := seen[se.ks]; !dup {
-				survivors++
-			}
-		}
-		original := len(seg.index)
-		if survivors == original {
-			for _, se := range seg.index {
-				seen[se.ks] = struct{}{}
-			}
-			continue
-		}
-		if err := s.faultAt("compact"); err != nil {
-			return err
-		}
-		if survivors == 0 {
-			if err := os.Remove(seg.path); err != nil {
-				return &WriteError{Op: "compact", Err: err}
-			}
-			seg.closeHandle()
-			dropped += original
-			s.segs = append(s.segs[:i], s.segs[i+1:]...)
-			continue
-		}
-		keys := make([]Key, 0, survivors)
-		kss := make([]string, 0, survivors)
-		lines := make([][]byte, 0, survivors)
-		var dataSize int64
-		for _, ks := range seg.orderedKeys() {
-			if _, dup := seen[ks]; dup {
-				continue
-			}
-			k, err := parseKey(ks)
-			if err != nil {
-				return err
-			}
-			e, _ := seg.index.lookup(ks)
-			raw, err := seg.rawAt(e)
-			if err != nil {
-				return err
-			}
-			keys = append(keys, k)
-			kss = append(kss, ks)
-			lines = append(lines, raw)
-			dataSize += int64(len(raw))
-		}
-		ft := footerOf(keys, kss, dataSize)
-		if err := writeSegmentFile(seg.path, lines, ft); err != nil {
-			return &WriteError{Op: "compact", Err: err}
-		}
-		// The rename replaced the file under any cached handle; rebuild
-		// the in-memory view to match the new contents.
-		seg.closeHandle()
-		seg.footer = ft
-		index := make(segIndex, len(kss))
-		off := int64(0)
-		for j, ks := range kss {
-			index[j] = segEntry{ks, indexEntry{Off: off, Len: len(lines[j])}}
-			off += int64(len(lines[j]))
-			seen[ks] = struct{}{}
-		}
-		seg.index = sortSegIndex(index)
-		dropped += original - survivors
-	}
-	s.compactions++
-	s.compactedRecords += uint64(dropped)
-	s.segGarbage = 0
-	s.met.compactionDone(dropped, len(s.segs))
-	return nil
-}
-
-// Records returns every stored record in first-Put order (for a re-put
-// key, the latest version). This is the full-scan path — intentionally
-// the only read that touches every segment's data.
+// Records returns every stored record in first-Put order (for a key
+// that a store written before puts became write-once holds twice, the
+// newest copy). This is the full-scan path — intentionally the only read
+// that touches every segment's data.
 func (s *Store) Records() ([]Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -949,14 +815,9 @@ func (s *Store) tailOrderLocked() []string {
 	return kss
 }
 
-// Close waits for any background compaction and releases the file
-// handles. Every acknowledged write is already durable, so Close has
-// nothing to write.
+// Close releases the file handles. Every acknowledged write is already
+// durable, so Close has nothing to write.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.compactWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, seg := range s.segs {

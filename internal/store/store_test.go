@@ -90,9 +90,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRePutLastWins: re-putting a key appends (the log stays
-// append-only) but lookups and Records return the latest version.
-func TestRePutLastWins(t *testing.T) {
+// TestRePutKeepsFirst: re-putting a held key appends nothing; lookups
+// serve the first write, before and after reopen.
+func TestRePutKeepsFirst(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -102,6 +102,7 @@ func TestRePutLastWins(t *testing.T) {
 	if err := s.PutBatch([]Record{r}); err != nil {
 		t.Fatal(err)
 	}
+	size := s.Stats().ActiveBytes
 	r2 := r
 	r2.Summary.Delivered = 4242
 	if err := s.PutBatch([]Record{r2}); err != nil {
@@ -109,6 +110,9 @@ func TestRePutLastWins(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
+	}
+	if got := s.Stats().ActiveBytes; got != size {
+		t.Fatalf("re-put grew the tail from %d to %d bytes", size, got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -119,12 +123,15 @@ func TestRePutLastWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if s2.Len() != 1 {
+		t.Fatalf("reopened Len = %d, want 1", s2.Len())
+	}
 	got, ok, err := s2.Get(r.Key())
 	if err != nil || !ok {
 		t.Fatalf("Get = ok=%v err=%v", ok, err)
 	}
-	if got.Summary.Delivered != 4242 {
-		t.Fatalf("Delivered = %d, want the re-put value 4242", got.Summary.Delivered)
+	if got.Summary.Delivered != r.Summary.Delivered {
+		t.Fatalf("Delivered = %d, want the first value %d", got.Summary.Delivered, r.Summary.Delivered)
 	}
 }
 

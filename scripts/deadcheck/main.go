@@ -1,8 +1,10 @@
 // Command deadcheck is the dead-code gate behind `make deadcheck`. It
 // type-checks a module, the modules that use it, and their standard
 // library dependencies from source, and fails when a name declared under
-// the first module's internal/ tree has no use in a non-test file of
-// those modules.
+// the first module's internal/ or cmd/ tree has no use in a non-test
+// file of those modules. A command's func main is exempt. The module's
+// other packages (caem/, examples/, scripts/) count only as users:
+// caem's exported names are the module's public API.
 //
 // A finding is a package-level name or a method, exported or not, or an
 // exported struct field. Each use is resolved to the object it denotes
@@ -85,8 +87,8 @@ type checker struct {
 }
 
 // run checks the modules rooted at dirs, writes the report to w and says
-// whether the gate passes. Findings are reported for the internal/ tree
-// of dirs[0] only.
+// whether the gate passes. Findings are reported for the internal/ and
+// cmd/ trees of dirs[0] only.
 func run(dirs []string, allowFile string, w io.Writer) (bool, error) {
 	c := &checker{
 		fset: token.NewFileSet(), list: map[string]*listed{},
@@ -134,11 +136,11 @@ func run(dirs []string, allowFile string, w io.Writer) (bool, error) {
 		}
 	}
 
-	prefix := module + "/internal/"
 	var found []finding
 	for _, path := range users {
-		if strings.HasPrefix(path+"/", prefix) {
-			found = append(found, c.findings(path, strings.TrimPrefix(path, module+"/"))...)
+		rel := strings.TrimPrefix(path, module+"/")
+		if strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
+			found = append(found, c.findings(path, rel)...)
 		}
 	}
 	sort.Slice(found, func(i, j int) bool {
@@ -170,7 +172,7 @@ func run(dirs []string, allowFile string, w io.Writer) (bool, error) {
 		ok = false
 	}
 	if ok {
-		fmt.Fprintf(w, "deadcheck passed: every name under %s has a use outside tests (%d allowlisted)\n", prefix, n)
+		fmt.Fprintf(w, "deadcheck passed: every name under %[1]s/internal/ and %[1]s/cmd/ has a use outside tests (%[2]d allowlisted)\n", module, n)
 	}
 	return ok, nil
 }
@@ -406,7 +408,8 @@ type finding struct {
 }
 
 // findings lists the names declared in one user package that no
-// non-test file uses. rel is the package's path inside its module.
+// non-test file uses. rel is the package's path inside its module. A
+// command's func main is its entry point, not a finding.
 func (c *checker) findings(path, rel string) []finding {
 	var out []finding
 	add := func(obj types.Object, name string) {
@@ -419,9 +422,13 @@ func (c *checker) findings(path, rel string) []finding {
 		}
 		out = append(out, finding{obj.Pos(), rel + "." + name, tag})
 	}
-	scope := c.pkgs[path].Scope()
+	pkg := c.pkgs[path]
+	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
+		if _, fn := obj.(*types.Func); fn && name == "main" && pkg.Name() == "main" {
+			continue
+		}
 		add(obj, name)
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
