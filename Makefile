@@ -131,7 +131,8 @@ bench-smoke:
 
 # Bench regression guard: the gated benchmarks (hot-path ns per
 # simulated second, the scenario engine, the Figure 9 replication grid,
-# the obs instrument hot path, and the store query path) must stay
+# the obs instrument hot path, and the store's read-by-key query: one
+# LookupCell per cell of a 384-cell grid, then FilterCells) must stay
 # within BENCH_GATE_FACTOR x the committed BENCH_7.json baseline on
 # ns/op and BENCH_ALLOC_FACTOR x on allocs/op. The time bound is loose by design: the baseline was
 # recorded on one machine and CI runners differ and are noisy, so the
@@ -219,8 +220,10 @@ docs-check:
 
 # Observability gate: the full metric catalog (coordinator + worker +
 # store + HTTP + build info, assembled from the same Register*
-# functions production uses) must pass the naming lint and its text
-# exposition must round-trip through the strict Prometheus parser.
+# functions production uses) must pass the naming lint, its text
+# exposition must round-trip through the strict Prometheus parser with
+# every registered family in it, and the registered families must be
+# exactly the family column of ARCHITECTURE.md's metric table.
 obs-check:
 	$(GO) run ./scripts/obscheck
 

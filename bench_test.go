@@ -194,11 +194,19 @@ func BenchmarkMetricsHotPath(b *testing.B) {
 	}
 }
 
+// benchRef addresses one stored cell of the benchmark grid.
+type benchRef struct {
+	hash     string
+	scenario string
+	protocol caem.Protocol
+	seed     uint64
+}
+
 // benchCampaignStore builds a store holding a settled synthetic campaign
 // grid — 4 scenarios x 3 protocols x 32 seeds = 384 cells — and returns
 // it with the refs that address every cell. Metric values are a fixed
 // function of the grid position so runs are deterministic.
-func benchCampaignStore(b *testing.B) (*caem.CampaignStore, []caem.CellRef) {
+func benchCampaignStore(b *testing.B) (*caem.CampaignStore, []benchRef) {
 	b.Helper()
 	cs, err := caem.OpenStore(b.TempDir())
 	if err != nil {
@@ -206,7 +214,7 @@ func benchCampaignStore(b *testing.B) (*caem.CampaignStore, []caem.CellRef) {
 	}
 	b.Cleanup(func() { cs.Close() })
 	scenarios := []string{"static", "node-churn", "interference", "mobility"}
-	refs := make([]caem.CellRef, 0, len(scenarios)*3*32)
+	refs := make([]benchRef, 0, len(scenarios)*3*32)
 	for si, sc := range scenarios {
 		hash := fmt.Sprintf("%016x", si+1)
 		for _, p := range caem.Protocols() {
@@ -223,24 +231,32 @@ func benchCampaignStore(b *testing.B) (*caem.CampaignStore, []caem.CellRef) {
 				if err := cs.PutCell("bench", hash, cell); err != nil {
 					b.Fatal(err)
 				}
-				refs = append(refs, caem.CellRef{Hash: hash, Scenario: sc, Protocol: p, Seed: seed})
+				refs = append(refs, benchRef{hash, sc, p, seed})
 			}
 		}
 	}
 	return cs, refs
 }
 
-// BenchmarkQueryTopK measures one top-k metric query over a 384-cell
-// campaign grid: ref pruning, bloom/range-indexed point reads (never a
-// log scan — the store's FullScans counter staying flat is asserted by
-// the query tests), the metric filter, and the ordered cut.
+// BenchmarkQueryTopK measures one top-10 metric query over a 384-cell
+// campaign grid read back from the store: one bloom/range-indexed point
+// read per grid cell (LookupCell), then the metric filter and the
+// ordered cut (FilterCells).
 func BenchmarkQueryTopK(b *testing.B) {
 	cs, refs := benchCampaignStore(b)
 	q := caem.CellQuery{Metric: "meanDelayMs", Top: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := cs.QueryCells(refs, q)
+		all := make([]caem.CampaignCell, 0, len(refs))
+		for _, ref := range refs {
+			cell, ok, err := cs.LookupCell(ref.hash, ref.scenario, ref.protocol, ref.seed)
+			if err != nil || !ok {
+				b.Fatalf("LookupCell(%+v) = ok=%v err=%v", ref, ok, err)
+			}
+			all = append(all, cell)
+		}
+		cells, err := caem.FilterCells(all, q)
 		if err != nil {
 			b.Fatal(err)
 		}

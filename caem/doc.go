@@ -42,8 +42,9 @@
 //
 // Services: SimPool gives long-running callers a resident simulation
 // context (reset in place between runs, never rebuilt). OpenStore opens
-// the persistent campaign results store, and RunCampaignWith adds a
-// store sink plus checkpoint/resume on top of RunCampaign — the engine
-// behind cmd/caem-serve, the always-on HTTP campaign service, and the
+// the persistent campaign results store, which cmd/caem-serve, the
+// always-on HTTP campaign service, settles the cells its cluster
+// workers run into. RunCampaignWith adds a store sink plus
+// checkpoint/resume on top of RunCampaign — the engine behind the
 // -store/-resume flags of cmd/caem-sim.
 package caem

@@ -55,24 +55,12 @@ func MetricOf(r Result, name string) (float64, bool) {
 	return g(r), true
 }
 
-// CellRef identifies one cell of a campaign grid in the store: the
-// content hash of the cell family plus the (scenario, protocol, seed)
-// axes. Refs let QueryCells resolve a campaign's cells with point reads
-// only — the store prunes segments by bloom filter and key range, so no
-// query ever rescans the log.
-type CellRef struct {
-	Hash     string
-	Scenario string
-	Protocol Protocol
-	Seed     uint64
-}
-
 // CellQuery filters and orders a cell set. The zero value selects
-// everything in grid order.
+// everything in input order.
 type CellQuery struct {
-	// Scenario/Protocol select exact matches; empty selects all. They
-	// prune refs before any store read. Protocol accepts any spelling
-	// ParseProtocol does ("leach", "pure-LEACH", "s1", ...).
+	// Scenario/Protocol select exact matches; empty selects all.
+	// Protocol accepts any spelling ParseProtocol does ("leach",
+	// "pure-LEACH", "s1", ...).
 	Scenario string
 	Protocol string
 	// Metric names the summary metric (see MetricNames) that Min, Max,
@@ -83,8 +71,8 @@ type CellQuery struct {
 	Min *float64
 	Max *float64
 	// Top, when positive, keeps only the k cells with the largest
-	// Metric values (stable: ties keep grid order). Zero keeps all, in
-	// grid order.
+	// Metric values (stable: ties keep input order). Zero keeps all, in
+	// input order.
 	Top int
 }
 
@@ -122,37 +110,6 @@ func (q CellQuery) protocol() (Protocol, bool) {
 	}
 	p, _ := ParseProtocol(q.Protocol)
 	return p, true
-}
-
-// QueryCells resolves the refs that match the query to stored cells:
-// scenario/protocol filters prune refs before any read, surviving refs
-// become point lookups (one indexed record read each — never a log
-// scan), the metric range filter drops out-of-range cells, and top-k
-// orders by the metric descending. Refs not yet stored are skipped, so
-// querying an in-flight campaign returns its settled subset.
-func (cs *CampaignStore) QueryCells(refs []CellRef, q CellQuery) ([]CampaignCell, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	proto, haveProto := q.protocol()
-	cells := make([]CampaignCell, 0, len(refs))
-	for _, ref := range refs {
-		if q.Scenario != "" && ref.Scenario != q.Scenario {
-			continue
-		}
-		if haveProto && ref.Protocol != proto {
-			continue
-		}
-		cell, ok, err := cs.LookupCell(ref.Hash, ref.Scenario, ref.Protocol, ref.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		cells = append(cells, cell)
-	}
-	return FilterCells(cells, q)
 }
 
 // FilterCells applies the query to an in-memory cell set: exact

@@ -3,6 +3,7 @@ package caem
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -31,12 +32,22 @@ func qcell(scen string, p Protocol, seed uint64, delay float64) CampaignCell {
 	return c
 }
 
+// queryHash is the content hash the query grid's cells are stored
+// under.
+const queryHash = "cafe0123cafe0123"
+
+// queryRef addresses one cell of the query grid.
+type queryRef struct {
+	Scenario string
+	Protocol Protocol
+	Seed     uint64
+}
+
 // fillQueryStore stores a 2-scenario × 2-protocol × 4-seed grid with
-// deterministic metric values and returns the full ref set in grid
-// order.
-func fillQueryStore(t *testing.T, cs *CampaignStore) []CellRef {
+// deterministic metric values and returns its refs in grid order.
+func fillQueryStore(t *testing.T, cs *CampaignStore) []queryRef {
 	t.Helper()
-	refs := make([]CellRef, 0, 16)
+	refs := make([]queryRef, 0, 16)
 	for _, scen := range []string{"churn", "storm"} {
 		for _, p := range []Protocol{PureLEACH, Scheme1} {
 			for seed := uint64(1); seed <= 4; seed++ {
@@ -47,45 +58,67 @@ func fillQueryStore(t *testing.T, cs *CampaignStore) []CellRef {
 				if p == Scheme1 {
 					delay += 1
 				}
-				if err := cs.PutCell("qtest", "cafe0123cafe0123", qcell(scen, p, seed, delay)); err != nil {
+				if err := cs.PutCell("qtest", queryHash, qcell(scen, p, seed, delay)); err != nil {
 					t.Fatal(err)
 				}
-				refs = append(refs, CellRef{Hash: "cafe0123cafe0123", Scenario: scen, Protocol: p, Seed: seed})
+				refs = append(refs, queryRef{Scenario: scen, Protocol: p, Seed: seed})
 			}
 		}
 	}
 	return refs
 }
 
-// TestQueryCellsNoRescan is the acceptance-criteria test: filtered,
-// range-limited, and top-k queries over a segmented store return
-// correct results through point reads only — the store-level full-scan
-// counter stays at zero throughout.
-func TestQueryCellsNoRescan(t *testing.T) {
+// lookupGrid reads every ref's cell back by key, in ref order.
+func lookupGrid(t *testing.T, cs *CampaignStore, refs []queryRef) []CampaignCell {
+	t.Helper()
+	cells := make([]CampaignCell, 0, len(refs))
+	for _, ref := range refs {
+		cell, ok, err := cs.LookupCell(queryHash, ref.Scenario, ref.Protocol, ref.Seed)
+		if err != nil || !ok {
+			t.Fatalf("LookupCell(%+v) = ok=%v err=%v", ref, ok, err)
+		}
+		cells = append(cells, cell)
+	}
+	return cells
+}
+
+// TestFilterCellsOverStoredGrid: a grid read back by key from a
+// segmented store comes back whole and in grid order, loading each
+// segment index at most once, and a pending cell reads as absent.
+// Filtered, range-limited and top-k queries over it select exactly the
+// right cells, and invalid queries are rejected.
+func TestFilterCellsOverStoredGrid(t *testing.T) {
 	cs := openSegmentedStore(t, t.TempDir())
 	defer cs.Close()
 	refs := fillQueryStore(t, cs)
 	if cs.Stats().Segments == 0 {
 		t.Fatal("precondition: store did not segment")
 	}
-	scansBefore := cs.Stats().FullScans
 
-	// Unfiltered: the whole grid in grid order.
-	all, err := cs.QueryCells(refs, CellQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(refs) {
-		t.Fatalf("unfiltered query returned %d cells, want %d", len(all), len(refs))
-	}
+	all := lookupGrid(t, cs, refs)
 	for i, c := range all {
 		if c.Scenario != refs[i].Scenario || c.Protocol != refs[i].Protocol || c.Seed != refs[i].Seed {
 			t.Fatalf("cell %d out of grid order: %+v", i, c)
 		}
 	}
+	if st := cs.Stats(); st.SegmentLoads > uint64(st.Segments) {
+		t.Fatalf("SegmentLoads = %d > segments = %d (indexes reloaded?)", st.SegmentLoads, st.Segments)
+	}
+	if _, ok, err := cs.LookupCell(queryHash, "churn", PureLEACH, 5); ok || err != nil {
+		t.Fatalf("pending cell = ok=%v err=%v, want absent", ok, err)
+	}
+
+	// Unfiltered: the whole grid in grid order.
+	got, err := FilterCells(all, CellQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, all) {
+		t.Fatal("the zero query changed the cell set")
+	}
 
 	// Scenario + protocol filter.
-	got, err := cs.QueryCells(refs, CellQuery{Scenario: "storm", Protocol: Scheme1.String()})
+	got, err = FilterCells(all, CellQuery{Scenario: "storm", Protocol: Scheme1.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +133,7 @@ func TestQueryCellsNoRescan(t *testing.T) {
 
 	// Metric range: delays in churn are 10..41; keep [20, 31].
 	lo, hi := 20.0, 31.0
-	got, err = cs.QueryCells(refs, CellQuery{Scenario: "churn", Metric: "meanDelayMs", Min: &lo, Max: &hi})
+	got, err = FilterCells(all, CellQuery{Scenario: "churn", Metric: "meanDelayMs", Min: &lo, Max: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +147,7 @@ func TestQueryCellsNoRescan(t *testing.T) {
 	}
 
 	// Top-k by metric, descending.
-	got, err = cs.QueryCells(refs, CellQuery{Metric: "meanDelayMs", Top: 3})
+	got, err = FilterCells(all, CellQuery{Metric: "meanDelayMs", Top: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,62 +194,30 @@ func TestQueryCellsNoRescan(t *testing.T) {
 		}
 	}
 
-	if scans := cs.Stats().FullScans; scans != scansBefore {
-		t.Fatalf("queries performed %d full scans", scans-scansBefore)
-	}
-
 	// Invalid queries are rejected, not silently misread.
-	if _, err := cs.QueryCells(refs, CellQuery{Metric: "noSuchMetric", Top: 1}); err == nil {
+	if _, err := FilterCells(all, CellQuery{Metric: "noSuchMetric", Top: 1}); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
-	if _, err := cs.QueryCells(refs, CellQuery{Top: 1}); err == nil {
+	if _, err := FilterCells(all, CellQuery{Top: 1}); err == nil {
 		t.Fatal("top-k without metric accepted")
 	}
-	if _, err := cs.QueryCells(refs, CellQuery{Metric: "meanDelayMs", Min: &hi, Max: &lo}); err == nil {
+	if _, err := FilterCells(all, CellQuery{Metric: "meanDelayMs", Min: &hi, Max: &lo}); err == nil {
 		t.Fatal("empty range accepted")
 	}
 }
 
-// TestQueryCellsSkipsUnstored: refs without stored cells (an in-flight
-// campaign) resolve to the settled subset.
-func TestQueryCellsSkipsUnstored(t *testing.T) {
-	cs, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	if err := cs.PutCell("q", "aa11", qcell("churn", PureLEACH, 1, 5)); err != nil {
-		t.Fatal(err)
-	}
-	refs := []CellRef{
-		{Hash: "aa11", Scenario: "churn", Protocol: PureLEACH, Seed: 1},
-		{Hash: "aa11", Scenario: "churn", Protocol: PureLEACH, Seed: 2}, // pending
-	}
-	got, err := cs.QueryCells(refs, CellQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Seed != 1 {
-		t.Fatalf("in-flight query = %+v, want just seed 1", got)
-	}
-}
-
 // TestFlatLogMigrationAggregates: a flat-log store (one tail past the
-// segment threshold) produces byte-identical aggregates after open rolls
-// it into segments — the caem-level half of the store migration
-// contract.
+// segment threshold) yields byte-identical aggregates of its cells, read
+// back by key in grid order, after open rolls it into segments — the
+// caem-level half of the store migration contract.
 func TestFlatLogMigrationAggregates(t *testing.T) {
 	dir := t.TempDir()
 	cs, err := OpenStore(dir) // default threshold: stays a flat log
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillQueryStore(t, cs)
-	want, err := cs.Aggregates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBlob, err := json.Marshal(want)
+	refs := fillQueryStore(t, cs)
+	wantBlob, err := json.Marshal(AggregateCampaign(lookupGrid(t, cs, refs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,10 @@ func TestFlatLogMigrationAggregates(t *testing.T) {
 	if cs2.Stats().Segments == 0 {
 		t.Fatal("migration open did not segment the flat log")
 	}
-	got, err := cs2.Aggregates()
-	if err != nil {
-		t.Fatal(err)
+	if cs2.Len() != len(refs) {
+		t.Fatalf("migrated store holds %d cells, want %d", cs2.Len(), len(refs))
 	}
-	gotBlob, err := json.Marshal(got)
+	gotBlob, err := json.Marshal(AggregateCampaign(lookupGrid(t, cs2, refs)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,14 +348,10 @@ func TestCellHashNormalization(t *testing.T) {
 	}
 }
 
-// TestCampaignStoreAggregates: incremental aggregation over stored
-// cells matches aggregating the live campaign results. The campaign
-// runs serially so the store's append order equals submission order:
-// Welford accumulation is order-sensitive in the last float ulps, and
-// parallel completion order is not deterministic.
+// TestCampaignStoreAggregates: the stored cells, read back by key in
+// submission order, aggregate exactly as the live campaign results do.
 func TestCampaignStoreAggregates(t *testing.T) {
 	base, scs, protos, seeds := resumeTestGrid(t)
-	base.Workers = 1
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -365,28 +361,25 @@ func TestCampaignStoreAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromStore, err := st.Aggregates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := AggregateCampaign(cells)
-	// Store order is completion order, so compare as (scenario, protocol)
-	// keyed sets of formatted values.
-	if len(fromStore) != len(live) {
-		t.Fatalf("store aggregates %d groups, live %d", len(fromStore), len(live))
-	}
-	byKey := make(map[string]CampaignAggregate, len(live))
-	for _, a := range live {
-		byKey[a.Scenario+"/"+a.Protocol.String()] = a
-	}
-	for _, a := range fromStore {
-		want, ok := byKey[a.Scenario+"/"+a.Protocol.String()]
-		if !ok {
-			t.Fatalf("store aggregate for unknown group %s/%s", a.Scenario, a.Protocol)
+	hashes := make(map[string]string, len(scs))
+	for _, sc := range scs {
+		if hashes[sc.Name], err = CellHash(base, sc); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, want) {
-			t.Fatalf("store aggregate diverged for %s/%s:\n got %+v\nwant %+v", a.Scenario, a.Protocol, a, want)
+	}
+	if st.Len() != len(cells) {
+		t.Fatalf("store holds %d cells, campaign ran %d", st.Len(), len(cells))
+	}
+	stored := make([]CampaignCell, 0, len(cells))
+	for _, c := range cells {
+		cell, ok, err := st.LookupCell(hashes[c.Scenario], c.Scenario, c.Protocol, c.Seed)
+		if err != nil || !ok {
+			t.Fatalf("LookupCell(%s/%s/%d) = ok=%v err=%v", c.Scenario, c.Protocol, c.Seed, ok, err)
 		}
+		stored = append(stored, cell)
+	}
+	if got, want := AggregateCampaign(stored), AggregateCampaign(cells); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored cells aggregate differently:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -432,9 +425,10 @@ func TestSimPoolMatchesOneShot(t *testing.T) {
 }
 
 // TestSummaryMappingComplete guards the hand-mirrored field lists of
-// summaryOf (Result → store.Summary) and cellOf (store.Summary →
+// summaryOf (Result → store.Summary) and SummaryCell (store.Summary →
 // Result): every Summary field is set to a distinct sentinel, pushed
-// through cellOf and back through summaryOf, and must survive exactly.
+// through SummaryCell and back through summaryOf, and must survive
+// exactly.
 // A metric added to one mapping but not the other would silently zero
 // out in restored cells — this test turns that drift into a failure.
 func TestSummaryMappingComplete(t *testing.T) {
@@ -455,12 +449,9 @@ func TestSummaryMappingComplete(t *testing.T) {
 			t.Fatalf("store.Summary field %s has unhandled kind %v — extend this test", rv.Type().Field(i).Name, f.Kind())
 		}
 	}
-	cell, ok, err := cellOf(store.Record{Hash: "h", Scenario: "sc", Protocol: "CAEM-scheme1", Seed: 1, Summary: s})
-	if err != nil || !ok {
-		t.Fatalf("cellOf = ok=%v err=%v", ok, err)
-	}
+	cell := SummaryCell("sc", Scheme1, 1, s)
 	if back := summaryOf(cell.Result); back != s {
-		t.Fatalf("summary did not survive cellOf→summaryOf:\n got %+v\nwant %+v", back, s)
+		t.Fatalf("summary did not survive SummaryCell→summaryOf:\n got %+v\nwant %+v", back, s)
 	}
 }
 

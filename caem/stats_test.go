@@ -8,6 +8,27 @@ import (
 	"repro/internal/stats"
 )
 
+// aggCell fabricates a summary-level cell with metric values that make
+// floating-point accumulation order observable: adding them to a
+// Welford stream in different orders drifts the final ulps.
+func aggCell(scenario string, p Protocol, seed uint64) CampaignCell {
+	f := float64(seed)
+	return CampaignCell{
+		Scenario: scenario,
+		Protocol: p,
+		Seed:     seed,
+		Result: Result{
+			Protocol:              p,
+			TotalConsumedJ:        1e8 + f*math.Pi,
+			DeliveryRate:          1 / (f + 3),
+			MeanDelayMs:           math.Sqrt(f + 2),
+			P95DelayMs:            math.Cbrt(f + 7),
+			EnergyPerPacketMilliJ: math.Log(f + 2),
+			AliveAtEnd:            int(90 + seed),
+		},
+	}
+}
+
 func TestAggregateOf(t *testing.T) {
 	a := AggregateOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if a.N != 8 || math.Abs(a.Mean-5) > 1e-12 {

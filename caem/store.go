@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -15,13 +14,14 @@ import (
 // campaign cells: each completed (scenario, protocol, seed) run is one
 // self-describing JSONL record keyed by a content hash of everything
 // that determines its outcome, so stored cells are only ever reused for
-// bit-identical reruns. It backs checkpoint/resume (RunCampaignWith),
-// incremental aggregation over completed cells (Aggregates), and the
-// caem-serve campaign service. The service persists its campaign specs
-// here (SaveCampaignSpec) to survive restarts. It serves results from
-// its own in-memory view of metric rows, filled from each PutCells batch
-// (CellPut.Summary) and rehydrated with SummaryCell, and reads a stored
-// row back (LookupSummary) only for cells restored from an earlier run.
+// bit-identical reruns. Every cell is read back by that key (HasCell,
+// LookupCell, LookupSummary). It backs checkpoint/resume
+// (RunCampaignWith) and the caem-serve campaign service. The service
+// persists its campaign specs here (SaveCampaignSpec) to survive
+// restarts. It serves results from its own in-memory view of metric
+// rows, filled from each PutCells batch (CellPut.Summary) and rehydrated
+// with SummaryCell, and reads a stored row back (LookupSummary) only for
+// cells restored from an earlier run.
 //
 // A CampaignStore is safe for concurrent use within one process; keep a
 // single writer per directory across processes.
@@ -50,13 +50,13 @@ func (cs *CampaignStore) Len() int { return cs.s.Len() }
 func (cs *CampaignStore) RecoveredBytes() int64 { return cs.s.RecoveredBytes() }
 
 // Observe attaches the store to a metrics registry: append, byte,
-// fsync-latency, fault, recovery, segment, and scan instruments register
-// get-or-create and update on every subsequent operation. A store never
-// observed skips all instrumentation.
+// fsync-latency, fault, recovery, segment, roll and segment-load
+// instruments register get-or-create and update on every subsequent
+// operation. A store never observed skips all instrumentation.
 func (cs *CampaignStore) Observe(reg *obs.Registry) { cs.s.Observe(reg) }
 
 // Stats returns a snapshot of the underlying store's shape and access
-// counters (segments, distinct cells, scan and roll counts).
+// counters (segments, distinct cells, segment-load and roll counts).
 func (cs *CampaignStore) Stats() store.Stats { return cs.s.Stats() }
 
 // Flush does nothing and returns nil: every PutCell and PutCells is
@@ -180,53 +180,6 @@ func (cs *CampaignStore) LookupSummary(hash, scenario string, p Protocol, seed u
 	return rec.Summary, true, nil
 }
 
-// Cells returns every stored cell in first-stored order, summary-level
-// (see LookupCell).
-func (cs *CampaignStore) Cells() ([]CampaignCell, error) {
-	recs, err := cs.s.Records()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CampaignCell, 0, len(recs))
-	for _, rec := range recs {
-		cell, _, err := cellOf(rec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cell)
-	}
-	return out, nil
-}
-
-// Aggregates collapses every stored cell into per-(scenario, protocol)
-// statistical summaries — incremental aggregation over whatever the
-// store holds, without re-running anything.
-//
-// Cells are aggregated in canonical submission order — scenario name,
-// then protocol, then ascending seed — not in store append order. Store
-// append order is completion order when cells ran concurrently (or
-// arrived from cluster workers), and floating-point accumulation is not
-// associative, so order-dependent aggregation would match a serial
-// campaign's only modulo final-ulp drift. Canonical ordering makes the
-// aggregates of a clustered, parallel, or resumed campaign exactly
-// equal — byte-identical — to the serial run's.
-func (cs *CampaignStore) Aggregates() ([]CampaignAggregate, error) {
-	cells, err := cs.Cells()
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(cells, func(i, j int) bool {
-		if cells[i].Scenario != cells[j].Scenario {
-			return cells[i].Scenario < cells[j].Scenario
-		}
-		if cells[i].Protocol != cells[j].Protocol {
-			return cells[i].Protocol < cells[j].Protocol
-		}
-		return cells[i].Seed < cells[j].Seed
-	})
-	return AggregateCampaign(cells), nil
-}
-
 // SaveCampaignSpec persists an opaque campaign spec blob under id,
 // durably when it returns — service metadata that lets caem-serve
 // recover in-flight campaigns after a restart or a takeover.
@@ -272,17 +225,8 @@ func summaryOf(r Result) store.Summary {
 	}
 }
 
-// cellOf rehydrates a stored record into a summary-level CampaignCell.
-func cellOf(rec store.Record) (CampaignCell, bool, error) {
-	p, err := ParseProtocol(rec.Protocol)
-	if err != nil {
-		return CampaignCell{}, false, fmt.Errorf("caem: stored cell: %w", err)
-	}
-	return SummaryCell(rec.Scenario, p, rec.Seed, rec.Summary), true, nil
-}
-
 // SummaryCell builds the summary-level CampaignCell of a stored metric
-// row: the projection behind LookupCell and Cells, and the one a caller
+// row: the projection behind LookupCell, and the one a caller
 // holding rows of its own (such as the campaign service's results view)
 // rehydrates them with.
 func SummaryCell(scenario string, p Protocol, seed uint64, s store.Summary) CampaignCell {

@@ -83,20 +83,11 @@ func waitSettledCell(t *testing.T, srv *server, cell cluster.Cell) {
 	}
 }
 
-// gridRefs expands the campaign grid into store refs in grid order.
-func gridRefs(c *campaign) []caem.CellRef {
-	refs := make([]caem.CellRef, len(c.status))
-	for i := range refs {
-		si, p, seed := c.axes(i)
-		refs[i] = caem.CellRef{Hash: c.hashes[si], Scenario: c.scenarios[si].Name, Protocol: p, Seed: seed}
-	}
-	return refs
-}
-
 // storeResultsDoc builds the results document the way the service did
-// before it kept a results view: every read resolves the campaign grid
-// against the store (QueryCells) and aggregates what it finds. It is
-// the reference TestResultsViewMatchesStore compares the view against.
+// before it kept a results view: every read looks each cell of the
+// campaign grid up in the store, filters what it finds and aggregates
+// it. It is the reference TestResultsViewMatchesStore compares the view
+// against.
 func storeResultsDoc(t *testing.T, st *caem.CampaignStore, c *campaign, rawQuery string) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -109,17 +100,23 @@ func storeResultsDoc(t *testing.T, st *caem.CampaignStore, c *campaign, rawQuery
 	if !ok {
 		t.Fatalf("query %q: %s", rawQuery, rec.Body)
 	}
-	refs := gridRefs(c)
-	all, err := st.QueryCells(refs, caem.CellQuery{})
-	if err != nil {
-		t.Fatal(err)
+	var all []caem.CampaignCell
+	for i := range c.status {
+		si, p, seed := c.axes(i)
+		cell, ok, err := st.LookupCell(c.hashes[si], c.scenarios[si].Name, p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			all = append(all, cell)
+		}
 	}
-	cells, err := st.QueryCells(refs, q)
+	cells, err := caem.FilterCells(all, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := resultsResponse{
-		ID: c.id, State: c.snapshot().State, Total: len(refs), Completed: len(all),
+		ID: c.id, State: c.snapshot().State, Total: len(c.status), Completed: len(all),
 		Aggregates: wireAggregates(caem.AggregateCampaign(cells)),
 	}
 	if len(ps) > 0 {

@@ -46,6 +46,9 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			f.name, labelString(f.labelNames, s.labelValues, "", ""), formatValue(s.gauge.Value()))
 		return err
 	case TypeHistogram:
+		// _count is the +Inf bucket's cumulative count from this same
+		// pass, so an Observe landing mid-scrape cannot set the two
+		// apart; _sum, loaded after, may already include it.
 		h := s.histogram
 		cum := uint64(0)
 		for i, bound := range h.bounds {
@@ -65,7 +68,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n",
-			f.name, labelString(f.labelNames, s.labelValues, "", ""), h.Count())
+			f.name, labelString(f.labelNames, s.labelValues, "", ""), cum)
 		return err
 	}
 	return fmt.Errorf("obs: unknown family type %q", f.typ)

@@ -388,6 +388,23 @@ func canonicalLabels(labels map[string]string) string {
 	return b.String()
 }
 
+// Exemplify gives every family that has no series yet one, whose label
+// values are its label names (route="route"), and returns every family
+// name, sorted. The obs-check gate calls it on a bare catalog, so that
+// the exposition it round-trips shows every registered family; a served
+// registry must not, since the placeholder series would be scraped.
+func (r *Registry) Exemplify() []string {
+	fams := r.snapshotFamilies()
+	names := make([]string, len(fams))
+	for i, f := range fams {
+		names[i] = f.name
+		if len(f.snapshot()) == 0 {
+			f.get(f.labelNames)
+		}
+	}
+	return names
+}
+
 // Lint checks the registry's metric catalog against the project's
 // naming conventions — the obs-check gate. prefix is the required
 // family-name prefix ("caem_"); pass "" to skip the prefix rule.

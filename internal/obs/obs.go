@@ -7,7 +7,7 @@
 //
 // Instruments are cheap enough to update at cell/lease/store
 // granularity from many goroutines — a counter increment is one atomic
-// CAS, a histogram observation one binary search plus three atomics,
+// CAS, a histogram observation one binary search plus two atomics,
 // and neither allocates — but they are deliberately NOT wired into the
 // simulation hot path: the event engine stays alloc-free and
 // instrumentation lives at the orchestration layer around it
@@ -84,12 +84,12 @@ func (g *Gauge) Value() float64 { return g.v.Value() }
 
 // Histogram counts observations into fixed cumulative buckets — the
 // Prometheus histogram model: bucket le=B counts observations ≤ B,
-// plus a sum and total count for mean computation.
+// plus a sum for mean computation. The total count is the +Inf
+// bucket's, so a scrape's _count always equals it.
 type Histogram struct {
 	bounds []float64 // strictly increasing upper bounds, +Inf implicit
 	counts []atomic.Uint64
 	sum    atomicFloat
-	count  atomic.Uint64
 }
 
 // Observe records one observation.
@@ -99,11 +99,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }

@@ -39,9 +39,6 @@ func TestHistogramBucketing(t *testing.T) {
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
 	if got, want := h.Sum(), 0.005+0.01+0.05+0.5+2; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
@@ -196,8 +193,47 @@ func TestRegistryRace(t *testing.T) {
 	if total, _ := expositionSum(t, reg, "caem_race_cells_total"); total != workers*n {
 		t.Fatalf("lost increments: %v, want %d", total, workers*n)
 	}
-	if h.Count() != workers*n {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*n)
+	if count, _ := expositionSum(t, reg, "caem_race_rtt_seconds_count"); count != workers*n {
+		t.Fatalf("histogram count = %v, want %d", count, workers*n)
+	}
+}
+
+// TestHistogramScrapeConsistent: scrapes taken while other goroutines
+// observe always parse, so every histogram's +Inf bucket equals its
+// _count, and the last scrape counts every observation.
+func TestHistogramScrapeConsistent(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.HistogramVec("caem_scrape_batch_cells", "cells", SizeBuckets, "worker")
+	const workers, n = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			hw := h.With(string(rune('a' + id)))
+			for i := 0; i < n; i++ {
+				hw.Observe(float64(i % 100))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for scrapes := 0; ; scrapes++ {
+		select {
+		case <-done:
+			if count, _ := expositionSum(t, reg, "caem_scrape_batch_cells_count"); count != workers*n {
+				t.Fatalf("after %d scrapes: count = %v, want %d", scrapes, count, workers*n)
+			}
+			return
+		default:
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseText(&buf); err != nil {
+			t.Fatalf("scrape %d: %v", scrapes, err)
+		}
 	}
 }
 

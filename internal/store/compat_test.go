@@ -43,10 +43,12 @@ func compatLines(t *testing.T, dir string) [][]byte {
 
 // TestOpenCompatStore: the current reader opens a store written before
 // it. Has finds every key, which pins the Key.String bytes the committed
-// bloom filters hash; Get and Records return what json.Unmarshal reads
-// from the same lines (of two copies of a key, the later, as when the
-// store was written); and exactly the lines whose names the encoder
-// escaped went through json.Unmarshal.
+// bloom filters hash; Get returns what json.Unmarshal reads from the
+// same lines (of two copies of a key, the later, as when the store was
+// written); and exactly the lines whose names the encoder escaped went
+// through json.Unmarshal. Rolling the old tail into a segment, whose
+// line re-puts a key of an older segment, changes no answer, before or
+// after the next reopen.
 func TestOpenCompatStore(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(compatDir)); err != nil {
@@ -70,12 +72,15 @@ func TestOpenCompatStore(t *testing.T) {
 	if len(want) != 16 || escaped == 0 {
 		t.Fatalf("testdata holds %d cells and %d escaped lines, want 16 and some", len(want), escaped)
 	}
+	tail, err := os.ReadFile(filepath.Join(dir, dataFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if st := s.Stats(); st.Segments != 2 || st.Distinct != len(want) || st.ActiveRecords != 5 {
 		t.Fatalf("opened shape %+v, want 2 segments, %d cells, 5 tail records", st, len(want))
 	}
@@ -87,22 +92,42 @@ func TestOpenCompatStore(t *testing.T) {
 	if s.jsonDecodes != uint64(escaped) {
 		t.Fatalf("opening and Has(all) sent %d lines through json.Unmarshal, want the %d escaped ones", s.jsonDecodes, escaped)
 	}
-	for k, w := range want {
-		got, ok, err := s.Get(k)
-		if err != nil || !ok || !sameRecord(got, w) {
-			t.Fatalf("Get(%v) = %+v, %v, %v; want %+v", k, got, ok, err, w)
+	checkCompat := func(s *Store, stage string) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", stage, s.Len(), len(want))
+		}
+		for k, w := range want {
+			got, ok, err := s.Get(k)
+			if err != nil || !ok || !sameRecord(got, w) {
+				t.Fatalf("%s: Get(%v) = %+v, %v, %v; want %+v", stage, k, got, ok, err, w)
+			}
 		}
 	}
-	recs, err := s.Records()
+	checkCompat(s, "open")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A one-byte threshold rolls the tail on open.
+	s, err = OpenWith(dir, Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(want) {
-		t.Fatalf("Records lists %d cells, want %d", len(recs), len(want))
+	if st := s.Stats(); st.Segments != 3 || st.ActiveRecords != 0 {
+		t.Fatalf("rolled shape %+v, want 3 segments and an empty tail", st)
 	}
-	for _, r := range recs {
-		if w, ok := want[r.Key()]; !ok || !sameRecord(r, w) {
-			t.Fatalf("Records holds %+v, want %+v", r, w)
-		}
+	checkCompat(s, "roll")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(segmentRecords(t, dir, 2), tail) {
+		t.Fatal("the rolled segment's records are not the tail's bytes")
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkCompat(s, "reopen after the roll")
 }

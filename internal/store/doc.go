@@ -12,10 +12,11 @@
 //	<dir>/segments/seg-NNNNNN.jsonl  immutable segments rolled from the tail
 //	<dir>/campaigns/                 one JSON blob per campaign spec (service metadata)
 //
-// A segment is its deduplicated record lines, then a footer line (record
-// count, key ranges, a bloom filter over its keys, and the store-wide
-// distinct-cell count at the roll that wrote it), then a fixed-width
-// trailer locating the footer. Open reads every footer, takes the cell
+// A segment is the record lines of the tail it was rolled from, copied
+// as they stand, then a footer line (distinct-key count, key ranges, a
+// bloom filter over its keys, and the store-wide distinct-cell count at
+// the roll that wrote it), then a fixed-width trailer locating the
+// footer. Open reads every footer, takes the cell
 // count from the newest one, and rebuilds the tail index by scanning the
 // tail, which rolling keeps at most Options.SegmentBytes long. A torn
 // tail — a partial or undecodable final line left by a crash mid-append
@@ -40,10 +41,13 @@
 // and hands any other line to json.Unmarshal, so it returns exactly what
 // json.Unmarshal would (FuzzRecordDecode).
 //
-// Stores written before puts became write-once may hold several copies
-// of a key, as may a crash between publishing a segment and truncating
-// the tail. Reads take the tail first, then the segments newest first,
-// so the newest copy wins.
+// Every cell is read by its key (Has, Get); the store has no ordered or
+// whole-store read. Stores written before puts became write-once may
+// hold several copies of a key, in the tail and in segments rolled from
+// such a tail, as may a crash between publishing a segment and
+// truncating the tail. Reads take the tail first, then the segments
+// newest first, and within either the later line, so the newest copy
+// wins.
 //
 // Appends from concurrent campaign workers are serialized internally;
 // a Store is safe for concurrent use by one process. Multi-process

@@ -19,7 +19,6 @@ const (
 	metricSegments     = "caem_store_segments"
 	metricRolls        = "caem_store_segment_rolls_total"
 	metricSegmentLoads = "caem_store_segment_loads_total"
-	metricFullScans    = "caem_store_full_scans_total"
 )
 
 // storeMetrics holds the store's instrument handles. A nil
@@ -36,7 +35,6 @@ type storeMetrics struct {
 	segments     *obs.Gauge
 	rolls        *obs.Counter
 	segmentLoads *obs.Counter
-	fullScans    *obs.Counter
 }
 
 // RegisterMetrics registers the store's metric families on reg and
@@ -63,8 +61,6 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 			"Active-tail rolls into immutable segments."),
 		segmentLoads: reg.Counter(metricSegmentLoads,
 			"Lazy segment index loads (bloom/range pruning misses land here)."),
-		fullScans: reg.Counter(metricFullScans,
-			"Global-order materializations touching every segment (Records)."),
 	}
 }
 
@@ -118,11 +114,4 @@ func (m *storeMetrics) segmentLoad() {
 		return
 	}
 	m.segmentLoads.Inc()
-}
-
-func (m *storeMetrics) fullScan() {
-	if m == nil {
-		return
-	}
-	m.fullScans.Inc()
 }

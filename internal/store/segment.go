@@ -33,7 +33,7 @@ const (
 // instead of O(cells).
 type segFooter struct {
 	V        int    `json:"v"`
-	Records  int    `json:"records"`  // record lines (one per distinct key)
+	Records  int    `json:"records"`  // distinct keys
 	DataSize int64  `json:"dataSize"` // bytes of the record region
 	MinScen  string `json:"minScenario"`
 	MaxScen  string `json:"maxScenario"`
@@ -48,14 +48,12 @@ type segFooter struct {
 	Distinct int `json:"distinct,omitempty"`
 }
 
-// segment is one immutable segment file: record lines in first-put
-// order, one per key (a roll keeps only the latest version of each
-// key), then a footer line, then the fixed-width trailer. The footer is
-// resident from Open; the per-key index is loaded lazily on the first
-// lookup that the bloom filter cannot rule out, and cached. The index is
-// all a loaded segment keeps per record: Records, the rare path that
-// needs the records in order, sorts its entries by offset and parses
-// each Key back from its rendered form.
+// segment is one immutable segment file: the record lines of the tail
+// it was rolled from, byte for byte, then a footer line, then the
+// fixed-width trailer. The footer is resident from Open; the per-key
+// index is loaded lazily on the first lookup that the bloom filter
+// cannot rule out, and cached. The index is all a loaded segment keeps
+// per record.
 type segment struct {
 	path   string
 	seq    int
@@ -194,18 +192,6 @@ func (g *segment) ensureIndex(decode func([]byte) (Record, error)) error {
 	return nil
 }
 
-// orderedKeys returns the loaded segment's rendered keys in record
-// order: its index entries sorted by offset.
-func (g *segment) orderedKeys() []string {
-	byOff := slices.Clone(g.index)
-	slices.SortFunc(byOff, func(a, b segEntry) int { return cmp.Compare(a.e.Off, b.e.Off) })
-	kss := make([]string, len(byOff))
-	for i, se := range byOff {
-		kss[i] = se.ks
-	}
-	return kss
-}
-
 // readAt decodes the record at a segment entry. The caller holds the
 // store lock.
 func (g *segment) readAt(e indexEntry, decode func([]byte) (Record, error)) (Record, error) {
@@ -224,8 +210,9 @@ func (g *segment) readAt(e indexEntry, decode func([]byte) (Record, error)) (Rec
 	return r, nil
 }
 
-// footerOf builds the footer for a set of record lines about to become
-// a segment, given their keys and the keys' renderings kss.
+// footerOf builds the footer for a record region of dataSize bytes
+// about to become a segment, given its distinct keys and their
+// renderings kss.
 func footerOf(keys []Key, kss []string, dataSize int64) segFooter {
 	ft := segFooter{V: footerVersion, Records: len(keys), DataSize: dataSize, Bloom: newBloom(len(keys))}
 	for i, k := range keys {
@@ -246,10 +233,11 @@ func footerOf(keys []Key, kss []string, dataSize int64) segFooter {
 	return ft
 }
 
-// writeSegmentFile writes record lines + footer + trailer to path via a
-// temp file and atomic rename. A crash at any point leaves either no
+// writeSegmentFile writes a record region + footer + trailer to path via
+// a temp file and atomic rename; the footer's DataSize must be the
+// region's length. A crash at any point leaves either no
 // segment (ignored .tmp) or the complete one — never a partial segment.
-func writeSegmentFile(path string, lines [][]byte, footer segFooter) error {
+func writeSegmentFile(path string, data []byte, footer segFooter) error {
 	ftBlob, err := json.Marshal(footer)
 	if err != nil {
 		return fmt.Errorf("store: marshaling segment footer: %w", err)
@@ -260,23 +248,15 @@ func writeSegmentFile(path string, lines [][]byte, footer segFooter) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp) // no-op after a successful rename
-	off := int64(0)
-	for _, line := range lines {
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			return fmt.Errorf("store: writing segment: %w", err)
-		}
-		off += int64(len(line))
-	}
-	if off != footer.DataSize {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return fmt.Errorf("store: segment data size mismatch (%d written, footer says %d)", off, footer.DataSize)
+		return fmt.Errorf("store: writing segment: %w", err)
 	}
 	if _, err := f.Write(append(ftBlob, '\n')); err != nil {
 		f.Close()
 		return fmt.Errorf("store: writing segment footer: %w", err)
 	}
-	trailer := fmt.Sprintf("%0*d\n", segTrailerLen-1, off)
+	trailer := fmt.Sprintf("%0*d\n", segTrailerLen-1, len(data))
 	if _, err := f.WriteString(trailer); err != nil {
 		f.Close()
 		return fmt.Errorf("store: writing segment trailer: %w", err)

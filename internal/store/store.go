@@ -2,13 +2,11 @@ package store
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,7 +88,7 @@ func (k Key) String() string {
 
 // parseKey parses a key back from its rendering: String escapes every
 // '/' inside a field, so the rendering splits into exactly its four
-// fields.
+// fields. A roll parses each tail key back for its footer's key ranges.
 func parseKey(ks string) (Key, error) {
 	f := strings.Split(ks, "/")
 	if len(f) != 4 {
@@ -178,25 +176,16 @@ type indexEntry struct {
 	Len int
 }
 
-// tailEntry is one key's place in the active tail: its latest record
-// line, and the offset of its first, by which the tail is ordered. The
-// two differ only in a tail written before puts became write-once.
-type tailEntry struct {
-	indexEntry
-	First int64
-}
-
 // Stats is a snapshot of the store's shape and access counters. The
-// scan counters let tests prove access-path claims: a query path that
-// never rescans keeps FullScans flat, and bloom/range pruning shows up
-// as SegmentLoads staying below the segment count.
+// counters let tests prove access-path claims: bloom/range pruning shows
+// up as SegmentLoads staying below the segment count, and Open's
+// distinct recount as one load of every segment.
 type Stats struct {
 	Segments      int   // immutable segment files
 	Distinct      int   // distinct stored cells (segments + active tail)
 	ActiveRecords int   // distinct keys in the active tail
 	ActiveBytes   int64 // bytes in the active tail
 
-	FullScans    uint64 // global-order materializations (Records) and Open's distinct recount
 	SegmentLoads uint64 // lazy segment index loads
 	Rolls        uint64 // active-tail rolls into segments
 }
@@ -211,7 +200,7 @@ type Store struct {
 	mu        sync.Mutex
 	f         *os.File              // active tail handle
 	size      int64                 // current validated tail length
-	index     map[string]tailEntry  // key → its latest and first tail record lines
+	index     map[string]indexEntry // key → its latest tail record line
 	segs      []*segment            // immutable segments, oldest first
 	nextSeq   int                   // next segment sequence number
 	distinct  int                   // distinct keys across segments + tail
@@ -219,7 +208,6 @@ type Store struct {
 	fault     func(op string) error // injected write fault (tests)
 	met       *storeMetrics         // nil until Observe; nil is inert
 
-	fullScans    uint64
 	segmentLoads uint64
 	rolls        uint64
 	// jsonDecodes counts record lines that decodeRecord handed to
@@ -286,7 +274,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), f: f, index: make(map[string]tailEntry)}
+	s := &Store{dir: dir, opts: opts.withDefaults(), f: f, index: make(map[string]indexEntry)}
 	// Earlier versions checkpointed the tail index to index.json. Finding
 	// one means such a version wrote here after this one last did, and
 	// its compactions may have left the newest footer's count stale, so
@@ -323,8 +311,8 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 // load restores the in-memory state: segment footers, the distinct-cell
 // count from the newest footer, then a scan of the whole tail. When that
 // footer predates the count (it reads zero, while a segment is never
-// empty), or when recount is set, the count is rebuilt with one full
-// scan instead, and the next roll persists it.
+// empty), or when recount is set, the count is rebuilt instead from
+// every segment's key index, and the next roll persists it.
 func (s *Store) load(recount bool) error {
 	segs, err := loadSegments(filepath.Join(s.dir, segmentsDir))
 	if err != nil {
@@ -373,10 +361,7 @@ func (s *Store) scan(to int64, counted bool) error {
 		}
 		k := r.Key()
 		ks := k.String()
-		first := off
-		if e, dup := s.index[ks]; dup {
-			first = e.First
-		} else if counted {
+		if _, dup := s.index[ks]; !dup && counted {
 			inSeg, err := s.inSegmentsLocked(k, ks)
 			if err != nil {
 				return err
@@ -385,7 +370,7 @@ func (s *Store) scan(to int64, counted bool) error {
 				s.distinct++
 			}
 		}
-		s.index[ks] = tailEntry{indexEntry{Off: off, Len: nl + 1}, first}
+		s.index[ks] = indexEntry{Off: off, Len: nl + 1}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 		s.size = off
@@ -400,11 +385,10 @@ func (s *Store) scan(to int64, counted bool) error {
 }
 
 // recountDistinctLocked rebuilds the distinct-cell count by unioning
-// every segment's key set with the tail: the path when the newest
-// segment footer cannot be trusted for the count (see load).
+// every segment's key set with the tail, loading every segment index:
+// the path when the newest segment footer cannot be trusted for the
+// count (see load).
 func (s *Store) recountDistinctLocked() error {
-	s.fullScans++
-	s.met.fullScan()
 	set := make(map[string]struct{}, len(s.index))
 	for _, seg := range s.segs {
 		if err := s.ensureSegIndex(seg); err != nil {
@@ -484,7 +468,6 @@ func (s *Store) Stats() Stats {
 		Distinct:      s.distinct,
 		ActiveRecords: len(s.index),
 		ActiveBytes:   s.size,
-		FullScans:     s.fullScans,
 		SegmentLoads:  s.segmentLoads,
 		Rolls:         s.rolls,
 	}
@@ -529,7 +512,7 @@ func (s *Store) Get(k Key) (Record, bool, error) {
 func (s *Store) getLocked(k Key) (Record, bool, error) {
 	ks := k.String()
 	if e, ok := s.index[ks]; ok {
-		r, err := s.readAt(e.indexEntry)
+		r, err := s.readAt(e)
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -657,7 +640,7 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 	}
 	s.met.observeFsync(time.Since(syncStart).Seconds())
 	for i, ks := range kss {
-		s.index[ks] = tailEntry{indexEntry{Off: s.size, Len: lens[i]}, s.size}
+		s.index[ks] = indexEntry{Off: s.size, Len: lens[i]}
 		s.size += int64(lens[i])
 	}
 	s.distinct += len(kss)
@@ -668,15 +651,18 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 	return nil
 }
 
-// rollLocked rolls the active tail into a new immutable segment:
-// deduplicated record lines (latest content at first-put position) are
-// written with footer and trailer to a temp file, fsynced, renamed into
-// place, and the segments directory is fsynced; only then is the tail
-// truncated. The footer records the store's distinct-cell count, which
-// is how the count survives a restart. A crash anywhere leaves either
-// the intact tail (segment never published) or the segment plus a tail
-// whose records duplicate it — both of which reopen correctly, because
-// a read takes the tail's copy before any segment's.
+// rollLocked rolls the active tail into a new immutable segment: the
+// tail's bytes, as they stand, are written with footer and trailer to a
+// temp file, fsynced, renamed into place, and the segments directory is
+// fsynced; only then is the tail truncated. A tail holds one line per
+// key in first-put order, unless it was written before puts became
+// write-once: then its superseded lines go into the segment too, where
+// a read resolves a key to its later line, as in the tail. The footer
+// records the store's distinct-cell count, which is how the count
+// survives a restart. A crash anywhere leaves either the intact tail
+// (segment never published) or the segment plus a tail whose records
+// duplicate it — both of which reopen correctly, because a read takes
+// the tail's copy before any segment's.
 func (s *Store) rollLocked() error {
 	if len(s.index) == 0 {
 		return nil
@@ -684,28 +670,26 @@ func (s *Store) rollLocked() error {
 	if err := s.faultAt("roll"); err != nil {
 		return err
 	}
-	kss := s.tailOrderLocked()
-	keys := make([]Key, 0, len(kss))
-	lines := make([][]byte, 0, len(kss))
-	var dataSize int64
-	for _, ks := range kss {
+	data := make([]byte, s.size)
+	if _, err := s.f.ReadAt(data, 0); err != nil {
+		return &WriteError{Op: "roll", Err: err}
+	}
+	keys := make([]Key, 0, len(s.index))
+	kss := make([]string, 0, len(s.index))
+	index := make(segIndex, 0, len(s.index))
+	for ks, e := range s.index {
 		k, err := parseKey(ks)
 		if err != nil {
 			return err
 		}
-		e := s.index[ks]
-		buf := make([]byte, e.Len)
-		if _, err := s.f.ReadAt(buf, e.Off); err != nil {
-			return &WriteError{Op: "roll", Err: err}
-		}
 		keys = append(keys, k)
-		lines = append(lines, buf)
-		dataSize += int64(e.Len)
+		kss = append(kss, ks)
+		index = append(index, segEntry{ks, e})
 	}
-	ft := footerOf(keys, kss, dataSize)
+	ft := footerOf(keys, kss, s.size)
 	ft.Distinct = s.distinct
 	path := filepath.Join(s.dir, segmentsDir, segName(s.nextSeq))
-	if err := writeSegmentFile(path, lines, ft); err != nil {
+	if err := writeSegmentFile(path, data, ft); err != nil {
 		return &WriteError{Op: "roll", Err: err}
 	}
 	// The truncate below destroys the tail's copy of these records, so
@@ -713,15 +697,7 @@ func (s *Store) rollLocked() error {
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return &WriteError{Op: "roll", Err: err}
 	}
-	seg := &segment{path: path, seq: s.nextSeq, footer: ft}
-	seg.index = make(segIndex, len(kss))
-	off := int64(0)
-	for i, ks := range kss {
-		seg.index[i] = segEntry{ks, indexEntry{Off: off, Len: len(lines[i])}}
-		off += int64(len(lines[i]))
-	}
-	seg.index = sortSegIndex(seg.index)
-	s.segs = append(s.segs, seg)
+	s.segs = append(s.segs, &segment{path: path, seq: s.nextSeq, footer: ft, index: sortSegIndex(index)})
 	s.nextSeq++
 	if err := s.f.Truncate(0); err != nil {
 		return &WriteError{Op: "roll", Err: err}
@@ -730,89 +706,10 @@ func (s *Store) rollLocked() error {
 		return &WriteError{Op: "roll", Err: err}
 	}
 	s.size = 0
-	s.index = make(map[string]tailEntry)
+	s.index = make(map[string]indexEntry)
 	s.rolls++
 	s.met.rollDone(len(s.segs))
 	return nil
-}
-
-// Records returns every stored record in first-Put order (for a key
-// that a store written before puts became write-once holds twice, the
-// newest copy). This is the full-scan path — intentionally the only read
-// that touches every segment's data.
-func (s *Store) Records() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	order, src, err := s.globalOrderLocked()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, 0, len(order))
-	for _, k := range order {
-		ks := k.String()
-		var r Record
-		var err error
-		if seg := src[ks]; seg != nil {
-			e, _ := seg.index.lookup(ks)
-			r, err = seg.readAt(e, s.decodeLine)
-		} else {
-			r, err = s.readAt(s.index[ks].indexEntry)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// globalOrderLocked materializes the store-wide first-Put key order and
-// the latest source (segment, or nil for the active tail) of each key.
-// Neither a segment nor the tail keeps a key order of its own: their keys
-// come back in record order from their index offsets, each parsed from
-// its rendered form.
-func (s *Store) globalOrderLocked() ([]Key, map[string]*segment, error) {
-	s.fullScans++
-	s.met.fullScan()
-	order := make([]Key, 0, s.distinct)
-	src := make(map[string]*segment, s.distinct)
-	for _, seg := range s.segs {
-		if err := s.ensureSegIndex(seg); err != nil {
-			return nil, nil, err
-		}
-		for _, ks := range seg.orderedKeys() {
-			if _, dup := src[ks]; !dup {
-				k, err := parseKey(ks)
-				if err != nil {
-					return nil, nil, err
-				}
-				order = append(order, k)
-			}
-			src[ks] = seg
-		}
-	}
-	for _, ks := range s.tailOrderLocked() {
-		if _, dup := src[ks]; !dup {
-			k, err := parseKey(ks)
-			if err != nil {
-				return nil, nil, err
-			}
-			order = append(order, k)
-		}
-		src[ks] = nil
-	}
-	return order, src, nil
-}
-
-// tailOrderLocked returns the active tail's rendered keys in first-Put
-// order: by the offset of each key's first line.
-func (s *Store) tailOrderLocked() []string {
-	kss := make([]string, 0, len(s.index))
-	for ks := range s.index {
-		kss = append(kss, ks)
-	}
-	slices.SortFunc(kss, func(a, b string) int { return cmp.Compare(s.index[a].First, s.index[b].First) })
-	return kss
 }
 
 // Close releases the file handles. Every acknowledged write is already
