@@ -56,7 +56,7 @@ vet:
 # testdata/fuzz/) already runs as deterministic subtests in plain
 # `go test`; this target explores BEYOND the corpus for a bounded
 # budget per fuzzer (go's fuzz engine allows one -fuzz target per
-# invocation, hence seven runs):
+# invocation, hence eight runs):
 #   FuzzSpecLoad            — adversarial JSON never panics the loader
 #   FuzzGeneratorValidity   — every generated spec loads and regenerates
 #                             byte-identically
@@ -78,6 +78,11 @@ vet:
 #   FuzzKeyRoundTrip        — any valid store key parses back from its
 #                             rendering, which stays byte for byte the
 #                             form the segment bloom filters hash
+#   FuzzSegmentKeys         — the segment key-block parser returns an
+#                             index or an error for any bytes, an index
+#                             it returns renders back to those bytes,
+#                             and the key block a roll writes parses
+#                             back to exactly the roll's index
 #   FuzzEngineOrder         — any mix of ordinary and first-class
 #                             schedules, cancels, runs, stops and resets
 #                             executes events in the (time, class,
@@ -92,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreReopen$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentKeys$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # Fast-fail lint pass: formatting, vet, the dead-code gate, and

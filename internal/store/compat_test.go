@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 )
 
@@ -18,25 +17,27 @@ const compatDir = "testdata/compat"
 
 // compatLines returns the record lines of a store directory in the order
 // they were written: each segment's record region, oldest segment
-// first, then the tail.
+// first, then the tail. A segment is cut at its footer's dataSize, which
+// leaves out the key block, the footer and the trailer.
 func compatLines(t *testing.T, dir string) [][]byte {
 	t.Helper()
-	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*"+segmentExt))
+	segs, err := loadSegments(filepath.Join(dir, segmentsDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(segs)
+	var regions [][]byte
+	for _, seg := range segs {
+		regions = append(regions, segmentRecords(t, dir, seg.seq))
+	}
+	tail, err := os.ReadFile(filepath.Join(dir, dataFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lines [][]byte
-	for _, path := range append(segs, filepath.Join(dir, dataFile)) {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	for _, region := range append(regions, tail) {
+		if len(region) > 0 {
+			lines = append(lines, bytes.Split(bytes.TrimSuffix(region, []byte{'\n'}), []byte{'\n'})...)
 		}
-		ls := bytes.Split(bytes.TrimSuffix(blob, []byte{'\n'}), []byte{'\n'})
-		if path != filepath.Join(dir, dataFile) {
-			ls = ls[:len(ls)-2] // the footer and the trailer
-		}
-		lines = append(lines, ls...)
 	}
 	return lines
 }
@@ -130,4 +131,88 @@ func TestOpenCompatStore(t *testing.T) {
 	}
 	defer s.Close()
 	checkCompat(s, "reopen after the roll")
+}
+
+// TestMixedSegmentVersions: a roll on top of the committed store writes
+// a version 3 segment beside its two version 2 ones, and every key reads
+// as before, in the process that rolled and after a reopen, with no
+// checksum failure. The old segments are indexed by decoding their
+// lines, the new one from its key block.
+func TestMixedSegmentVersions(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(compatDir)); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[Key]Record)
+	for _, line := range compatLines(t, dir) {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("testdata line %s: %v", line, err)
+		}
+		want[r.Key()] = r
+	}
+	check := func(s *Store, stage string) {
+		t.Helper()
+		if s.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", stage, s.Len(), len(want))
+		}
+		for k, w := range want {
+			got, ok, err := s.Get(k)
+			if err != nil || !ok || !sameRecord(got, w) {
+				t.Fatalf("%s: Get(%v) = %+v, %v, %v; want %+v", stage, k, got, ok, err, w)
+			}
+		}
+	}
+
+	s, err := OpenWith(dir, Options{SegmentBytes: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; s.Stats().Segments == 2; i++ {
+		r := rec(100 + i)
+		if err := s.PutBatch([]Record{r}); err != nil {
+			t.Fatal(err)
+		}
+		r.V = recordVersion
+		want[r.Key()] = r
+	}
+	check(s, "roll")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	versions := make([]int, 0, 3)
+	for _, seg := range s.segs {
+		versions = append(versions, seg.footer.V)
+	}
+	if len(versions) != 3 || versions[0] != footerV2 || versions[1] != footerV2 || versions[2] != footerVersion {
+		t.Fatalf("segment footer versions %v, want [2 2 3]", versions)
+	}
+	check(s, "reopen")
+	if s.corrupt != 0 {
+		t.Fatalf("counted %d checksum failures, want none", s.corrupt)
+	}
+	// compatLines cuts the new segment at its dataSize too, so the lines
+	// it returns, later lines winning, are still exactly what Get reads.
+	last := make(map[Key]Record)
+	for _, line := range compatLines(t, dir) {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("record line %s: %v", line, err)
+		}
+		last[r.Key()] = r
+	}
+	if len(last) != len(want) {
+		t.Fatalf("compatLines found %d cells in the mixed store, want %d", len(last), len(want))
+	}
+	for k, w := range want {
+		if !sameRecord(last[k], w) {
+			t.Fatalf("compatLines' last line of %v is %+v, want %+v", k, last[k], w)
+		}
+	}
 }

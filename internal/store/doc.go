@@ -13,12 +13,21 @@
 //	<dir>/campaigns/                 one JSON blob per campaign spec (service metadata)
 //
 // A segment is the record lines of the tail it was rolled from, copied
-// as they stand, then a footer line (distinct-key count, key ranges, a
-// bloom filter over its keys, and the store-wide distinct-cell count at
-// the roll that wrote it), then a fixed-width trailer locating the
-// footer. Open reads every footer, takes the cell
+// as they stand, then a key block, then a footer line (distinct-key
+// count, key ranges, a bloom filter over its keys, the store-wide
+// distinct-cell count at the roll that wrote it, and the key block's
+// length and CRC-32C), then a fixed-width trailer locating the footer.
+// The key block holds one line per distinct key, sorted by rendered
+// key: the key, the offset and length of its record line, and that
+// line's CRC-32C (Castagnoli). Open reads every footer, takes the cell
 // count from the newest one, and rebuilds the tail index by scanning the
-// tail, which rolling keeps at most Options.SegmentBytes long. A torn
+// tail, which rolling keeps at most Options.SegmentBytes long. A
+// segment's key index is loaded on the first lookup its bloom filter
+// admits, from the key block alone, and every record line read from the
+// segment is checked against its CRC-32C before it is decoded: a
+// mismatch is an error, never a Record. A segment written before the key
+// block existed (footer version 2), or one whose key block fails its
+// checksum, is indexed by decoding its record lines instead. A torn
 // tail — a partial or undecodable final line left by a crash mid-append
 // — is truncated away on Open and reported via RecoveredBytes, so a
 // killed campaign can always restart cleanly.

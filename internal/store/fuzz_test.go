@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -164,5 +166,82 @@ func FuzzStoreReopen(f *testing.F) {
 			rolled = st.Rolls > rolls && st.ActiveRecords == 0
 		}
 		check(len(steps))
+	})
+}
+
+// tailOf builds a tail for FuzzSegmentKeys from arbitrary bytes: each
+// non-empty line of b becomes one record line, and the scenario of its
+// key. A line repeated later supersedes the earlier copy, as in a tail
+// written before puts became write-once.
+func tailOf(b []byte) (data []byte, index map[string]indexEntry) {
+	index = make(map[string]indexEntry)
+	for _, name := range bytes.Split(b, []byte{'\n'}) {
+		if len(name) == 0 {
+			continue
+		}
+		k := Key{Hash: "0123456789abcdef", Scenario: string(name), Protocol: "CAEM-scheme1", Seed: uint64(len(name))}
+		index[k.String()] = indexEntry{Off: int64(len(data)), Len: int32(len(name) + 1)}
+		data = append(append(data, name...), '\n')
+	}
+	return data, index
+}
+
+// FuzzSegmentKeys: parseKeyBlock returns an index or an error for any
+// bytes, record count and region size, and never panics, and an index
+// it returns renders back to exactly the bytes it parsed. The key block
+// a roll writes (sealIndex, then appendKeyBlock) for a tail built from
+// the same bytes parses back to exactly the roll's index.
+func FuzzSegmentKeys(f *testing.F) {
+	for _, names := range []string{"a/b\nx y\n<&>\né\nnode-churn\na/b\n", "storm", "\xff\n%2F\n \n+\n"} {
+		data, tail := tailOf([]byte(names))
+		x := sealIndex(data, tail)
+		f.Add(appendKeyBlock(nil, x), len(x), int64(len(data)))
+	}
+	data, tail := tailOf([]byte("a\nb\nc\n"))
+	x := sealIndex(data, tail)
+	block := string(appendKeyBlock(nil, x))
+	first, _, _ := strings.Cut(block, "\n")
+	fields := strings.Fields(first)
+	for _, v := range []struct{ old, new string }{
+		{first, first + " 7"},                           // a fifth field
+		{first, strings.Replace(first, " ", "  ", 1)},   // two spaces
+		{first, " " + first},                            // an empty key
+		{" " + fields[1] + " ", " 0" + fields[1] + " "}, // a leading zero
+		{" " + fields[1] + " ", " -" + fields[1] + " "}, // a sign
+		{" " + fields[2] + " ", " 0 "},                  // an empty line
+		{" " + fields[2] + " ", " 99999999999 "},        // past the region
+		{" " + fields[3], " 4294967296"},                // a 33-bit crc
+		{" " + fields[3], " 99999999999999999999"},      // past uint64
+		{first + "\n", ""},                              // a key missing
+		{first + "\n", first + "\n" + first + "\n"},     // a key twice
+		{block, strings.TrimSuffix(block, "\n")},        // no final newline
+		{block, block[len(first)+1:] + first + "\n"},    // out of order
+	} {
+		if !strings.Contains(block, v.old) {
+			f.Fatalf("seed variant %q: the block has no %q", v.new, v.old)
+		}
+		bad := []byte(strings.Replace(block, v.old, v.new, 1))
+		if _, err := parseKeyBlock(bad, len(x), int64(len(data))); err == nil {
+			f.Fatalf("seed variant %q parses", bad)
+		}
+		f.Add(bad, len(x), int64(len(data)))
+	}
+	f.Add([]byte(block), len(x)+1, int64(len(data))) // a key short
+	f.Add([]byte(block), len(x), int64(-1))          // no record region
+	f.Fuzz(func(t *testing.T, block []byte, records int, dataSize int64) {
+		if x, err := parseKeyBlock(block, records, dataSize); err == nil {
+			if got := appendKeyBlock(nil, x); !bytes.Equal(got, block) {
+				t.Fatalf("parseKeyBlock(%q) = %v, which renders as %q", block, x, got)
+			}
+		}
+		data, tail := tailOf(block)
+		x := sealIndex(data, tail)
+		back, err := parseKeyBlock(appendKeyBlock(nil, x), len(x), int64(len(data)))
+		if err != nil {
+			t.Fatalf("the key block of %v does not parse: %v", x, err)
+		}
+		if !reflect.DeepEqual(back, x) {
+			t.Fatalf("the key block of %v parses back as %v", x, back)
+		}
 	})
 }

@@ -19,6 +19,7 @@ const (
 	metricSegments     = "caem_store_segments"
 	metricRolls        = "caem_store_segment_rolls_total"
 	metricSegmentLoads = "caem_store_segment_loads_total"
+	metricCorrupt      = "caem_store_corrupt_records_total"
 )
 
 // storeMetrics holds the store's instrument handles. A nil
@@ -35,6 +36,7 @@ type storeMetrics struct {
 	segments     *obs.Gauge
 	rolls        *obs.Counter
 	segmentLoads *obs.Counter
+	corrupt      *obs.Counter
 }
 
 // RegisterMetrics registers the store's metric families on reg and
@@ -61,13 +63,16 @@ func RegisterMetrics(reg *obs.Registry) *storeMetrics {
 			"Active-tail rolls into immutable segments."),
 		segmentLoads: reg.Counter(metricSegmentLoads,
 			"Lazy segment index loads (bloom/range pruning misses land here)."),
+		corrupt: reg.Counter(metricCorrupt,
+			"Segment checksum failures: key blocks and record lines read whose CRC-32C did not match."),
 	}
 }
 
 // Observe attaches the store to a metrics registry: families are
-// registered get-or-create and the recovery/size gauges primed from
-// current state. Call once after Open; a store never observed skips
-// all instrumentation.
+// registered get-or-create, the recovery/size gauges primed from
+// current state, and the segment-load and checksum-failure counters
+// seeded with what Open already counted. Call once after Open; a store
+// never observed skips all instrumentation.
 func (s *Store) Observe(reg *obs.Registry) {
 	m := RegisterMetrics(reg)
 	s.mu.Lock()
@@ -75,6 +80,8 @@ func (s *Store) Observe(reg *obs.Registry) {
 	m.recovered.Set(float64(s.recovered))
 	m.cells.Set(float64(s.distinct))
 	m.segments.Set(float64(len(s.segs)))
+	m.segmentLoads.Add(float64(s.segmentLoads))
+	m.corrupt.Add(float64(s.corrupt))
 	s.mu.Unlock()
 }
 
@@ -114,4 +121,11 @@ func (m *storeMetrics) segmentLoad() {
 		return
 	}
 	m.segmentLoads.Inc()
+}
+
+func (m *storeMetrics) corruptRecord() {
+	if m == nil {
+		return
+	}
+	m.corrupt.Inc()
 }

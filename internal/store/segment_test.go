@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // smallSeg rolls the active tail every couple of records — segment
@@ -458,7 +461,7 @@ func TestDistinctSurvivesRebuildWithSegments(t *testing.T) {
 		}
 		ft := seg.footer
 		ft.Distinct = 0
-		if err := writeSegmentFile(seg.path, blob[:ft.DataSize], ft); err != nil {
+		if err := writeSegmentFile(seg.path, blob[:ft.DataSize], blob[ft.DataSize:ft.DataSize+ft.KeysSize], ft); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -589,4 +592,223 @@ func TestBloomRoundTrip(t *testing.T) {
 	if !nilBloom.has("anything") {
 		t.Fatal("nil bloom must not exclude")
 	}
+}
+
+// scrapeCounter returns the value a scrape of reg reports for the
+// unlabelled family name.
+func scrapeCounter(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := exp.Value(name)
+	if !ok {
+		t.Fatalf("the scrape has no %s", name)
+	}
+	return v
+}
+
+// checksumStore writes n records through a store that rolls every
+// couple of records and returns the records as Get returns them.
+func checksumStore(t *testing.T, dir string, n int) []Record {
+	t.Helper()
+	s := openSmall(t, dir)
+	want := make([]Record, 0, n)
+	for i := range n {
+		r := rec(i)
+		if err := s.PutBatch([]Record{r}); err != nil {
+			t.Fatal(err)
+		}
+		r.V = recordVersion
+		want = append(want, r)
+	}
+	if st := s.Stats(); st.Segments < 3 {
+		t.Fatalf("precondition: %d segments, want 3 or more", st.Segments)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// rewrite applies edit to the bytes of the file at path.
+func rewrite(t *testing.T, path string, edit func(blob []byte)) {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(blob)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentRecordBitFlip: one flipped digit inside a sealed record
+// line still decodes, to other numbers, so only the key block's CRC-32C
+// can tell. Get of that key answers an error naming the segment and the
+// offset, and no Record; every other key reads unchanged, and the
+// corruption counter rises by exactly 1.
+func TestSegmentRecordBitFlip(t *testing.T) {
+	dir := t.TempDir()
+	want := checksumStore(t, dir, 12)
+	seg, err := openSegment(filepath.Join(dir, segmentsDir, segName(0)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(seg.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := seg.footer
+	index, err := parseKeyBlock(blob[ft.DataSize:ft.DataSize+ft.KeysSize], ft.Records, ft.DataSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := index[0]
+	k, err := parseKey(hit.ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flipped []byte
+	rewrite(t, seg.path, func(blob []byte) {
+		line := blob[hit.e.Off : hit.e.Off+int64(hit.e.Len)-1]
+		i := bytes.Index(line, []byte(`"rounds":`)) + len(`"rounds":`)
+		line[i] ^= 1 // one digit for another
+		flipped = bytes.Clone(line)
+	})
+	if r, _, err := decodeRecord(flipped); err != nil || r.Summary.Rounds == rec(int(k.Seed)).Summary.Rounds {
+		t.Fatalf("precondition: the flipped line decodes to %+v, %v; want other numbers", r.Summary, err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	for _, w := range want {
+		got, ok, err := s.Get(w.Key())
+		if w.Key() != k {
+			if err != nil || !ok || !sameRecord(got, w) {
+				t.Fatalf("Get(%v) = %+v, %v, %v; want %+v", w.Key(), got, ok, err, w)
+			}
+			continue
+		}
+		if !errors.Is(err, errChecksum) || ok || got != (Record{}) {
+			t.Fatalf("Get of the flipped line = %+v, %v, %v; want a checksum error and no record", got, ok, err)
+		}
+		for _, part := range []string{segName(0), fmt.Sprintf("at %d", hit.e.Off)} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("the checksum error %q does not name %q", err, part)
+			}
+		}
+	}
+	if s.corrupt != 1 {
+		t.Fatalf("counted %d checksum failures, want 1", s.corrupt)
+	}
+	if got := scrapeCounter(t, reg, metricCorrupt); got != 1 {
+		t.Fatalf("%s = %v, want 1", metricCorrupt, got)
+	}
+}
+
+// TestSegmentKeyBlockBitFlip: a flipped digit in a key block still
+// parses, to another checksum, so only the block's own CRC-32C can
+// tell. The index load counts it and falls back to decoding that
+// segment's records, so Has and Get still answer every key, and no
+// other segment decodes a record.
+func TestSegmentKeyBlockBitFlip(t *testing.T) {
+	dir := t.TempDir()
+	want := checksumStore(t, dir, 12)
+	seg, err := openSegment(filepath.Join(dir, segmentsDir, segName(0)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite(t, seg.path, func(blob []byte) {
+		block := blob[seg.footer.DataSize : seg.footer.DataSize+seg.footer.KeysSize]
+		block[bytes.IndexByte(block, '\n')-1] ^= 1 // the first line's last crc digit
+		if _, err := parseKeyBlock(block, seg.footer.Records, seg.footer.DataSize); err != nil {
+			t.Fatalf("precondition: the flipped key block does not parse: %v", err)
+		}
+	})
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	tail := s.Stats().ActiveRecords
+	for _, w := range want {
+		if !s.Has(w.Key()) {
+			t.Fatalf("Has(%v) = false", w.Key())
+		}
+	}
+	st := s.Stats()
+	if st.SegmentLoads != uint64(st.Segments) || s.decodes != uint64(tail+seg.footer.Records) {
+		t.Fatalf("Has(all): %d segment loads of %d segments and %d lines decoded; want %d and the %d tail lines plus the %d of the flipped segment",
+			st.SegmentLoads, st.Segments, s.decodes, st.Segments, tail, seg.footer.Records)
+	}
+	checkStored(t, s, want)
+	if s.corrupt != 1 {
+		t.Fatalf("counted %d checksum failures, want 1", s.corrupt)
+	}
+	if got := scrapeCounter(t, reg, metricCorrupt); got != 1 {
+		t.Fatalf("%s = %v, want 1", metricCorrupt, got)
+	}
+}
+
+// TestObserveSeedsOpenCounts: Open loads a segment index when a tail
+// key may sit in a segment, which it does after a crash between
+// publishing a segment and truncating the tail, and it counts a key
+// block that fails its checksum; Observe comes later, and seeds both
+// counters, so every scrape equals Stats().SegmentLoads and the
+// checksum failures counted.
+func TestObserveSeedsOpenCounts(t *testing.T) {
+	dir := t.TempDir()
+	want := checksumStore(t, dir, 12)
+	segs, err := loadSegments(filepath.Join(dir, segmentsDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := segs[len(segs)-1]
+	rewrite(t, newest.path, func(blob []byte) {
+		if err := os.WriteFile(filepath.Join(dir, dataFile), blob[:newest.footer.DataSize], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		blob[newest.footer.DataSize] ^= 1 // the first key's first byte
+	})
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.SegmentLoads != 1 || s.corrupt != 1 {
+		t.Fatalf("Open made %d segment loads and counted %d checksum failures, want 1 and 1", st.SegmentLoads, s.corrupt)
+	}
+	reg := obs.NewRegistry()
+	s.Observe(reg)
+	check := func(stage string) {
+		t.Helper()
+		if got, want := scrapeCounter(t, reg, metricSegmentLoads), float64(s.Stats().SegmentLoads); got != want {
+			t.Fatalf("%s: %s = %v, want Stats().SegmentLoads = %v", stage, metricSegmentLoads, got, want)
+		}
+		if got := scrapeCounter(t, reg, metricCorrupt); got != 1 {
+			t.Fatalf("%s: %s = %v, want 1", stage, metricCorrupt, got)
+		}
+	}
+	check("open")
+	checkStored(t, s, want)
+	if st := s.Stats(); st.SegmentLoads < 2 {
+		t.Fatalf("precondition: reading every key made %d segment loads in all, want more than Open's", st.SegmentLoads)
+	}
+	check("Get(all)")
 }

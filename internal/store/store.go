@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -170,10 +172,13 @@ func (r Record) Key() Key {
 }
 
 // indexEntry locates one record line inside results.jsonl or inside a
-// segment's record region.
+// segment's record region. A segment's entry also carries the line's
+// CRC-32C, newline included, which every read of the line checks; a
+// tail entry's is zero and unused.
 type indexEntry struct {
 	Off int64
-	Len int
+	Len int32
+	CRC uint32
 }
 
 // Stats is a snapshot of the store's shape and access counters. The
@@ -210,9 +215,14 @@ type Store struct {
 
 	segmentLoads uint64
 	rolls        uint64
-	// jsonDecodes counts record lines that decodeRecord handed to
-	// json.Unmarshal: none that PutBatch wrote, unless a name needed JSON
-	// escaping.
+	// corrupt counts segment checksum failures: each key block and each
+	// record line read whose CRC-32C did not match. Open can count some
+	// before Observe, which seeds the metric from it.
+	corrupt uint64
+	// decodes counts the record lines decoded, and jsonDecodes those of
+	// them that decodeRecord handed to json.Unmarshal: none that PutBatch
+	// wrote, unless a name needed JSON escaping.
+	decodes     uint64
 	jsonDecodes uint64
 }
 
@@ -257,12 +267,13 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
 // previous writer crashed mid-append. Startup cost is O(segments) plus
 // one pass over the tail, which rolling bounds at SegmentBytes; each
 // tail line goes through decodeRecord, which parses the lines PutBatch
-// writes without encoding/json. A segment's records are decoded later,
-// once, by the first lookup its bloom filter admits, so a caller that
-// looks up every stored key (as a service re-planning its campaigns
-// does) decodes every record once in all. A tail larger than the
-// segment threshold (such as a flat log written before segmentation) is
-// rolled into a segment on open.
+// writes without encoding/json. A segment's key index is loaded later,
+// once, by the first lookup its bloom filter admits, from the segment's
+// key block, so a caller that looks up every stored key (as a service
+// re-planning its campaigns does) reads every stored key once and
+// decodes only the tail's records. A tail larger than the segment
+// threshold (such as a flat log written before segmentation) is rolled
+// into a segment on open.
 func OpenWith(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, campaignsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -355,6 +366,9 @@ func (s *Store) scan(to int64, counted bool) error {
 		if nl < 0 {
 			break // torn tail: no final newline
 		}
+		if nl >= math.MaxInt32 {
+			break // no line PutBatch writes is this long
+		}
 		r, err := s.decodeLine(buf[:nl])
 		if err != nil || r.V != recordVersion || r.Key().validate() != nil {
 			break // undecodable or wrong-version line: stop here
@@ -370,7 +384,7 @@ func (s *Store) scan(to int64, counted bool) error {
 				s.distinct++
 			}
 		}
-		s.index[ks] = indexEntry{Off: off, Len: nl + 1}
+		s.index[ks] = indexEntry{Off: off, Len: int32(nl + 1)}
 		off += int64(nl + 1)
 		buf = buf[nl+1:]
 		s.size = off
@@ -405,13 +419,17 @@ func (s *Store) recountDistinctLocked() error {
 	return nil
 }
 
-// ensureSegIndex loads a segment's lazy index, counting the load.
-// Caller holds mu.
+// ensureSegIndex loads a segment's lazy index, counting the load and a
+// key block that failed its checksum. Caller holds mu.
 func (s *Store) ensureSegIndex(g *segment) error {
 	if g.index != nil {
 		return nil
 	}
-	if err := g.ensureIndex(s.decodeLine); err != nil {
+	badKeys, err := g.ensureIndex(s.decodeLine)
+	if badKeys {
+		s.countCorrupt()
+	}
+	if err != nil {
 		return err
 	}
 	s.segmentLoads++
@@ -419,11 +437,18 @@ func (s *Store) ensureSegIndex(g *segment) error {
 	return nil
 }
 
+// countCorrupt counts one segment checksum failure. Caller holds mu.
+func (s *Store) countCorrupt() {
+	s.corrupt++
+	s.met.corruptRecord()
+}
+
 // decodeLine decodes one record line (newline excluded) with
-// decodeRecord, counting the lines it hands to json.Unmarshal. Caller
-// holds mu (or is single-threaded during load).
+// decodeRecord, counting the lines it decodes and those it hands to
+// json.Unmarshal. Caller holds mu (or is single-threaded during load).
 func (s *Store) decodeLine(line []byte) (Record, error) {
 	r, fast, err := decodeRecord(line)
+	s.decodes++
 	if !fast {
 		s.jsonDecodes++
 	}
@@ -503,6 +528,8 @@ func (s *Store) holdsLocked(k Key, ks string) (bool, error) {
 // then segments newest to oldest, pruned by bloom filters and footer
 // ranges — one record line read, no scans. A store written before puts
 // became write-once may hold several copies of a key; the newest wins.
+// A segment line whose CRC-32C does not match its key block's is
+// counted and answers an error, never a Record.
 func (s *Store) Get(k Key) (Record, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -532,6 +559,9 @@ func (s *Store) getLocked(k Key) (Record, bool, error) {
 		}
 		r, err := seg.readAt(e, s.decodeLine)
 		if err != nil {
+			if errors.Is(err, errChecksum) {
+				s.countCorrupt()
+			}
 			return Record{}, false, err
 		}
 		return r, true, nil
@@ -583,7 +613,9 @@ func (s *Store) PutBatch(rs []Record) error {
 		if err := enc.Encode(r); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		lens[i] = buf.Len() - start
+		if lens[i] = buf.Len() - start; lens[i] > math.MaxInt32 {
+			return fmt.Errorf("store: record %v encodes to %d bytes", keys[i], lens[i])
+		}
 	}
 
 	s.mu.Lock()
@@ -640,7 +672,7 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 	}
 	s.met.observeFsync(time.Since(syncStart).Seconds())
 	for i, ks := range kss {
-		s.index[ks] = indexEntry{Off: s.size, Len: lens[i]}
+		s.index[ks] = indexEntry{Off: s.size, Len: int32(lens[i])}
 		s.size += int64(lens[i])
 	}
 	s.distinct += len(kss)
@@ -652,17 +684,19 @@ func (s *Store) appendLocked(lines []byte, keys []Key, lens []int) error {
 }
 
 // rollLocked rolls the active tail into a new immutable segment: the
-// tail's bytes, as they stand, are written with footer and trailer to a
-// temp file, fsynced, renamed into place, and the segments directory is
-// fsynced; only then is the tail truncated. A tail holds one line per
-// key in first-put order, unless it was written before puts became
-// write-once: then its superseded lines go into the segment too, where
-// a read resolves a key to its later line, as in the tail. The footer
-// records the store's distinct-cell count, which is how the count
-// survives a restart. A crash anywhere leaves either the intact tail
-// (segment never published) or the segment plus a tail whose records
-// duplicate it — both of which reopen correctly, because a read takes
-// the tail's copy before any segment's.
+// tail's bytes, as they stand, are written with a key block, footer and
+// trailer to a temp file, fsynced, renamed into place, and the segments
+// directory is fsynced; only then is the tail truncated. The key block
+// is the tail index, sorted by key, each entry with its line's CRC-32C.
+// A tail holds one line per key in first-put order, unless it was
+// written before puts became write-once: then its superseded lines go
+// into the segment too, where the key block locates each key's later
+// line, as the tail index did. The footer records the store's
+// distinct-cell count, which is how the count survives a restart. A
+// crash anywhere leaves either the intact tail (segment never
+// published) or the segment plus a tail whose records duplicate it —
+// both of which reopen correctly, because a read takes the tail's copy
+// before any segment's.
 func (s *Store) rollLocked() error {
 	if len(s.index) == 0 {
 		return nil
@@ -674,22 +708,15 @@ func (s *Store) rollLocked() error {
 	if _, err := s.f.ReadAt(data, 0); err != nil {
 		return &WriteError{Op: "roll", Err: err}
 	}
-	keys := make([]Key, 0, len(s.index))
-	kss := make([]string, 0, len(s.index))
-	index := make(segIndex, 0, len(s.index))
-	for ks, e := range s.index {
-		k, err := parseKey(ks)
-		if err != nil {
-			return err
-		}
-		keys = append(keys, k)
-		kss = append(kss, ks)
-		index = append(index, segEntry{ks, e})
+	index := sealIndex(data, s.index)
+	keyBlock := appendKeyBlock(nil, index)
+	ft, err := footerOf(index, s.size, keyBlock)
+	if err != nil {
+		return err
 	}
-	ft := footerOf(keys, kss, s.size)
 	ft.Distinct = s.distinct
 	path := filepath.Join(s.dir, segmentsDir, segName(s.nextSeq))
-	if err := writeSegmentFile(path, data, ft); err != nil {
+	if err := writeSegmentFile(path, data, keyBlock, ft); err != nil {
 		return &WriteError{Op: "roll", Err: err}
 	}
 	// The truncate below destroys the tail's copy of these records, so
@@ -697,7 +724,7 @@ func (s *Store) rollLocked() error {
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return &WriteError{Op: "roll", Err: err}
 	}
-	s.segs = append(s.segs, &segment{path: path, seq: s.nextSeq, footer: ft, index: sortSegIndex(index)})
+	s.segs = append(s.segs, &segment{path: path, seq: s.nextSeq, footer: ft, index: index})
 	s.nextSeq++
 	if err := s.f.Truncate(0); err != nil {
 		return &WriteError{Op: "roll", Err: err}
